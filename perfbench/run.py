@@ -98,7 +98,9 @@ def run(args) -> dict:
             "note": NO_WAIT_NOTE,
             "load": "closed loop, 1 client",
             "setup_samples_s": samples,
+            "latency_block_ops": out["latency_blocks"],
             "ops_beyond_p90": out["beyond_p90"],
+            "generation_retries": out["generation_retries"],
             "error_rate": out["failed"] / out["attempted"],
         }
     print("# " + json.dumps(summary, sort_keys=True))

@@ -3,8 +3,9 @@
     python3 -m pytest perfbench
 
 Checks that every metric named in BENCHMARK.json is printed with its
-unit, that no op fails at a fixed seed, and that the traced replay
-reproduces the untraced results.  Takes about ten seconds.
+unit, that no op fails at a fixed seed, that the traced replay
+reproduces the untraced results, and that a `certify` generation that
+exits 1 is retried.  Takes about ten seconds.
 """
 
 import json
@@ -44,3 +45,28 @@ def test_one_op(workload, trace):
     for metric in result["metrics"].values():
         assert isinstance(metric["value"], (int, float))
     assert any("no wait time is reported" in line for line in preamble)
+
+
+def test_certify_retries_a_failed_generation(tmp_path, monkeypatch):
+    """A generation that exits 1 is retried with the op's next seed; the
+    op then passes and reports the retry."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    try:
+        import workloads
+    finally:
+        del sys.path[:2]
+    workload = workloads.WORKLOADS["certify"](0, tmp_path)
+    workload.setup()
+    real_main = workloads.ef_cli.main
+    calls = []
+
+    def first_generation_fails(argv):
+        calls.append(argv)
+        return 1 if len(calls) == 1 else real_main(argv)
+
+    monkeypatch.setattr(workloads.ef_cli, "main", first_generation_fails)
+    result = workload.run_op(0)
+    assert result.ok and result.claimed
+    assert result.diag["generation_retries"] == 1
+    assert [argv[1] for argv in calls] == ["--dim", "--dim", "--verify"]
+    assert calls[0][4] != calls[1][4]  # another seed

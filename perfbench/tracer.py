@@ -69,8 +69,9 @@ def _resolve(target: str):
 class Tracer:
     """Records spans for the TARGETS while installed.
 
-    `counts` holds the number of calls per target name plus the outcome
-    counters filled by the result hooks below.
+    `counts` holds the number of calls per target name, the number of
+    those calls that raised (``<name>.raised``), and the outcome counters
+    filled by the result hooks below.
     """
 
     def __init__(self) -> None:
@@ -98,6 +99,9 @@ class Tracer:
             start = perf_counter_ns()
             try:
                 result = fn(*args, **kwargs)
+            except Exception:
+                counts[name + ".raised"] += 1
+                raise
             finally:
                 end = perf_counter_ns()
                 stack.pop()

@@ -41,6 +41,11 @@ class OpResult:
 
 class Workload:
     name = ""
+    # One cycle of op kinds (dimensions).  The weights put p50 and p90 in
+    # the middle of a latency class, not near its edge: the class holding
+    # p50 spans ranks 20-80% and the slowest class ranks 80-100%.  Drift in
+    # machine speed blurs the edges between classes, so a percentile near an
+    # edge would jump between classes from run to run.
     sequence: tuple = ()
 
     def __init__(self, seed: int, workdir: Path):
@@ -71,11 +76,12 @@ class Reconstruct(Workload):
     """Fresh state and fresh MIC-POM per op (criterion 01 / CLI pattern)."""
 
     name = "reconstruct"
-    sequence = (2, 3, 4)
+    sequence = (2, 3, 3, 3, 4)
 
     def setup(self) -> tuple:
         # One untimed op per dimension warms the verification-effect cache.
-        return tuple(self._op(d, self.rng("setup", d)).digest for d in self.sequence)
+        dims = sorted(set(self.sequence))
+        return tuple(self._op(d, self.rng("setup", d)).digest for d in dims)
 
     def _op(self, d: int, rng: random.Random) -> OpResult:
         s_rho, s_mic = _seed(rng), _seed(rng)
@@ -98,38 +104,56 @@ class Reconstruct(Workload):
 
 
 class Certify(Workload):
-    """CLI round trip: write a certificate, then verify it from the file."""
+    """CLI round trip: write a certificate, then verify it from the file.
+
+    `certify-cone` gives up on about 0.4% of seeds at d = 3..5: it exits 1
+    with "stage random-ball: only k of d^2 independent witnesses found".
+    This is a library defect.  A client that needs a certificate then tries
+    another seed, and so does this op: it generates with up to
+    GENERATION_TRIES seeds, stopping at the first exit 0, and verifies that
+    certificate.  The failed generations count in the op's latency and in
+    `generation_retries`, so the defect stays visible in every run, while
+    the number of failed ops no longer depends on how many ops a run did.
+    """
 
     name = "certify"
-    sequence = (2, 3, 3, 3, 4, 4, 4, 4, 5, 5)
+    sequence = (2, 3, 4, 4, 4, 4, 4, 4, 5, 5)
+    GENERATION_TRIES = 3
 
     def setup(self) -> tuple:
         self.cert_path = self.workdir / "cert.json"
         self.report_path = self.workdir / "verify.json"
-        return self._op(2, _seed(self.rng("setup"))).digest
+        return self._op(2, self.rng("setup")).digest
 
-    def _op(self, d: int, seed: int) -> OpResult:
+    def _op(self, d: int, rng: random.Random) -> OpResult:
+        seeds = [_seed(rng) for _ in range(self.GENERATION_TRIES)]
         sink = io.StringIO()
         cert, report = str(self.cert_path), str(self.report_path)
+        checked = None
         started = time.perf_counter()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            made = ef_cli.main(
-                ["certify-cone", "--dim", str(d), "--seed", str(seed), "--out", cert]
-            )
-            checked = ef_cli.main(["certify-cone", "--verify", cert, "--out", report])
+            for tries, seed in enumerate(seeds, 1):
+                made = ef_cli.main(
+                    ["certify-cone", "--dim", str(d), "--seed", str(seed), "--out", cert]
+                )
+                if made != 1:  # 1 is the "verdict fail" exit: try the next seed
+                    break
+            if made == 0:
+                checked = ef_cli.main(["certify-cone", "--verify", cert, "--out", report])
         seconds = time.perf_counter() - started
+        retries = {"generation_retries": tries - 1}
         if made != 0 or checked != 0:
-            return OpResult(False, seconds, (made, checked), claimed=False)
+            return OpResult(False, seconds, (made, checked), retries, claimed=False)
         verdict = json.loads(self.report_path.read_text(encoding="utf-8"))
         return OpResult(
             ok=verdict["verdict"] == "pass",
             seconds=seconds,
             digest=(self.cert_path.read_bytes(), self.report_path.read_bytes()),
-            diag={"membership_residual": verdict["max_membership_residual"]},
+            diag={"membership_residual": verdict["max_membership_residual"], **retries},
         )
 
     def run_op(self, index: int) -> OpResult:
-        return self._op(self.sequence[index % self.cycle], _seed(self.rng(index)))
+        return self._op(self.sequence[index % self.cycle], self.rng(index))
 
 
 def _log_uniform_int(rng: random.Random, top_exponent: float, scale: int = 1) -> int:
