@@ -24,7 +24,7 @@ from .operators import (
     eig_hermitian,
     identity,
     rank_one,
-    real_coordinates,
+    stacked_coordinates,
 )
 from .effects import Effect, NotAnEffectError, POM, is_effect
 
@@ -254,7 +254,7 @@ def validate_augmented(
     )
 
     # Condition 4: linear independence over the reals.
-    coords = np.column_stack([real_coordinates(op) for op in basis.ops])
+    coords = stacked_coordinates(np.stack([op.mat for op in basis.ops])).T
     svals = np.linalg.svd(coords, compute_uv=False)
     ratio = float(svals[-1] / svals[0]) if svals[0] > 0 else 0.0
     rank = int(np.count_nonzero(svals > tol.rank_cutoff * svals[0])) if svals[0] > 0 else 0

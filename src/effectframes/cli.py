@@ -10,6 +10,7 @@ Timestamps never enter the report body; a metadata line goes to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -22,7 +23,7 @@ from .operators import (
     ToleranceConfig,
     operator_from_jsonable,
     operator_to_jsonable,
-    real_coordinates,
+    stacked_coordinates,
 )
 from .effects import (
     DensityOperator,
@@ -141,7 +142,10 @@ def _cmd_certify_cone(args) -> tuple[dict, bool]:
     if args.verify:
         try:
             cert = certificate_from_jsonable(_load_json(args.verify))
-            report = verify_certificate(cert)
+            used = cert.tol
+            if args.tol_residual is not None:
+                used = dataclasses.replace(cert.tol, residual=args.tol_residual)
+            report = verify_certificate(cert, used)
             body = {
                 "subcommand": "certify-cone",
                 "mode": "verify",
@@ -151,7 +155,7 @@ def _cmd_certify_cone(args) -> tuple[dict, bool]:
                 "max_membership_residual": report.max_membership_residual,
                 "min_coefficient": report.min_coefficient,
                 "witness_count": report.witness_count,
-                "tolerances": _tol_dict(cert.tol),
+                "tolerances": _tol_dict(used),
             }
             return body, report.passed
         except CertificateError as exc:
@@ -322,7 +326,7 @@ def _validate_pom_like(ops, tol: ToleranceConfig, need_rank: bool) -> tuple[dict
     if need_rank:
         if len(ops) != d * d:
             return details, "element-count"
-        coords = np.column_stack([real_coordinates(op) for op in ops])
+        coords = stacked_coordinates(np.stack([op.mat for op in ops])).T
         svals = np.linalg.svd(coords, compute_uv=False)
         rank = int(np.count_nonzero(svals > tol.rank_cutoff * svals[0]))
         details["rank"] = rank

@@ -10,9 +10,12 @@ lies in the intersection of the augmented-basis cone and any MIC-POM cone,
 from which d**2 linearly independent common elements are harvested.  The
 harvest is returned as a re-checkable certificate.
 
-Cone membership queries run nonnegative least squares on the real
-coordinate system of the family and treat the optimum as a certificate
-when its residual is below tolerance.
+Cone membership queries solve the square coordinate system of the family:
+the expansion of a point over a full operator basis is unique, so its
+coefficients decide membership.  Nonnegative least squares (scipy, imported
+on first use) remains as a fallback for points the solve rejects, and any
+fit it returns is kept only when its recomputed residual is below
+tolerance.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .operators import (
     DEFAULT_TOL,
@@ -35,6 +37,7 @@ from .operators import (
     operator_to_jsonable,
     orthonormal_operator_basis,
     real_coordinates,
+    stacked_coordinates,
 )
 from .effects import (
     Effect,
@@ -138,6 +141,17 @@ def _family_view(family) -> OperatorBasis:
     )
 
 
+def nnls(mat: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
+    """Nonnegative least squares, min ||mat x - target|| over x >= 0.
+
+    Delegates to `scipy.optimize.nnls`, importing scipy on the first call
+    so that importing this package does not load it.
+    """
+    from scipy.optimize import nnls as scipy_nnls
+
+    return scipy_nnls(mat, target)
+
+
 def cone_membership(
     h: HermitianOperator,
     basis,
@@ -233,7 +247,7 @@ class SpanCertificate:
 
 
 def _witness_rank(witnesses, tol: ToleranceConfig) -> int:
-    coords = np.column_stack([real_coordinates(e.op) for e in witnesses])
+    coords = stacked_coordinates(np.stack([e.mat for e in witnesses])).T
     svals = np.linalg.svd(coords, compute_uv=False)
     if svals[0] <= 0:
         return 0
@@ -270,9 +284,10 @@ def intersection_span_certificate(
     from the membership coefficients and the smallest singular values of
     the two coordinate systems, then shift E_delta by (radius/2) times
     each element of the closed-form orthonormal operator basis.  Every
-    witness is re-verified by nonnegative least squares in both cones; on
-    any failure the radius halves (at most 20 times) before falling back
-    to seeded random directions inside the ball.  Raises
+    witness is re-verified by `cone_membership` in both cones (the square
+    coordinate solve decides, nonnegative least squares is its fallback);
+    on any failure the radius halves (at most 20 times) before falling
+    back to seeded random directions inside the ball.  Raises
     `CertificateError` naming the failing stage instead of passing
     silently.
     """

@@ -28,10 +28,8 @@ from .operators import (
     ToleranceConfig,
     _check_same_dim,
     eig_hermitian,
-    identity,
     operator_from_jsonable,
     operator_to_jsonable,
-    rank_one,
 )
 
 __all__ = [

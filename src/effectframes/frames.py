@@ -13,6 +13,7 @@ adversarial non-additive instances share one interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -32,6 +33,8 @@ from .operators import (
     operator_from_jsonable,
     operator_to_jsonable,
     orthonormal_operator_basis,
+    real_coordinates,
+    stacked_coordinates,
 )
 from .effects import (
     DensityOperator,
@@ -39,7 +42,6 @@ from .effects import (
     MicPom,
     NotAnEffectError,
     _effect_from_rng,
-    is_effect,
     max_scale,
     psd_sqrt,
     verification_effects,
@@ -223,6 +225,15 @@ def frame_vector(
     return out
 
 
+@lru_cache(maxsize=64)
+def _verification_coordinates(d: int, seed: int, count: int) -> np.ndarray:
+    """(count, d**2) real coordinates of the memoized verification effects."""
+    effects = verification_effects(d, seed, count)
+    coords = stacked_coordinates(np.stack([e.mat for e in effects]))
+    coords.setflags(write=False)
+    return coords
+
+
 @dataclass(frozen=True, eq=False)
 class ReconstructionReport:
     """Candidate state with the numbers backing the pass/fail verdict."""
@@ -248,7 +259,9 @@ def reconstruct_density(
     coordinates through the inverse transpose of the change-of-basis
     matrix; recombining gives the candidate rho_hat.  The report verifies
     trace, positivity, and the worst |f(E) - Tr(rho_hat E)| over a
-    memoized seeded set of `test_count` effects.
+    memoized seeded set of `test_count` effects.  The oracle is queried
+    effect by effect; the traces Tr(rho_hat E) come from one product of the
+    set's cached coordinate matrix with the coordinates of rho_hat.
     """
     d = mic.dim
     if w_basis is None:
@@ -261,9 +274,10 @@ def reconstruct_density(
     rho_hat = CoefficientVector(basis=w_basis, coeffs=c_prime).recombine()
     eigs, _ = eig_hermitian(rho_hat, tol)
     trace = rho_hat.trace()
-    max_dev = 0.0
-    for e in verification_effects(d, test_seed, test_count):
-        max_dev = max(max_dev, abs(f(e) - hs_inner(rho_hat, e.op)))
+    coords = _verification_coordinates(d, test_seed, test_count)
+    predicted = coords @ real_coordinates(rho_hat)
+    observed = np.array([f(e) for e in verification_effects(d, test_seed, test_count)])
+    max_dev = float(np.max(np.abs(observed - predicted), initial=0.0))
     verdict = (
         abs(trace - 1.0) <= tol.residual
         and float(eigs[-1]) >= -tol.psd_slack

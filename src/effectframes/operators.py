@@ -2,10 +2,10 @@
 
 The d x d complex Hermitian matrices form a real vector space of dimension
 d**2 carrying the trace inner product ``<A, B> = Tr(AB)``.  This module
-provides the immutable operator value type, a cyclic Jacobi eigensolver for
-small dense Hermitian matrices, operator bases of the full space together
-with coordinate expansion and change-of-basis maps, and the JSON wire format
-for operators.
+provides the immutable operator value type, its cached eigendecomposition
+(LAPACK ``eigh``), isometric real coordinates computed for whole operator
+families at once, operator bases of the full space together with coordinate
+expansion and change-of-basis maps, and the JSON wire format for operators.
 
 Conventions: eigenvalues are always returned in descending order, operator
 norms are Hilbert-Schmidt (Frobenius) norms, and every public value is
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -44,6 +44,7 @@ __all__ = [
     "orthonormal_operator_basis",
     "rank_one",
     "real_coordinates",
+    "stacked_coordinates",
     "zero",
 ]
 
@@ -61,7 +62,7 @@ class NonHermitianError(ValueError):
 
 
 class EigensolverError(RuntimeError):
-    """Jacobi sweeps exhausted before the off-diagonal norm converged."""
+    """The LAPACK eigensolver reported that it did not converge."""
 
 
 class SingularBasisError(ValueError):
@@ -75,8 +76,9 @@ class ToleranceConfig:
     Attributes
     ----------
     eig_offdiag : float
-        Eigensolver convergence: sweep until the off-diagonal Frobenius
-        norm falls below this value (scaled by max(1, ||A||_F)).
+        Not used by the eigensolver.  Kept, validated and serialized so
+        that the tolerance JSON of certificates and CLI reports keeps its
+        shape and older certificates still load.
     psd_slack : float
         Magnitude of negative eigenvalues tolerated in positivity checks.
     residual : float
@@ -211,111 +213,44 @@ def hs_distance(a: HermitianOperator, b: HermitianOperator) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Cyclic Jacobi eigensolver
+# Spectral decomposition
 # ---------------------------------------------------------------------------
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero a[p, q] with a unitary plane rotation, updating a and v in place."""
-    apq = a[p, q]
-    r = abs(apq)
-    u = apq / r
-    alpha = a[p, p].real
-    beta = a[q, q].real
-    # Angle for the real symmetric 2x2 block [[alpha, r], [r, beta]].
-    tau = (beta - alpha) / (2.0 * r)
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.hypot(1.0, tau))
-    else:
-        t = -1.0 / (-tau + math.hypot(1.0, tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    su = s * u
-    suc = s * u.conjugate()
-
-    # A <- R^dagger A R with R the identity apart from
-    # R[p,p]=c, R[p,q]=s*u, R[q,p]=-s*conj(u), R[q,q]=c.
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - suc * col_q
-    a[:, q] = su * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - su * row_q
-    a[q, :] = suc * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    col_p = v[:, p].copy()
-    col_q = v[:, q].copy()
-    v[:, p] = c * col_p - suc * col_q
-    v[:, q] = su * col_p + c * col_q
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def eig_hermitian(
-    a: HermitianOperator,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    max_sweeps: int = 100,
+    a: HermitianOperator, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a Hermitian operator by cyclic Jacobi sweeps.
+    """Full eigendecomposition of a Hermitian operator (LAPACK ``eigh``).
 
     Parameters
     ----------
     a : HermitianOperator
         Operator to diagonalize.
     tol : ToleranceConfig
-        Convergence is declared when the off-diagonal Frobenius norm drops
-        below ``tol.eig_offdiag * max(1, ||a||_F)``.
-    max_sweeps : int
-        Sweep limit before `EigensolverError` is raised.
+        Accepted so that every spectral caller shares one signature; the
+        decomposition does not depend on it.
 
     Returns
     -------
     (eigenvalues, eigenvectors)
         Eigenvalues as a real array sorted in descending order and the
         matching orthonormal eigenvectors as columns of a complex matrix,
-        so that ``V diag(w) V^dagger`` reconstructs the input.
+        so that ``V diag(w) V^dagger`` reconstructs the input.  Both arrays
+        are read-only and cached on the operator.
+
+    Raises `EigensolverError` when LAPACK reports no convergence.
     """
     cache = a._eig_cache
-    if cache is not None and cache[0] == tol.eig_offdiag:
-        return cache[1], cache[2]
-
-    d = a.dim
-    work = np.array(a.mat, dtype=np.complex128)
-    vecs = np.eye(d, dtype=np.complex128)
-    thresh = tol.eig_offdiag * max(1.0, float(np.linalg.norm(work)))
-    if d > 1:
-        skip = thresh / (d * d)
-        converged = False
-        for _ in range(max_sweeps):
-            if _offdiag_norm(work) < thresh:
-                converged = True
-                break
-            for p in range(d - 1):
-                for q in range(p + 1, d):
-                    if abs(work[p, q]) > skip:
-                        _jacobi_rotate(work, vecs, p, q)
-        else:
-            converged = _offdiag_norm(work) < thresh
-        if not converged:
-            raise EigensolverError(
-                f"no convergence after {max_sweeps} sweeps "
-                f"(off-diagonal norm {_offdiag_norm(work):.3e}, threshold {thresh:.3e})"
-            )
-
-    w = np.diag(work).real.copy()
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    vecs = vecs[:, order]
+    if cache is not None:
+        return cache
+    try:
+        w, vecs = np.linalg.eigh(a.mat)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
+    w = w[::-1].copy()
+    vecs = vecs[:, ::-1].copy()
     w.setflags(write=False)
     vecs.setflags(write=False)
-    object.__setattr__(a, "_eig_cache", (tol.eig_offdiag, w, vecs))
+    object.__setattr__(a, "_eig_cache", (w, vecs))
     return w, vecs
 
 
@@ -323,32 +258,42 @@ def eig_hermitian(
 # Real coordinates and operator bases
 # ---------------------------------------------------------------------------
 
-def real_coordinates(a: HermitianOperator) -> np.ndarray:
-    """Isometric real coordinates of a Hermitian operator.
-
-    Maps ``a`` to a real vector of length d**2 such that Euclidean inner
-    products of coordinate vectors equal trace inner products of operators
-    (diagonal entries, then sqrt(2)-scaled real and imaginary parts of the
-    strict upper triangle).
-    """
-    m = a.mat
-    d = a.dim
+@lru_cache(maxsize=64)
+def _strict_upper(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of a d x d matrix."""
     iu = np.triu_indices(d, k=1)
-    upper = m[iu]
+    for idx in iu:
+        idx.setflags(write=False)
+    return iu
+
+
+def stacked_coordinates(mats: np.ndarray) -> np.ndarray:
+    """Isometric real coordinates of a stack of Hermitian matrices.
+
+    Maps an ``(n, d, d)`` array to an ``(n, d**2)`` real array whose row k
+    holds the coordinates of ``mats[k]``: the diagonal entries, then the
+    sqrt(2)-scaled real and imaginary parts of the strict upper triangle.
+    Euclidean inner products of rows equal trace inner products of the
+    matrices.
+    """
+    rows, cols = _strict_upper(mats.shape[-1])
+    upper = mats[:, rows, cols]
     return np.concatenate(
-        [np.diag(m).real, math.sqrt(2.0) * upper.real, math.sqrt(2.0) * upper.imag]
+        [
+            np.diagonal(mats, axis1=1, axis2=2).real,
+            math.sqrt(2.0) * upper.real,
+            math.sqrt(2.0) * upper.imag,
+        ],
+        axis=1,
     )
 
 
-def _operator_from_coordinates(coords: np.ndarray, d: int) -> HermitianOperator:
-    iu = np.triu_indices(d, k=1)
-    n_off = iu[0].size
-    m = np.zeros((d, d), dtype=np.complex128)
-    m[np.diag_indices(d)] = coords[:d]
-    upper = (coords[d : d + n_off] + 1j * coords[d + n_off :]) / math.sqrt(2.0)
-    m[iu] = upper
-    m[iu[1], iu[0]] = upper.conj()
-    return HermitianOperator(m)
+def real_coordinates(a: HermitianOperator) -> np.ndarray:
+    """Isometric real coordinates of one operator: a vector of length d**2.
+
+    The single-operator case of `stacked_coordinates`.
+    """
+    return stacked_coordinates(a.mat[np.newaxis])[0]
 
 
 BASIS_KINDS = ("orthonormal", "augmented", "mic-pom", "generic")
@@ -418,7 +363,7 @@ class OperatorBasis:
     @cached_property
     def coordinate_matrix(self) -> np.ndarray:
         """d**2 x d**2 real matrix whose columns are element coordinates."""
-        m = np.column_stack([real_coordinates(el) for el in self._elements])
+        m = stacked_coordinates(np.stack([el.mat for el in self._elements])).T
         m.setflags(write=False)
         return m
 
@@ -464,12 +409,14 @@ class CoefficientVector:
         return HermitianOperator(acc)
 
 
+@lru_cache(maxsize=64)
 def orthonormal_operator_basis(d: int, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorBasis:
     """Closed-form orthonormal basis of the Hermitian operators on C^d.
 
     Consists of the normalized identity, the d-1 normalized traceless
     diagonal operators, and the normalized symmetric / antisymmetric
-    off-diagonal pairs; exactly orthonormal before rounding.
+    off-diagonal pairs; exactly orthonormal before rounding.  Memoized on
+    (d, tol): the basis is immutable, so every caller shares one instance.
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")

@@ -103,6 +103,30 @@ def test_certify_cone_verify_flags_tampering(capsys, tmp_path):
     assert report["failures"]
 
 
+def test_certify_cone_verify_uses_tol_residual(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "certify-cone", "--dim", "2", "--seed", "1", "--out", str(cert_path))
+    payload = json.loads(cert_path.read_text())
+    # Move one stored coefficient so that its residual lands between the
+    # default tolerance (1e-8) and the override (1e-5).
+    payload["memberships"][0]["mic"]["coeffs"][0] += 1e-6
+    cert_path.write_text(json.dumps(payload))
+
+    code, out, _ = run_cli(capsys, "certify-cone", "--verify", str(cert_path))
+    assert code == 1
+    report = json.loads(out)
+    assert "witness-0-mic-residual" in report["failures"]
+    assert report["tolerances"] == payload["tolerances"]
+
+    code, out, _ = run_cli(
+        capsys, "certify-cone", "--verify", str(cert_path), "--tol-residual", "1e-5"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "pass"
+    assert report["tolerances"] == dict(payload["tolerances"], residual=1e-5)
+
+
 def test_certify_cone_needs_dim_and_seed(capsys):
     code, _, err = run_cli(capsys, "certify-cone")
     assert code == 2

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import effectframes
+from effectframes import cones
 from effectframes import (
     CertificateError,
     DEFAULT_TOL,
@@ -25,6 +31,7 @@ from effectframes import (
     random_mic_pom,
     random_onb,
     rank_one,
+    real_coordinates,
     sic_mic_pom,
     verify_certificate,
 )
@@ -82,6 +89,40 @@ def test_membership_negative_operator_absent():
     neg = rank_one(np.array([1.0, 0.0], dtype=complex)) * -1.0
     assert cone_membership(neg, basis) is None
     assert cone_membership(neg, sic_mic_pom()) is None
+
+
+def test_membership_nnls_fallback_rejects_negative_coefficient(monkeypatch):
+    sic = sic_mic_pom()
+    # I/2 is half the sum of the SIC effects; removing one effect whole
+    # leaves its coefficient at -1/2.
+    target = HermitianOperator(0.5 * EYE2 - sic.effects[0].mat)
+    exact = np.linalg.solve(sic.basis_view.coordinate_matrix, real_coordinates(target))
+    np.testing.assert_allclose(exact, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
+    fallback_calls = []
+    scipy_nnls = cones.nnls
+
+    def counting_nnls(mat, vec):
+        fallback_calls.append(vec)
+        return scipy_nnls(mat, vec)
+
+    monkeypatch.setattr(cones, "nnls", counting_nnls)
+    assert cone_membership(target, sic) is None
+    assert len(fallback_calls) == 1
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(effectframes.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = (
+        "import sys, effectframes; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_membership_of_interior_point():

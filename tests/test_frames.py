@@ -33,6 +33,7 @@ from effectframes import (
     reconstruct_density,
     restriction_linearity_check,
     sic_mic_pom,
+    verification_effects,
 )
 
 EYE2 = np.eye(2, dtype=complex)
@@ -148,6 +149,17 @@ def test_reconstruct_hidden_states(d):
         report = reconstruct_density(BornFrame(rho), mic)
         assert report.verdict
         assert hs_distance(report.rho_hat, rho.op) < 1e-8
+
+
+@pytest.mark.parametrize("frame_cls", [BornFrame, AdversarialSquareFrame])
+def test_reconstruct_sweep_matches_per_effect_traces(frame_cls):
+    """The one-product sweep agrees with evaluating Tr(rho_hat E) per effect."""
+    f = frame_cls(random_density(3, 11))
+    report = reconstruct_density(f, random_mic_pom(3, 12), test_count=50, test_seed=99)
+    reference = max(
+        abs(f(e) - hs_inner(report.rho_hat, e.op)) for e in verification_effects(3, 99, 50)
+    )
+    assert report.max_deviation == pytest.approx(reference, rel=1e-12, abs=1e-14)
 
 
 def test_reconstruct_basis_independence():

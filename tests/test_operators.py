@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from effectframes import (
     DEFAULT_TOL,
     DimensionMismatchError,
+    EigensolverError,
     HermitianOperator,
     NonHermitianError,
     OperatorBasis,
@@ -25,6 +26,7 @@ from effectframes import (
     orthonormal_operator_basis,
     rank_one,
     real_coordinates,
+    stacked_coordinates,
     zero,
 )
 from conftest import random_hermitian
@@ -121,6 +123,42 @@ def test_eig_round_trip_bulk(rng):
     assert count == 1000
 
 
+def _assert_spectral_decomposition(op):
+    w, v = eig_hermitian(op)
+    assert np.all(np.diff(w) <= 0.0), "eigenvalues must be in descending order"
+    err = np.linalg.norm(v @ np.diag(w) @ v.conj().T - op.mat)
+    assert err <= 1e-12 * max(1.0, op.norm())
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(op.dim), atol=1e-12)
+    return w
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+def test_eig_spectral_decomposition_random(d):
+    gen = np.random.default_rng(7000 + d)
+    for _ in range(10):
+        x = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+        _assert_spectral_decomposition(HermitianOperator(4.0 * (x + x.conj().T)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+def test_eig_spectral_decomposition_degenerate(d):
+    w = _assert_spectral_decomposition(identity(d))
+    np.testing.assert_allclose(w, np.ones(d), atol=1e-13)
+    gen = np.random.default_rng(d)
+    ket = gen.standard_normal(d) + 1j * gen.standard_normal(d)
+    w = _assert_spectral_decomposition(rank_one(ket / np.linalg.norm(ket)))
+    np.testing.assert_allclose(w, [1.0] + [0.0] * (d - 1), atol=1e-13)
+
+
+def test_eig_reports_lapack_failure(monkeypatch):
+    def no_convergence(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(EigensolverError):
+        eig_hermitian(identity(2))
+
+
 def test_eig_cache_returns_same_arrays():
     op = identity(3)
     w1, v1 = eig_hermitian(op)
@@ -162,6 +200,7 @@ def test_orthonormal_basis_gram_identity(d):
     basis = orthonormal_operator_basis(d)
     assert basis.kind == "orthonormal"
     assert len(basis) == d * d
+    assert orthonormal_operator_basis(d) is basis
     np.testing.assert_allclose(basis.gram, np.eye(d * d), atol=1e-13)
     for w in basis.elements:
         assert hs_inner(w, w) == pytest.approx(1.0, abs=1e-13)
@@ -193,6 +232,34 @@ def test_real_coordinates_isometry(rng):
     va, vb = real_coordinates(a), real_coordinates(b)
     assert va @ vb == pytest.approx(hs_inner(a, b), abs=1e-12)
     assert va @ va == pytest.approx(hs_inner(a, a), abs=1e-12)
+
+
+def _loop_coordinates(m):
+    d = m.shape[0]
+    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
+    return np.array(
+        [m[j, j].real for j in range(d)]
+        + [math.sqrt(2.0) * m[j, k].real for j, k in pairs]
+        + [math.sqrt(2.0) * m[j, k].imag for j, k in pairs]
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_stacked_coordinates_match_single_operator(rng, d):
+    ops = [random_hermitian(rng, d) for _ in range(7)]
+    coords = stacked_coordinates(np.stack([op.mat for op in ops]))
+    assert coords.shape == (7, d * d)
+    for row, op in zip(coords, ops):
+        np.testing.assert_array_equal(row, real_coordinates(op))
+        np.testing.assert_array_equal(row, _loop_coordinates(op.mat))
+    inner = [[hs_inner(a, b) for b in ops] for a in ops]
+    np.testing.assert_allclose(coords @ coords.T, inner, atol=1e-12)
+
+
+def test_coordinate_matrix_columns_are_element_coordinates():
+    basis = orthonormal_operator_basis(3)
+    for j, el in enumerate(basis.elements):
+        np.testing.assert_array_equal(basis.coordinate_matrix[:, j], real_coordinates(el))
 
 
 def test_operator_basis_needs_d_squared_elements():
