@@ -10,208 +10,26 @@ purely exact-arithmetic corner, studies additive functions on rational
 grids and on the field of numbers p + q*sqrt(2), where non-linear additive
 functions are explicitly representable and refutable witnesses for their
 unboundedness come from Pell's equation.
+
+Each module's ``__all__`` is the single list of its public names; the
+package re-exports all of them.
 """
 
-from .operators import (
-    DEFAULT_TOL,
-    CoefficientVector,
-    DimensionMismatchError,
-    EigensolverError,
-    HermitianOperator,
-    NonHermitianError,
-    OperatorBasis,
-    SingularBasisError,
-    ToleranceConfig,
-    change_of_basis,
-    eig_hermitian,
-    expand,
-    hs_distance,
-    hs_inner,
-    identity,
-    operator_from_jsonable,
-    operator_to_jsonable,
-    orthonormal_operator_basis,
-    rank_one,
-    real_coordinates,
-    stacked_coordinates,
-    zero,
-)
-from .effects import (
-    DensityOperator,
-    Effect,
-    EffectCheck,
-    GenerationRetryError,
-    MicPom,
-    NotAnEffectError,
-    POM,
-    PomIdentityError,
-    coexists,
-    is_effect,
-    max_scale,
-    pom_from_jsonable,
-    pom_to_jsonable,
-    psd_sqrt,
-    random_density,
-    random_effect,
-    random_mic_pom,
-    random_onb,
-    sic_mic_pom,
-    verification_effects,
-)
-from .augmented import (
-    AugmentedBasis,
-    AugmentedBasisReport,
-    NotOrthonormalError,
-    augmented_basis_from_onb,
-    complete_projector_basis,
-    validate_augmented,
-)
-from .cones import (
-    CertificateError,
-    ConeDecomposition,
-    EpsilonTooLargeError,
-    SpanCertificate,
-    certificate_from_jsonable,
-    certificate_to_jsonable,
-    cone_decompose_spectral,
-    cone_membership,
-    interior_point_Edelta,
-    intersection_span_certificate,
-    verify_certificate,
-)
-from .frames import (
-    AdditivityReport,
-    AdversarialSquareFrame,
-    BornFrame,
-    FrameFunction,
-    ReconstructionReport,
-    RestrictionReport,
-    TabulatedFrame,
-    check_additivity,
-    coexisting_pair,
-    consistency_DT,
-    frame_from_jsonable,
-    frame_to_jsonable,
-    frame_vector,
-    reconstruct_density,
-    restriction_linearity_check,
-)
-from .cauchy import (
-    ConditionReport,
-    ExtensionView,
-    GridAdditiveFunction,
-    GridInvariantError,
-    NotRepresentableError,
-    QSqrt2,
-    QSqrt2Additive,
-    WitnessResult,
-    as_fraction,
-    check_condition,
-    check_linear,
-    fraction_str,
-    grid_from_jsonable,
-    grid_from_unit,
-    grid_to_jsonable,
-    model_from_jsonable,
-    qsqrt2_additive_from_jsonable,
-    qsqrt2_additive_to_jsonable,
-    unboundedness_witness,
-)
+from . import augmented, cauchy, cones, effects, frames, operators
+from .operators import *  # noqa: F401,F403
+from .effects import *  # noqa: F401,F403
+from .augmented import *  # noqa: F401,F403
+from .cones import *  # noqa: F401,F403
+from .frames import *  # noqa: F401,F403
+from .cauchy import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdditivityReport",
-    "AdversarialSquareFrame",
-    "AugmentedBasis",
-    "AugmentedBasisReport",
-    "BornFrame",
-    "CertificateError",
-    "CoefficientVector",
-    "ConditionReport",
-    "ConeDecomposition",
-    "DEFAULT_TOL",
-    "DensityOperator",
-    "DimensionMismatchError",
-    "Effect",
-    "EffectCheck",
-    "EigensolverError",
-    "EpsilonTooLargeError",
-    "ExtensionView",
-    "FrameFunction",
-    "GenerationRetryError",
-    "GridAdditiveFunction",
-    "GridInvariantError",
-    "HermitianOperator",
-    "MicPom",
-    "NonHermitianError",
-    "NotAnEffectError",
-    "NotOrthonormalError",
-    "NotRepresentableError",
-    "OperatorBasis",
-    "POM",
-    "PomIdentityError",
-    "QSqrt2",
-    "QSqrt2Additive",
-    "ReconstructionReport",
-    "RestrictionReport",
-    "SingularBasisError",
-    "SpanCertificate",
-    "TabulatedFrame",
-    "ToleranceConfig",
-    "WitnessResult",
-    "as_fraction",
-    "certificate_from_jsonable",
-    "certificate_to_jsonable",
-    "change_of_basis",
-    "check_additivity",
-    "check_condition",
-    "check_linear",
-    "coexisting_pair",
-    "coexists",
-    "cone_decompose_spectral",
-    "cone_membership",
-    "consistency_DT",
-    "eig_hermitian",
-    "expand",
-    "fraction_str",
-    "frame_from_jsonable",
-    "frame_to_jsonable",
-    "frame_vector",
-    "grid_from_jsonable",
-    "grid_from_unit",
-    "grid_to_jsonable",
-    "hs_distance",
-    "hs_inner",
-    "identity",
-    "interior_point_Edelta",
-    "intersection_span_certificate",
-    "is_effect",
-    "max_scale",
-    "model_from_jsonable",
-    "operator_from_jsonable",
-    "operator_to_jsonable",
-    "orthonormal_operator_basis",
-    "pom_from_jsonable",
-    "pom_to_jsonable",
-    "psd_sqrt",
-    "qsqrt2_additive_from_jsonable",
-    "qsqrt2_additive_to_jsonable",
-    "random_density",
-    "random_effect",
-    "random_mic_pom",
-    "random_onb",
-    "rank_one",
-    "real_coordinates",
-    "reconstruct_density",
-    "restriction_linearity_check",
-    "sic_mic_pom",
-    "stacked_coordinates",
-    "unboundedness_witness",
-    "validate_augmented",
-    "augmented_basis_from_onb",
-    "complete_projector_basis",
-    "verification_effects",
-    "verify_certificate",
-    "zero",
+    *operators.__all__,
+    *effects.__all__,
+    *augmented.__all__,
+    *cones.__all__,
+    *frames.__all__,
+    *cauchy.__all__,
 ]

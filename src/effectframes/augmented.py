@@ -6,6 +6,10 @@ an operator G, and divides everything by the top eigenvalue Gamma of G.
 The scaled family consists of rank-one effects whose first d members are
 c |e_j><e_j| with c = 1/Gamma in (0, 1), and whose total is an effect.
 Appending the deficit I - G/Gamma turns the family into a POM.
+
+The family is built and validated as one (d**2, d, d) stack, and
+`validate_augmented` checks its rank-one condition with one batched
+``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -21,19 +25,27 @@ from .operators import (
     HermitianOperator,
     OperatorBasis,
     ToleranceConfig,
+    _operator_views,
+    complex_from_jsonable,
+    complex_to_jsonable,
     eig_hermitian,
+    hermitian_stack,
     identity,
-    rank_one,
+    numerical_rank,
+    operators_from_jsonable,
+    operators_to_jsonable,
     stacked_coordinates,
 )
-from .effects import Effect, NotAnEffectError, POM, is_effect
+from .effects import Effect, NotAnEffectError, POM, effects_of, is_effect
 
 __all__ = [
     "AugmentedBasis",
     "AugmentedBasisReport",
     "ConditionResult",
     "NotOrthonormalError",
+    "augmented_basis_from_jsonable",
     "augmented_basis_from_onb",
+    "augmented_basis_to_jsonable",
     "complete_projector_basis",
     "validate_augmented",
 ]
@@ -65,14 +77,19 @@ def complete_projector_basis(
     j < k contributes projections onto (e_j + e_k)/sqrt(2) and
     (e_j + i e_k)/sqrt(2).  Columns of `onb` are the vectors.
     """
-    u = _as_onb_matrix(onb, tol)
+    return _operator_views(_projector_stack(_as_onb_matrix(onb, tol)))
+
+
+def _projector_stack(u: np.ndarray) -> np.ndarray:
+    """The completed projector family of `complete_projector_basis` as a stack."""
     d = u.shape[0]
-    projs = [rank_one(u[:, j]) for j in range(d)]
+    vecs = [u[:, j] for j in range(d)]
     for j in range(d):
         for k in range(j + 1, d):
-            projs.append(rank_one((u[:, j] + u[:, k]) / math.sqrt(2.0)))
-            projs.append(rank_one((u[:, j] + 1j * u[:, k]) / math.sqrt(2.0)))
-    return tuple(projs)
+            vecs.append((u[:, j] + u[:, k]) / math.sqrt(2.0))
+            vecs.append((u[:, j] + 1j * u[:, k]) / math.sqrt(2.0))
+    vecs = np.array(vecs)
+    return hermitian_stack(vecs[:, :, np.newaxis] * vecs[:, np.newaxis, :].conj())
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,12 +106,15 @@ class AugmentedBasis:
     ops : the d**2 scaled rank-one operators B_j
     c : common scale of the first d elements, in (0, 1) when valid
     gamma : top eigenvalue of the projector sum G (so c defaults to 1/gamma)
+    tol : tolerances of the effect checks of `elements` and `completion`
+        and of the rank certificate of `basis_view`
     """
 
     onb: np.ndarray
     ops: tuple[HermitianOperator, ...]
     c: float
     gamma: float
+    tol: ToleranceConfig = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         u = np.array(self.onb, dtype=np.complex128)
@@ -116,25 +136,29 @@ class AugmentedBasis:
         return len(self.ops)
 
     @cached_property
+    def stack(self) -> np.ndarray:
+        """The operators as one read-only (d**2, d, d) array."""
+        mats = np.stack([op.mat for op in self.ops])
+        mats.setflags(write=False)
+        return mats
+
+    @cached_property
     def elements(self) -> tuple[Effect, ...]:
         """The operators as validated effects."""
-        return tuple(Effect(op) for op in self.ops)
+        return effects_of(self.ops, self.tol)
 
     @cached_property
     def basis_view(self) -> OperatorBasis:
-        return OperatorBasis(self.ops, kind="augmented")
+        return OperatorBasis(self.ops, kind="augmented", tol=self.tol)
 
     @cached_property
     def element_sum(self) -> HermitianOperator:
-        acc = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for op in self.ops:
-            acc += op.mat
-        return HermitianOperator(acc)
+        return HermitianOperator(self.stack.sum(axis=0))
 
     @cached_property
     def completion(self) -> Effect:
         """The deficit I - sum(B_j), the extra element of the POM closure."""
-        return Effect(identity(self.dim) - self.element_sum)
+        return Effect(identity(self.dim) - self.element_sum, self.tol)
 
     def as_pom(self, tol: ToleranceConfig = DEFAULT_TOL) -> POM:
         """POM closure: the d**2 elements followed by the completion element."""
@@ -155,11 +179,8 @@ def augmented_basis_from_onb(
     for its sum; otherwise the offending eigenvalue is reported.
     """
     u = _as_onb_matrix(onb, tol)
-    projs = complete_projector_basis(u, tol)
-    g_mat = np.zeros_like(u)
-    for p in projs:
-        g_mat = g_mat + p.mat
-    gamma = float(eig_hermitian(HermitianOperator(g_mat), tol)[0][0])
+    projs = _projector_stack(u)
+    gamma = float(eig_hermitian(HermitianOperator(projs.sum(axis=0)), tol)[0][0])
     if c is None:
         c_val = 1.0 / gamma
     else:
@@ -172,10 +193,38 @@ def augmented_basis_from_onb(
                 f"override c = {c_val} gives the element sum top eigenvalue "
                 f"{top:.12g} > 1"
             )
-    ops = tuple(HermitianOperator(c_val * p.mat) for p in projs)
-    basis = AugmentedBasis(onb=u, ops=ops, c=c_val, gamma=gamma)
+    ops = _operator_views(hermitian_stack(c_val * projs))
+    basis = AugmentedBasis(onb=u, ops=ops, c=c_val, gamma=gamma, tol=tol)
     basis.basis_view  # certify linear independence eagerly
     return basis
+
+
+def augmented_basis_to_jsonable(basis: AugmentedBasis) -> dict:
+    """Wire format ``{"onb": [...], "c": c, "gamma": gamma, "elements": [...]}``."""
+    return {
+        "onb": complex_to_jsonable(basis.onb),
+        "c": basis.c,
+        "gamma": basis.gamma,
+        "elements": operators_to_jsonable(basis.stack),
+    }
+
+
+def augmented_basis_from_jsonable(obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> AugmentedBasis:
+    """Rebuild an augmented basis from its wire format with shape checks only.
+
+    Whether it satisfies its defining conditions is for `validate_augmented`
+    to report.  Missing keys raise `KeyError`, malformed content
+    `ValueError`.
+    """
+    ops = _operator_views(operators_from_jsonable(obj["elements"]))
+    d = ops[0].dim
+    return AugmentedBasis(
+        onb=complex_from_jsonable(obj["onb"], (d, d)),
+        ops=ops,
+        c=float(obj["c"]),
+        gamma=float(obj["gamma"]),
+        tol=tol,
+    )
 
 
 @dataclass(frozen=True)
@@ -214,10 +263,9 @@ def validate_augmented(
 
     # Condition 1: scaled projectors onto the vector family, scale in (0, 1).
     c_ok = 0.0 < basis.c < 1.0
-    max_dev = 0.0
-    for j in range(d):
-        target = basis.c * np.outer(basis.onb[:, j], basis.onb[:, j].conj())
-        max_dev = max(max_dev, float(np.linalg.norm(basis.ops[j].mat - target)))
+    cols = basis.onb.T
+    targets = basis.c * (cols[:, :, np.newaxis] * cols[:, np.newaxis, :].conj())
+    max_dev = float(np.max(np.linalg.norm(basis.stack[:d] - targets, axis=(1, 2))))
     proj_ok = max_dev <= tol.residual
     conditions["scaled-projectors"] = ConditionResult(
         passed=c_ok and proj_ok,
@@ -242,11 +290,8 @@ def validate_augmented(
     )
 
     # Condition 3: every element rank one (all but the top eigenvalue tiny).
-    worst_second = 0.0
-    for op in basis.ops:
-        w, _ = eig_hermitian(op, tol)
-        if d > 1:
-            worst_second = max(worst_second, float(np.max(np.abs(w[1:]))))
+    w = np.linalg.eigvalsh(basis.stack)
+    worst_second = float(np.max(np.abs(w[:, :-1]), initial=0.0))
     conditions["rank-one"] = ConditionResult(
         passed=worst_second <= tol.psd_slack,
         witness=worst_second,
@@ -254,10 +299,9 @@ def validate_augmented(
     )
 
     # Condition 4: linear independence over the reals.
-    coords = stacked_coordinates(np.stack([op.mat for op in basis.ops])).T
-    svals = np.linalg.svd(coords, compute_uv=False)
+    svals = np.linalg.svd(stacked_coordinates(basis.stack).T, compute_uv=False)
     ratio = float(svals[-1] / svals[0]) if svals[0] > 0 else 0.0
-    rank = int(np.count_nonzero(svals > tol.rank_cutoff * svals[0])) if svals[0] > 0 else 0
+    rank = numerical_rank(svals, tol)
     conditions["linear-independence"] = ConditionResult(
         passed=rank == d * d,
         witness=ratio,

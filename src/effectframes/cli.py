@@ -14,27 +14,37 @@ import dataclasses
 import json
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .operators import (
     DEFAULT_TOL,
+    DimensionMismatchError,
     ToleranceConfig,
+    numerical_rank,
     operator_from_jsonable,
     operator_to_jsonable,
+    operators_from_jsonable,
     stacked_coordinates,
+    tolerance_to_jsonable,
 )
 from .effects import (
     DensityOperator,
     MicPom,
-    is_effect,
+    effect_checks,
     pom_from_jsonable,
     random_density,
     random_mic_pom,
     random_onb,
 )
-from .augmented import AugmentedBasis, augmented_basis_from_onb, validate_augmented
+from .augmented import (
+    augmented_basis_from_jsonable,
+    augmented_basis_from_onb,
+    augmented_basis_to_jsonable,
+    validate_augmented,
+)
 from .cones import (
     CertificateError,
     certificate_from_jsonable,
@@ -67,25 +77,17 @@ def _tolerances(args) -> ToleranceConfig:
     return ToleranceConfig(residual=float(residual))
 
 
-def _tol_dict(tol: ToleranceConfig) -> dict:
-    return {
-        "eig_offdiag": tol.eig_offdiag,
-        "psd_slack": tol.psd_slack,
-        "residual": tol.residual,
-        "rank_cutoff": tol.rank_cutoff,
-    }
-
-
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def _emit(report: dict, args) -> None:
+    """Write the report as strict JSON; a non-finite number raises ValueError."""
     if getattr(args, "pretty", False):
-        text = json.dumps(report, sort_keys=True, indent=2)
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     else:
-        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        text = json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False)
     out = getattr(args, "out", None)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
@@ -131,7 +133,7 @@ def _cmd_reconstruct(args) -> tuple[dict, bool]:
         "state_distance": distance,
         "rho_hat": operator_to_jsonable(report.rho_hat),
         "test_effects": {"count": _TEST_SET_COUNT, "seed": _TEST_SET_SEED},
-        "tolerances": _tol_dict(tol),
+        "tolerances": tolerance_to_jsonable(tol),
         "verdict": "pass" if report.verdict else "fail",
     }
     return body, report.verdict
@@ -155,7 +157,7 @@ def _cmd_certify_cone(args) -> tuple[dict, bool]:
                 "max_membership_residual": report.max_membership_residual,
                 "min_coefficient": report.min_coefficient,
                 "witness_count": report.witness_count,
-                "tolerances": _tol_dict(used),
+                "tolerances": tolerance_to_jsonable(used),
             }
             return body, report.passed
         except CertificateError as exc:
@@ -164,7 +166,7 @@ def _cmd_certify_cone(args) -> tuple[dict, bool]:
                 "mode": "verify",
                 "verdict": "fail",
                 "failures": [str(exc)],
-                "tolerances": _tol_dict(tol),
+                "tolerances": tolerance_to_jsonable(tol),
             }
             return body, False
     if args.dim is None or args.seed is None:
@@ -184,7 +186,7 @@ def _cmd_certify_cone(args) -> tuple[dict, bool]:
             "seed": args.seed,
             "verdict": "fail",
             "failed_stage": str(exc),
-            "tolerances": _tol_dict(tol),
+            "tolerances": tolerance_to_jsonable(tol),
         }
         return body, False
     body = {"subcommand": "certify-cone", "mode": "generate", "seed": args.seed,
@@ -206,17 +208,14 @@ def _cmd_augbasis(args) -> tuple[dict, bool]:
         "subcommand": "augbasis",
         "dim": d,
         "seed": args.seed,
-        "gamma": basis.gamma,
-        "c": basis.c,
-        "onb": [[[float(z.real), float(z.imag)] for z in row] for row in basis.onb],
-        "elements": [operator_to_jsonable(op) for op in basis.ops],
+        **augmented_basis_to_jsonable(basis),
         "completion": operator_to_jsonable(basis.completion.op),
         "sum_identity_gap": report.sum_identity_gap,
         "validation": {
             name: {"passed": res.passed, "witness": res.witness, "detail": res.detail}
             for name, res in report.conditions.items()
         },
-        "tolerances": _tol_dict(tol),
+        "tolerances": tolerance_to_jsonable(tol),
         "verdict": "pass" if report.passed else "fail",
     }
     return body, report.passed
@@ -241,7 +240,7 @@ def _cmd_verify_frame(args) -> tuple[dict, bool]:
         "max_violation": report.max_violation,
         "identity_deviation": report.identity_deviation,
         "violated": violated,
-        "tolerances": _tol_dict(tol),
+        "tolerances": tolerance_to_jsonable(tol),
         "verdict": "pass" if report.passed else "fail",
     }
     return body, report.passed
@@ -301,36 +300,25 @@ def _cmd_cauchy(args) -> tuple[dict, bool]:
     raise ValueError(f"unknown cauchy mode {args.mode!r}")
 
 
-def _validate_pom_like(ops, tol: ToleranceConfig, need_rank: bool) -> tuple[dict, str | None]:
-    d = ops[0].dim
-    details: dict = {"dim": d, "count": len(ops)}
-    if len(ops) < 2:
+def _validate_pom_like(mats, tol: ToleranceConfig, need_rank: bool) -> tuple[dict, str | None]:
+    d = mats.shape[-1]
+    details: dict = {"dim": d, "count": len(mats)}
+    if len(mats) < 2:
         return details, "size"
-    if any(op.dim != d for op in ops):
-        return details, "dimension-mismatch"
-    worst: float | None = None
-    for op in ops:
-        check = is_effect(op, tol)
+    for check in effect_checks(mats, tol):
         if not check.ok:
-            worst = check.witness if worst is None else worst
-    if worst is not None:
-        details["offending_eigenvalue"] = worst
-        return details, "effect-spectrum"
-    total = np.zeros((d, d), dtype=np.complex128)
-    for op in ops:
-        total += op.mat
-    dev = float(np.linalg.norm(total - np.eye(d)))
+            details["offending_eigenvalue"] = check.witness
+            return details, "effect-spectrum"
+    dev = float(np.linalg.norm(mats.sum(axis=0) - np.eye(d)))
     details["sum_deviation"] = dev
     if dev > tol.residual:
         return details, "sum-to-identity"
     if need_rank:
-        if len(ops) != d * d:
+        if len(mats) != d * d:
             return details, "element-count"
-        coords = stacked_coordinates(np.stack([op.mat for op in ops])).T
-        svals = np.linalg.svd(coords, compute_uv=False)
-        rank = int(np.count_nonzero(svals > tol.rank_cutoff * svals[0]))
-        details["rank"] = rank
-        if rank != d * d:
+        svals = np.linalg.svd(stacked_coordinates(mats), compute_uv=False)
+        details["rank"] = numerical_rank(svals, tol)
+        if details["rank"] != d * d:
             return details, "linear-independence"
     return details, None
 
@@ -346,20 +334,18 @@ def _cmd_validate(args) -> tuple[dict, bool]:
     elif args.kind in ("pom", "mic-pom"):
         if not isinstance(payload, dict) or "effects" not in payload:
             raise ValueError("POM JSON must carry an 'effects' list")
-        ops = [operator_from_jsonable(item) for item in payload["effects"]]
-        if not ops:
+        items = payload["effects"]
+        if not items:
             raise ValueError("POM JSON carries no effects")
-        details, violated = _validate_pom_like(ops, tol, need_rank=args.kind == "mic-pom")
+        try:
+            mats = operators_from_jsonable(items)
+        except DimensionMismatchError:
+            details = {"dim": int(items[0]["dim"]), "count": len(items)}
+            violated = "dimension-mismatch"
+        else:
+            details, violated = _validate_pom_like(mats, tol, need_rank=args.kind == "mic-pom")
     elif args.kind == "augmented":
-        onb = np.array(
-            [[complex(c[0], c[1]) for c in row] for row in payload["onb"]],
-            dtype=np.complex128,
-        )
-        ops = tuple(operator_from_jsonable(item) for item in payload["elements"])
-        basis = AugmentedBasis(
-            onb=onb, ops=ops, c=float(payload["c"]), gamma=float(payload["gamma"])
-        )
-        report = validate_augmented(basis, tol)
+        report = validate_augmented(augmented_basis_from_jsonable(payload, tol), tol)
         details = {
             name: {"passed": res.passed, "witness": res.witness}
             for name, res in report.conditions.items()
@@ -373,7 +359,7 @@ def _cmd_validate(args) -> tuple[dict, bool]:
         "kind": args.kind,
         "violated": violated,
         "details": details,
-        "tolerances": _tol_dict(tol),
+        "tolerances": tolerance_to_jsonable(tol),
         "verdict": "pass" if violated is None else "fail",
     }
     return body, violated is None
@@ -383,7 +369,9 @@ def _cmd_validate(args) -> tuple[dict, bool]:
 # Parser
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="effectframes",
         description="Effect-algebra pipelines with deterministic JSON reports.",
@@ -473,10 +461,10 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         report, ok = args.handler(args)
+        _emit(report, args)
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args)
     stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     elapsed = time.monotonic() - started
     print(f"# {args.command} finished in {elapsed:.3f}s at {stamp}", file=sys.stderr)

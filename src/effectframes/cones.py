@@ -16,6 +16,10 @@ coefficients decide membership.  Nonnegative least squares (scipy, imported
 on first use) remains as a fallback for points the solve rejects, and any
 fit it returns is kept only when its recomputed residual is below
 tolerance.
+
+Witness families are (n, d, d) stacks: candidates are admitted, and a
+certificate re-verified, with one batched effect check and one solve or
+product per cone; the fallback is still consulted candidate by candidate.
 """
 
 from __future__ import annotations
@@ -30,24 +34,39 @@ from .operators import (
     HermitianOperator,
     OperatorBasis,
     ToleranceConfig,
+    _operator_views,
     eig_hermitian,
+    hermitian_stack,
     hs_distance,
-    identity,
+    numerical_rank,
     operator_from_jsonable,
     operator_to_jsonable,
+    operators_from_jsonable,
+    operators_to_jsonable,
     orthonormal_operator_basis,
     real_coordinates,
+    recombine,
     stacked_coordinates,
+    tolerance_from_jsonable,
+    tolerance_to_jsonable,
 )
 from .effects import (
     Effect,
     MicPom,
     NotAnEffectError,
+    effect_checks,
+    effects_of,
     is_effect,
     pom_from_jsonable,
     pom_to_jsonable,
 )
-from .augmented import AugmentedBasis, augmented_basis_from_onb, validate_augmented
+from .augmented import (
+    AugmentedBasis,
+    augmented_basis_from_jsonable,
+    augmented_basis_from_onb,
+    augmented_basis_to_jsonable,
+    validate_augmented,
+)
 
 __all__ = [
     "CertificateError",
@@ -95,11 +114,7 @@ class ConeDecomposition:
         object.__setattr__(self, "coeffs", coeffs)
 
     def recombine(self) -> HermitianOperator:
-        d = self.basis.dim
-        acc = np.zeros((d, d), dtype=np.complex128)
-        for cj, op in zip(self.coeffs, self.basis.elements):
-            acc += cj * op.mat
-        return HermitianOperator(acc)
+        return recombine(self.coeffs, self.basis)
 
     @property
     def positive_count(self) -> int:
@@ -123,10 +138,8 @@ def cone_decompose_spectral(
     basis = augmented_basis_from_onb(v, tol=tol)
     coeffs = np.zeros(d * d)
     coeffs[:d] = np.clip(w, 0.0, None) / basis.c
-    dec = ConeDecomposition(basis=basis.basis_view, coeffs=coeffs, residual=0.0)
-    residual = hs_distance(dec.recombine(), e.op)
-    dec = ConeDecomposition(basis=basis.basis_view, coeffs=coeffs, residual=residual)
-    return basis, dec
+    residual = hs_distance(recombine(coeffs, basis.basis_view), e.op)
+    return basis, ConeDecomposition(basis=basis.basis_view, coeffs=coeffs, residual=residual)
 
 
 def _family_view(family) -> OperatorBasis:
@@ -152,6 +165,38 @@ def nnls(mat: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     return scipy_nnls(mat, target)
 
 
+def _solve_memberships(
+    targets: np.ndarray, view: OperatorBasis, tol: ToleranceConfig
+) -> list[ConeDecomposition | None]:
+    """Decide the (n, d**2) target coordinates with one multi-RHS square solve.
+
+    An entry is None where the solve rejects its target (see `_or_nnls`).
+    """
+    mat = view.coordinate_matrix
+    exact = np.linalg.solve(mat, targets.T).T
+    coeffs = np.clip(exact, 0.0, None)
+    residuals = np.linalg.norm(coeffs @ mat.T - targets, axis=1)
+    admitted = (exact.min(axis=1) >= -tol.psd_slack) & (residuals < tol.residual)
+    return [
+        ConeDecomposition(basis=view, coeffs=c, residual=float(r)) if ok else None
+        for c, r, ok in zip(coeffs, residuals, admitted)
+    ]
+
+
+def _or_nnls(
+    found: ConeDecomposition | None, target: np.ndarray, view: OperatorBasis, tol: ToleranceConfig
+) -> ConeDecomposition | None:
+    """`found`, or the nonnegative least-squares fallback where the solve rejected."""
+    if found is not None:
+        return found
+    mat = view.coordinate_matrix
+    coeffs, _ = nnls(mat, target)
+    residual = float(np.linalg.norm(mat @ coeffs - target))
+    if residual >= tol.residual:
+        return None
+    return ConeDecomposition(basis=view, coeffs=coeffs, residual=residual)
+
+
 def cone_membership(
     h: HermitianOperator,
     basis,
@@ -171,24 +216,14 @@ def cone_membership(
     solve rejects.  The residual stored on the result is always
     recomputed from the returned coefficients; the solver's own reported
     norm is not trusted (scipy's nnls has been observed returning a zero
-    residual for points demonstrably outside the cone).
+    residual for points demonstrably outside the cone).  This is the
+    one-target case of the stacked admission used by the certificate.
     """
     view = _family_view(basis)
     if h.dim != view.dim:
         raise DimensionMismatchError(f"operator dim {h.dim} vs basis dim {view.dim}")
-    mat = view.coordinate_matrix
     target = real_coordinates(h)
-    exact = np.linalg.solve(mat, target)
-    if exact.min() >= -tol.psd_slack:
-        coeffs = np.clip(exact, 0.0, None)
-        residual = float(np.linalg.norm(mat @ coeffs - target))
-        if residual < tol.residual:
-            return ConeDecomposition(basis=view, coeffs=coeffs, residual=residual)
-    coeffs, _ = nnls(mat, target)
-    residual = float(np.linalg.norm(mat @ coeffs - target))
-    if residual >= tol.residual:
-        return None
-    return ConeDecomposition(basis=view, coeffs=coeffs, residual=residual)
+    return _or_nnls(_solve_memberships(target[np.newaxis], view, tol)[0], target, view, tol)
 
 
 def interior_point_Edelta(
@@ -206,11 +241,8 @@ def interior_point_Edelta(
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     d = basis.dim
-    tail = np.zeros((d, d), dtype=np.complex128)
-    for op in basis.ops[d:]:
-        tail += op.mat
-    t = HermitianOperator(tail)
-    tnorm = t.norm()
+    tail = basis.stack[d:].sum(axis=0)
+    tnorm = float(np.linalg.norm(tail))
     if tnorm <= 0.0:
         raise ValueError("tail elements vanish; the family cannot span")
     delta = epsilon / (2.0 * tnorm)
@@ -246,29 +278,39 @@ class SpanCertificate:
     tol: ToleranceConfig
 
 
-def _witness_rank(witnesses, tol: ToleranceConfig) -> int:
-    coords = stacked_coordinates(np.stack([e.mat for e in witnesses])).T
-    svals = np.linalg.svd(coords, compute_uv=False)
-    if svals[0] <= 0:
-        return 0
-    return int(np.count_nonzero(svals > tol.rank_cutoff * svals[0]))
+def _witness_rank(mats: np.ndarray, tol: ToleranceConfig) -> int:
+    return numerical_rank(np.linalg.svd(stacked_coordinates(mats), compute_uv=False), tol)
 
 
-def _admit_witness(
-    candidate: HermitianOperator,
+def _admit_witnesses(
+    candidates: np.ndarray,
     aug_view: OperatorBasis,
     mic_view: OperatorBasis,
     tol: ToleranceConfig,
-) -> tuple[Effect, ConeDecomposition, ConeDecomposition] | None:
-    if not is_effect(candidate, tol).ok:
-        return None
-    mem_a = cone_membership(candidate, aug_view, tol)
-    if mem_a is None:
-        return None
-    mem_m = cone_membership(candidate, mic_view, tol)
-    if mem_m is None:
-        return None
-    return Effect(candidate, tol), mem_a, mem_m
+) -> list[tuple[HermitianOperator, ConeDecomposition, ConeDecomposition]]:
+    """The longest prefix of a validated candidate stack inside both cones.
+
+    One batched effect check and one solve per cone decide the whole
+    stack; walking it in order, the NNLS fallback is consulted for each
+    candidate the solve rejects, augmented cone first, up to the first
+    candidate that fails.
+    """
+    coords = stacked_coordinates(candidates)
+    checks = effect_checks(candidates, tol)
+    by_aug = _solve_memberships(coords, aug_view, tol)
+    by_mic = _solve_memberships(coords, mic_view, tol)
+    admitted = []
+    for k, op in enumerate(_operator_views(candidates)):
+        if not checks[k].ok:
+            break
+        mem_a = _or_nnls(by_aug[k], coords[k], aug_view, tol)
+        if mem_a is None:
+            break
+        mem_m = _or_nnls(by_mic[k], coords[k], mic_view, tol)
+        if mem_m is None:
+            break
+        admitted.append((op, mem_a, mem_m))
+    return admitted
 
 
 def intersection_span_certificate(
@@ -284,10 +326,10 @@ def intersection_span_certificate(
     from the membership coefficients and the smallest singular values of
     the two coordinate systems, then shift E_delta by (radius/2) times
     each element of the closed-form orthonormal operator basis.  Every
-    witness is re-verified by `cone_membership` in both cones (the square
-    coordinate solve decides, nonnegative least squares is its fallback);
-    on any failure the radius halves (at most 20 times) before falling
-    back to seeded random directions inside the ball.  Raises
+    witness is re-verified in both cones, as by `cone_membership` (the
+    square coordinate solve decides, nonnegative least squares is its
+    fallback); on any failure the radius halves (at most 20 times) before
+    falling back to seeded random directions inside the ball.  Raises
     `CertificateError` naming the failing stage instead of passing
     silently.
     """
@@ -331,35 +373,27 @@ def intersection_span_certificate(
     if radius <= 0.0:
         raise CertificateError("stage ball-radius: degenerate radius estimate")
 
-    w_basis = orthonormal_operator_basis(d, tol)
+    def certificate(r: float, admitted: list) -> SpanCertificate:
+        return SpanCertificate(
+            augmented=basis,
+            mic=mic,
+            epsilon=eps,
+            delta=delta,
+            radius=r,
+            e_delta=e_delta,
+            witnesses=effects_of([op for op, _, _ in admitted], tol),
+            memberships=tuple((a, m) for _, a, m in admitted),
+            rank=d * d,
+            tol=tol,
+        )
+
+    directions = orthonormal_operator_basis(d, tol).stack
     r = radius
     for _ in range(20):
-        admitted = []
-        for w_op in w_basis:
-            found = _admit_witness(
-                HermitianOperator(e_delta.mat + (r / 2.0) * w_op.mat),
-                aug_view,
-                mic_view,
-                tol,
-            )
-            if found is None:
-                break
-            admitted.append(found)
-        if len(admitted) == d * d:
-            witnesses = tuple(item[0] for item in admitted)
-            if _witness_rank(witnesses, tol) == d * d:
-                return SpanCertificate(
-                    augmented=basis,
-                    mic=mic,
-                    epsilon=eps,
-                    delta=delta,
-                    radius=r,
-                    e_delta=e_delta,
-                    witnesses=witnesses,
-                    memberships=tuple((a, m) for _, a, m in admitted),
-                    rank=d * d,
-                    tol=tol,
-                )
+        candidates = hermitian_stack(e_delta.mat + (r / 2.0) * directions)
+        admitted = _admit_witnesses(candidates, aug_view, mic_view, tol)
+        if len(admitted) == d * d and _witness_rank(candidates, tol) == d * d:
+            return certificate(r, admitted)
         r /= 2.0
 
     # Fallback: seeded random directions in the ball, collected greedily
@@ -375,26 +409,15 @@ def intersection_span_certificate(
         dnorm = direction.norm()
         if dnorm <= 0.0:
             continue
-        candidate = HermitianOperator(e_delta.mat + (r / (2.0 * dnorm)) * direction.mat)
-        found = _admit_witness(candidate, aug_view, mic_view, tol)
-        if found is None:
+        candidate = hermitian_stack([e_delta.mat + (r / (2.0 * dnorm)) * direction.mat])
+        found = _admit_witnesses(candidate, aug_view, mic_view, tol)
+        if not found:
             continue
-        trial = admitted + [found]
-        if _witness_rank([item[0] for item in trial], tol) == len(trial):
+        trial = admitted + found
+        if _witness_rank(np.stack([op.mat for op, _, _ in trial]), tol) == len(trial):
             admitted = trial
         if len(admitted) == d * d:
-            return SpanCertificate(
-                augmented=basis,
-                mic=mic,
-                epsilon=eps,
-                delta=delta,
-                radius=r,
-                e_delta=e_delta,
-                witnesses=tuple(item[0] for item in admitted),
-                memberships=tuple((a, m) for _, a, m in admitted),
-                rank=d * d,
-                tol=tol,
-            )
+            return certificate(r, admitted)
     raise CertificateError(
         f"stage random-ball: only {len(admitted)} of {d * d} independent witnesses found"
     )
@@ -419,7 +442,9 @@ def verify_certificate(
     its defining conditions, the MIC-POM is intact, every witness is an
     effect whose stored decompositions recombine to it with nonnegative
     coefficients, and the witness family has full rank.  Residuals are
-    recomputed, never trusted.
+    recomputed, never trusted: each is the distance between a witness and
+    the combination of the certificate's own family with the stored
+    coefficients, measured in the isometric real coordinates.
     """
     tol = tol or cert.tol
     d = cert.augmented.dim
@@ -428,31 +453,39 @@ def verify_certificate(
     if not validate_augmented(cert.augmented, tol).passed:
         failures.append("augmented-basis")
 
-    mic_total = cert.mic.pom.total()
-    if hs_distance(mic_total, identity(d)) > tol.residual:
+    if np.linalg.norm(cert.mic.pom.stack.sum(axis=0) - np.eye(d)) > tol.residual:
         failures.append("mic-pom-sum")
 
-    max_res = 0.0
-    min_coeff = float("inf")
     if len(cert.witnesses) != d * d or len(cert.memberships) != d * d:
         failures.append("witness-count")
-    for k, (witness, (mem_a, mem_m)) in enumerate(
-        zip(cert.witnesses, cert.memberships)
-    ):
-        if not is_effect(witness.op, tol).ok:
-            failures.append(f"witness-{k}-effect")
-            continue
-        for label, mem in (("augmented", mem_a), ("mic", mem_m)):
-            low = float(np.min(mem.coeffs))
-            min_coeff = min(min_coeff, low)
-            if low < -tol.psd_slack:
-                failures.append(f"witness-{k}-{label}-negative-coefficient")
-            res = hs_distance(mem.recombine(), witness.op)
-            max_res = max(max_res, res)
-            if res > tol.residual:
-                failures.append(f"witness-{k}-{label}-residual")
+    rank, max_res, min_coeff = 0, 0.0, 0.0
+    n = min(len(cert.witnesses), len(cert.memberships))
+    if cert.witnesses:
+        witnesses = np.stack([w.mat for w in cert.witnesses])
+        rank = _witness_rank(witnesses, tol)
+    if n:
+        targets = stacked_coordinates(witnesses[:n])
+        effect_ok = np.array([check.ok for check in effect_checks(witnesses[:n], tol)])
+        per_family = []
+        for side, (label, family) in enumerate(
+            (("augmented", cert.augmented.stack), ("mic", cert.mic.pom.stack))
+        ):
+            coeffs = np.stack([mems[side].coeffs for mems in cert.memberships[:n]])
+            residuals = np.linalg.norm(coeffs @ stacked_coordinates(family) - targets, axis=1)
+            per_family.append((label, coeffs.min(axis=1), residuals))
+        for k in range(n):
+            if not effect_ok[k]:
+                failures.append(f"witness-{k}-effect")
+                continue
+            for label, lows, residuals in per_family:
+                if not lows[k] >= -tol.psd_slack:
+                    failures.append(f"witness-{k}-{label}-negative-coefficient")
+                if not residuals[k] <= tol.residual:
+                    failures.append(f"witness-{k}-{label}-residual")
+        if effect_ok.any():
+            min_coeff = min(float(np.min(lows[effect_ok])) for _, lows, _ in per_family)
+            max_res = max(float(np.max(res[effect_ok])) for _, _, res in per_family)
 
-    rank = _witness_rank(cert.witnesses, tol) if cert.witnesses else 0
     if rank != d * d:
         failures.append("witness-rank")
 
@@ -461,7 +494,7 @@ def verify_certificate(
         failures=tuple(failures),
         rank=rank,
         max_membership_residual=max_res,
-        min_coefficient=min_coeff if min_coeff != float("inf") else 0.0,
+        min_coefficient=min_coeff,
         witness_count=len(cert.witnesses),
     )
 
@@ -470,48 +503,22 @@ def verify_certificate(
 # JSON wire format
 # ---------------------------------------------------------------------------
 
-def _tol_to_jsonable(tol: ToleranceConfig) -> dict:
-    return {
-        "eig_offdiag": tol.eig_offdiag,
-        "psd_slack": tol.psd_slack,
-        "residual": tol.residual,
-        "rank_cutoff": tol.rank_cutoff,
-    }
-
-
-def _tol_from_jsonable(obj: dict) -> ToleranceConfig:
-    return ToleranceConfig(
-        eig_offdiag=float(obj["eig_offdiag"]),
-        psd_slack=float(obj["psd_slack"]),
-        residual=float(obj["residual"]),
-        rank_cutoff=float(obj["rank_cutoff"]),
-    )
-
-
 def certificate_to_jsonable(cert: SpanCertificate) -> dict:
-    onb = [
-        [[float(z.real), float(z.imag)] for z in row] for row in cert.augmented.onb
-    ]
     return {
         "dim": cert.augmented.dim,
         "epsilon": cert.epsilon,
         "delta": cert.delta,
         "radius": cert.radius,
         "rank": cert.rank,
-        "tolerances": _tol_to_jsonable(cert.tol),
-        "augmented": {
-            "onb": onb,
-            "c": cert.augmented.c,
-            "gamma": cert.augmented.gamma,
-            "elements": [operator_to_jsonable(op) for op in cert.augmented.ops],
-        },
+        "tolerances": tolerance_to_jsonable(cert.tol),
+        "augmented": augmented_basis_to_jsonable(cert.augmented),
         "mic": pom_to_jsonable(cert.mic.pom),
         "e_delta": operator_to_jsonable(cert.e_delta.op),
-        "witnesses": [operator_to_jsonable(e.op) for e in cert.witnesses],
+        "witnesses": operators_to_jsonable(np.stack([e.mat for e in cert.witnesses])),
         "memberships": [
             {
-                "augmented": {"coeffs": [float(x) for x in a.coeffs], "residual": a.residual},
-                "mic": {"coeffs": [float(x) for x in m.coeffs], "residual": m.residual},
+                "augmented": {"coeffs": a.coeffs.tolist(), "residual": a.residual},
+                "mic": {"coeffs": m.coeffs.tolist(), "residual": m.residual},
             }
             for a, m in cert.memberships
         ],
@@ -527,16 +534,8 @@ def certificate_from_jsonable(obj: dict) -> SpanCertificate:
     rather than a parse error.
     """
     try:
-        tol = _tol_from_jsonable(obj["tolerances"])
-        aug_obj = obj["augmented"]
-        onb = np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in aug_obj["onb"]],
-            dtype=np.complex128,
-        )
-        ops = tuple(operator_from_jsonable(item) for item in aug_obj["elements"])
-        augmented = AugmentedBasis(
-            onb=onb, ops=ops, c=float(aug_obj["c"]), gamma=float(aug_obj["gamma"])
-        )
+        tol = tolerance_from_jsonable(obj["tolerances"])
+        augmented = augmented_basis_from_jsonable(obj["augmented"], tol)
         mic_obj = obj["mic"]
         e_delta_obj = obj["e_delta"]
         witness_objs = list(obj["witnesses"])
@@ -551,23 +550,19 @@ def certificate_from_jsonable(obj: dict) -> SpanCertificate:
     try:
         mic = MicPom(pom_from_jsonable(mic_obj, tol), tol)
         e_delta = Effect(operator_from_jsonable(e_delta_obj), tol)
-        witnesses = tuple(
-            Effect(operator_from_jsonable(item), tol) for item in witness_objs
-        )
+        witnesses = ()
+        if witness_objs:
+            witnesses = effects_of(_operator_views(operators_from_jsonable(witness_objs)), tol)
         aug_view = augmented.basis_view
         mic_view = mic.basis_view
         memberships = tuple(
-            (
+            tuple(
                 ConeDecomposition(
-                    basis=aug_view,
-                    coeffs=np.array(item["augmented"]["coeffs"], dtype=np.float64),
-                    residual=float(item["augmented"]["residual"]),
-                ),
-                ConeDecomposition(
-                    basis=mic_view,
-                    coeffs=np.array(item["mic"]["coeffs"], dtype=np.float64),
-                    residual=float(item["mic"]["residual"]),
-                ),
+                    basis=view,
+                    coeffs=np.array(item[side]["coeffs"], dtype=np.float64),
+                    residual=float(item[side]["residual"]),
+                )
+                for side, view in (("augmented", aug_view), ("mic", mic_view))
             )
             for item in membership_objs
         )

@@ -8,6 +8,11 @@ operator basis.  This module provides those value types, the pairwise
 coexistence test, a closed-form qubit MIC-POM, and deterministic seeded
 generators for states, effects, orthonormal vector families, and MIC-POMs.
 
+Families of effects are checked as one stack: `effect_checks` decides a
+whole (n, d, d) stack with one batched ``eigvalsh``, `is_effect` is its
+one-element case, and POMs, MIC-POMs, their wire format and the seeded
+MIC-POM generator validate all their elements in that one pass.
+
 All generators are pure functions of (dim, seed).
 """
 
@@ -27,9 +32,11 @@ from .operators import (
     SingularBasisError,
     ToleranceConfig,
     _check_same_dim,
+    _operator_views,
     eig_hermitian,
-    operator_from_jsonable,
-    operator_to_jsonable,
+    hermitian_stack,
+    operators_from_jsonable,
+    operators_to_jsonable,
 )
 
 __all__ = [
@@ -42,6 +49,8 @@ __all__ = [
     "POM",
     "PomIdentityError",
     "coexists",
+    "effect_checks",
+    "effects_of",
     "is_effect",
     "max_scale",
     "pom_from_jsonable",
@@ -78,23 +87,35 @@ class EffectCheck(NamedTuple):
         return self.ok
 
 
+_IS_EFFECT = EffectCheck(True, None)
+
+
+def effect_checks(mats: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[EffectCheck, ...]:
+    """Effect checks of an (n, d, d) Hermitian stack, from one batched ``eigvalsh``.
+
+    Element k passes when its spectrum lies inside [-psd_slack,
+    1 + psd_slack]; a failing check carries as witness the eigenvalue
+    furthest outside the interval.
+    """
+    w = np.linalg.eigvalsh(mats)
+    low, high = w[:, 0], w[:, -1]
+    low_bad = low < -tol.psd_slack
+    high_bad = high > 1.0 + tol.psd_slack
+    failed = low_bad | high_bad
+    if not failed.any():
+        return (_IS_EFFECT,) * len(w)
+    worst = np.where(low_bad & (~high_bad | (-low > high - 1.0)), low, high)
+    return tuple(
+        EffectCheck(False, float(x)) if bad else _IS_EFFECT for bad, x in zip(failed, worst)
+    )
+
+
 def is_effect(h: HermitianOperator, tol: ToleranceConfig = DEFAULT_TOL) -> EffectCheck:
     """Decide whether ``h`` has spectrum inside [-psd_slack, 1 + psd_slack].
 
-    Total on Hermitian input.  On failure the witness is the eigenvalue
-    furthest outside the interval.
+    Total on Hermitian input; the one-element case of `effect_checks`.
     """
-    w, _ = eig_hermitian(h, tol)
-    low = float(w[-1])
-    high = float(w[0])
-    if low < -tol.psd_slack and high > 1.0 + tol.psd_slack:
-        worst = low if (-low) > (high - 1.0) else high
-        return EffectCheck(False, worst)
-    if low < -tol.psd_slack:
-        return EffectCheck(False, low)
-    if high > 1.0 + tol.psd_slack:
-        return EffectCheck(False, high)
-    return EffectCheck(True, None)
+    return effect_checks(h.mat[np.newaxis], tol)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +142,27 @@ class Effect:
 
     def __repr__(self) -> str:
         return f"Effect(dim={self.dim})"
+
+
+def effects_of(ops, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Effect, ...]:
+    """Wrap a family of same-dimension operators as effects, checked as one stack.
+
+    Raises `NotAnEffectError` naming the first element whose spectrum
+    leaves [0, 1].
+    """
+    ops = tuple(ops)
+    for k, check in enumerate(effect_checks(np.stack([op.mat for op in ops]), tol)):
+        if not check.ok:
+            raise NotAnEffectError(
+                f"element {k} is not an effect: "
+                f"eigenvalue {check.witness:.12g} lies outside [0, 1]"
+            )
+    effects = []
+    for op in ops:
+        e = object.__new__(Effect)  # checked above; skips the per-element check
+        object.__setattr__(e, "op", op)
+        effects.append(e)
+    return tuple(effects)
 
 
 def coexists(e1: Effect, e2: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -154,13 +196,9 @@ class POM:
         object.__setattr__(self, "effects", effects)
         if len(effects) < 2:
             raise ValueError("a POM needs at least two effects")
-        d = effects[0].dim
         for e in effects[1:]:
             _check_same_dim(effects[0].op, e.op)
-        total = np.zeros((d, d), dtype=np.complex128)
-        for e in effects:
-            total += e.mat
-        dev = float(np.linalg.norm(total - np.eye(d)))
+        dev = float(np.linalg.norm(self.stack.sum(axis=0) - np.eye(self.dim)))
         if dev > tol.residual:
             raise PomIdentityError(
                 f"effects sum to identity only within {dev:.3e} "
@@ -180,11 +218,15 @@ class POM:
     def __getitem__(self, j: int) -> Effect:
         return self.effects[j]
 
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The effects as one read-only (n, d, d) array."""
+        mats = np.stack([e.mat for e in self.effects])
+        mats.setflags(write=False)
+        return mats
+
     def total(self) -> HermitianOperator:
-        acc = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for e in self.effects:
-            acc += e.mat
-        return HermitianOperator(acc)
+        return HermitianOperator(self.stack.sum(axis=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,20 +414,16 @@ def random_mic_pom(
         raise ValueError("dimension must be at least 2")
     rng = np.random.default_rng(seed)
     eye = np.eye(d, dtype=np.complex128)
+    vecs = np.empty((d * d, d), dtype=np.complex128)
     for _ in range(retries):
-        mats = []
-        for _ in range(d * d):
-            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            mats.append(np.outer(v, v.conj()))
-        total = sum(mats)
-        top = float(eig_hermitian(HermitianOperator(total), tol)[0][0])
-        scale = 0.5 / top
-        mats = [m * scale for m in mats]
-        deficit = (eye - sum(mats)) / (d * d)
+        for k in range(d * d):
+            vecs[k] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        mats = vecs[:, :, np.newaxis] * vecs[:, np.newaxis, :].conj()
+        top = float(eig_hermitian(HermitianOperator(mats.sum(axis=0)), tol)[0][0])
+        mats *= 0.5 / top
+        deficit = (eye - mats.sum(axis=0)) / (d * d)
         try:
-            effects = tuple(
-                Effect(HermitianOperator(m + deficit), tol) for m in mats
-            )
+            effects = effects_of(_operator_views(hermitian_stack(mats + deficit)), tol)
             return MicPom(POM(effects, tol), tol)
         except (NotAnEffectError, PomIdentityError, SingularBasisError):
             continue
@@ -407,13 +445,10 @@ def verification_effects(d: int, seed: int, count: int = 200) -> tuple[Effect, .
 
 def pom_to_jsonable(p: POM) -> dict:
     """Wire format ``{"dim": d, "effects": [operator-json, ...]}``."""
-    return {"dim": p.dim, "effects": [operator_to_jsonable(e.op) for e in p]}
+    return {"dim": p.dim, "effects": operators_to_jsonable(p.stack)}
 
 
 def pom_from_jsonable(obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> POM:
     if not isinstance(obj, dict) or "effects" not in obj:
         raise ValueError("POM JSON must carry an 'effects' list")
-    effects = tuple(
-        Effect(operator_from_jsonable(item), tol) for item in obj["effects"]
-    )
-    return POM(effects, tol)
+    return POM(effects_of(_operator_views(operators_from_jsonable(obj["effects"])), tol), tol)

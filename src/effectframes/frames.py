@@ -30,8 +30,11 @@ from .operators import (
     hs_distance,
     hs_inner,
     identity,
+    _operator_views,
     operator_from_jsonable,
     operator_to_jsonable,
+    operators_from_jsonable,
+    operators_to_jsonable,
     orthonormal_operator_basis,
     real_coordinates,
     stacked_coordinates,
@@ -40,8 +43,8 @@ from .effects import (
     DensityOperator,
     Effect,
     MicPom,
-    NotAnEffectError,
     _effect_from_rng,
+    effects_of,
     max_scale,
     psd_sqrt,
     verification_effects,
@@ -210,19 +213,9 @@ def frame_vector(
     `basis` may be an OperatorBasis of raw Hermitian operators or a
     family (POM, MIC-POM) whose iteration already yields effects.
     """
-    out = np.empty(len(basis))
-    for j, op in enumerate(basis):
-        if isinstance(op, Effect):
-            e = op
-        else:
-            try:
-                e = Effect(op, tol)
-            except NotAnEffectError as exc:
-                raise NotAnEffectError(
-                    f"basis element {j} is not an effect: {exc}"
-                ) from exc
-        out[j] = f(e)
-    return out
+    if isinstance(basis, OperatorBasis):
+        basis = effects_of(basis.elements, tol)  # the error names the element
+    return np.array([f(e) for e in basis], dtype=np.float64)
 
 
 @lru_cache(maxsize=64)
@@ -306,7 +299,7 @@ def consistency_DT(
     the norm of the difference.  The certificate must verify and must bind
     exactly the two families passed in.
     """
-    report = verify_certificate(cert)
+    report = verify_certificate(cert, tol)
     if not report.passed:
         raise CertificateError(
             f"certificate fails verification: {', '.join(report.failures)}"
@@ -389,7 +382,7 @@ def frame_to_jsonable(f: FrameFunction) -> dict:
         return {
             "kind": "tabulated",
             "dim": f.dim,
-            "basis": [operator_to_jsonable(op) for op in f.basis],
+            "basis": operators_to_jsonable(f.basis.stack),
             "values": [float(v) for v in f.values],
         }
     raise ValueError(f"cannot serialize frame of kind {f.kind!r}")
@@ -407,9 +400,7 @@ def frame_from_jsonable(obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> FrameF
         )
     if kind == "tabulated":
         basis = OperatorBasis(
-            [operator_from_jsonable(item) for item in obj["basis"]],
-            kind="generic",
-            tol=tol,
+            _operator_views(operators_from_jsonable(obj["basis"])), kind="generic", tol=tol
         )
         return TabulatedFrame(basis=basis, values=np.array(obj["values"], dtype=np.float64))
     raise ValueError(f"unknown frame kind {kind!r}")

@@ -3,9 +3,16 @@
 The d x d complex Hermitian matrices form a real vector space of dimension
 d**2 carrying the trace inner product ``<A, B> = Tr(AB)``.  This module
 provides the immutable operator value type, its cached eigendecomposition
-(LAPACK ``eigh``), isometric real coordinates computed for whole operator
-families at once, operator bases of the full space together with coordinate
-expansion and change-of-basis maps, and the JSON wire format for operators.
+(LAPACK ``eigh``), operator bases of the full space together with
+coordinate expansion and change-of-basis maps, and the JSON wire formats
+for operators and tolerances.
+
+Operator families are held as one ``(n, d, d)`` complex stack.
+`hermitian_stack` validates a whole family in one pass (finite entries,
+asymmetry relative to each element's largest entry, symmetrization) and
+the coordinate, recombination, rank and wire-format routines work on the
+stack; each single-operator function is the n = 1 case of its stacked
+version.
 
 Conventions: eigenvalues are always returned in descending order, operator
 norms are Hilbert-Schmidt (Frobenius) norms, and every public value is
@@ -14,6 +21,7 @@ immutable after construction.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -34,17 +42,26 @@ __all__ = [
     "SingularBasisError",
     "ToleranceConfig",
     "change_of_basis",
+    "complex_from_jsonable",
+    "complex_to_jsonable",
     "eig_hermitian",
     "expand",
     "hs_distance",
+    "hermitian_stack",
     "hs_inner",
     "identity",
+    "numerical_rank",
     "operator_from_jsonable",
     "operator_to_jsonable",
+    "operators_from_jsonable",
+    "operators_to_jsonable",
     "orthonormal_operator_basis",
     "rank_one",
     "real_coordinates",
+    "recombine",
     "stacked_coordinates",
+    "tolerance_from_jsonable",
+    "tolerance_to_jsonable",
     "zero",
 ]
 
@@ -106,34 +123,53 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
+def hermitian_stack(entries, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+    """Validate a family of Hermitian matrices as one read-only (n, d, d) stack.
+
+    Every element must be finite and have asymmetry ``max|M - M^dagger|``
+    within ``atol * max(1, max|M_k|)``, its own largest entry setting the
+    scale; the returned stack holds ``(M + M^dagger) / 2``, an exact no-op
+    for already-Hermitian IEEE input.  Entries so large that this sum
+    overflows count as non-finite, and non-finite entries are reported
+    before asymmetry.
+    """
+    mats = np.array(entries, dtype=np.complex128)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {mats.shape}")
+    if mats.shape[1] < 1:
+        raise ValueError("dimension must be at least 1")
+    adjoint = mats.conj().swapaxes(1, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        asym = np.abs(mats - adjoint).max(axis=(1, 2))
+        scale = np.maximum(np.abs(mats).max(axis=(1, 2)), 1.0)
+        mats = (mats + adjoint) / 2
+    if not np.isfinite(mats.view(np.float64)).all():
+        raise ValueError("matrix entries must be finite, also once symmetrized")
+    bad = asym > atol * scale
+    if bad.any():
+        k = int(bad.argmax())
+        raise NonHermitianError(
+            f"matrix asymmetry {asym[k]:.3e} exceeds {atol:.1e} * {scale[k]:.3e}"
+        )
+    mats.setflags(write=False)
+    return mats
+
+
 class HermitianOperator:
     """Immutable Hermitian operator on C^d.
 
-    The stored matrix satisfies ``mat[j, k] == conj(mat[k, j])`` exactly:
-    construction symmetrizes via ``(M + M^dagger) / 2``, which is an exact
-    no-op for already-Hermitian IEEE input.  Raw input whose asymmetry
-    exceeds `atol` is rejected.
+    The stored matrix satisfies ``mat[j, k] == conj(mat[k, j])`` exactly.
+    Construction is the one-element case of `hermitian_stack`: raw input
+    whose asymmetry exceeds `atol` is rejected, the rest symmetrized.
     """
 
     __slots__ = ("_mat", "_eig_cache")
 
     def __init__(self, entries, *, atol: float = HERMITICITY_ATOL):
-        mat = np.array(entries, dtype=np.complex128)
+        mat = np.asarray(entries, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        if mat.shape[0] < 1:
-            raise ValueError("dimension must be at least 1")
-        if not np.all(np.isfinite(mat.view(np.float64))):
-            raise ValueError("matrix entries must be finite")
-        asym = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
-        scale = max(1.0, float(np.max(np.abs(mat))))
-        if asym > atol * scale:
-            raise NonHermitianError(
-                f"matrix asymmetry {asym:.3e} exceeds {atol:.1e} * {scale:.3e}"
-            )
-        mat = (mat + mat.conj().T) / 2
-        mat.setflags(write=False)
-        object.__setattr__(self, "_mat", mat)
+        object.__setattr__(self, "_mat", hermitian_stack(mat[np.newaxis], atol)[0])
         object.__setattr__(self, "_eig_cache", None)
 
     def __setattr__(self, name, value):
@@ -175,6 +211,20 @@ class HermitianOperator:
 
     def __repr__(self) -> str:
         return f"HermitianOperator(dim={self.dim})"
+
+
+def _operator_views(mats: np.ndarray) -> tuple[HermitianOperator, ...]:
+    """Operators viewing the elements of a stack returned by `hermitian_stack`.
+
+    The stack is already validated, so no element is checked again.
+    """
+    views = []
+    for mat in mats:
+        op = object.__new__(HermitianOperator)
+        object.__setattr__(op, "_mat", mat)
+        object.__setattr__(op, "_eig_cache", None)
+        views.append(op)
+    return tuple(views)
 
 
 def _check_same_dim(a: HermitianOperator, b: HermitianOperator) -> None:
@@ -361,9 +411,16 @@ class OperatorBasis:
         return self._elements[j]
 
     @cached_property
+    def stack(self) -> np.ndarray:
+        """The elements as one read-only (d**2, d, d) array."""
+        mats = np.stack([el.mat for el in self._elements])
+        mats.setflags(write=False)
+        return mats
+
+    @cached_property
     def coordinate_matrix(self) -> np.ndarray:
         """d**2 x d**2 real matrix whose columns are element coordinates."""
-        m = stacked_coordinates(np.stack([el.mat for el in self._elements])).T
+        m = stacked_coordinates(self.stack).T
         m.setflags(write=False)
         return m
 
@@ -381,8 +438,7 @@ class OperatorBasis:
 
     @property
     def rank(self) -> int:
-        s = self.singular_values
-        return int(np.count_nonzero(s > self._tol.rank_cutoff * s[0]))
+        return numerical_rank(self.singular_values, self._tol)
 
     def __repr__(self) -> str:
         return f"OperatorBasis(dim={self.dim}, kind={self._kind!r})"
@@ -402,11 +458,22 @@ class CoefficientVector:
 
     def recombine(self) -> HermitianOperator:
         """Reassemble sum_j coeffs[j] * basis[j]."""
-        d = self.basis.dim
-        acc = np.zeros((d, d), dtype=np.complex128)
-        for cj, el in zip(self.coeffs, self.basis.elements):
-            acc += cj * el.mat
-        return HermitianOperator(acc)
+        return recombine(self.coeffs, self.basis)
+
+
+def numerical_rank(singular_values: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+    """Number of singular values (descending) above ``rank_cutoff * sigma_max``."""
+    s = singular_values
+    if s.size == 0 or s[0] <= 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol.rank_cutoff * s[0]))
+
+
+def recombine(coeffs: np.ndarray, basis: OperatorBasis) -> HermitianOperator:
+    """The operator sum_j coeffs[j] * basis[j], as one product with the stack."""
+    mats = basis.stack
+    flat = np.asarray(coeffs, dtype=np.float64) @ mats.reshape(len(mats), -1)
+    return HermitianOperator(flat.reshape(mats.shape[1:]))
 
 
 @lru_cache(maxsize=64)
@@ -498,13 +565,54 @@ def change_of_basis(
 # JSON wire format
 # ---------------------------------------------------------------------------
 
+def complex_to_jsonable(arr: np.ndarray) -> list:
+    """Nested lists of ``[re, im]`` pairs, one per entry of a complex array."""
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+
+
+def complex_from_jsonable(cells, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of `complex_to_jsonable`; the entries must form `shape`.
+
+    Each cell must be a pair of JSON numbers; anything else raises
+    `ValueError`.  Signs of zeros survive the round trip.
+    """
+    arr = np.asarray(cells)  # a ragged grid raises ValueError here
+    if arr.shape != (*shape, 2) or arr.dtype.kind not in "biuf":
+        raise ValueError(f"entries must be a {shape} grid of [re, im] pairs")
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
+
+
+def operators_to_jsonable(mats: np.ndarray) -> list[dict]:
+    """Wire format of an (n, d, d) stack, one operator object per element."""
+    d = mats.shape[-1]
+    return [{"dim": d, "entries": grid} for grid in complex_to_jsonable(mats)]
+
+
+def operators_from_jsonable(items, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+    """Parse a non-empty list of operator objects into one validated stack.
+
+    Malformed objects raise `ValueError`, asymmetric ones
+    `NonHermitianError`, and a family mixing dimensions
+    `DimensionMismatchError`, in that order of precedence.
+    """
+    grids = []
+    for obj in items:
+        if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
+            raise ValueError("operator JSON must carry 'dim' and 'entries'")
+        d = int(obj["dim"])
+        grids.append(complex_from_jsonable(obj["entries"], (d, d)))
+    if not grids:
+        raise ValueError("expected at least one operator")
+    if any(g.shape != grids[0].shape for g in grids):
+        for g in grids:
+            hermitian_stack(g[np.newaxis], atol)
+        raise DimensionMismatchError("operators of one family must share one dimension")
+    return hermitian_stack(grids, atol)
+
+
 def operator_to_jsonable(a: HermitianOperator) -> dict:
     """Wire format ``{"dim": d, "entries": [[[re, im], ...], ...]}``."""
-    entries = [
-        [[float(x.real), float(x.imag)] for x in row]
-        for row in a.mat
-    ]
-    return {"dim": a.dim, "entries": entries}
+    return operators_to_jsonable(a.mat[np.newaxis])[0]
 
 
 def operator_from_jsonable(obj: dict, atol: float = HERMITICITY_ATOL) -> HermitianOperator:
@@ -513,17 +621,14 @@ def operator_from_jsonable(obj: dict, atol: float = HERMITICITY_ATOL) -> Hermiti
     Asymmetry beyond ``atol`` (relative to the largest entry) raises
     `NonHermitianError`; malformed payloads raise `ValueError`.
     """
-    if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
-        raise ValueError("operator JSON must carry 'dim' and 'entries'")
-    d = int(obj["dim"])
-    entries = obj["entries"]
-    if len(entries) != d or any(len(row) != d for row in entries):
-        raise ValueError(f"'entries' must be a {d}x{d} grid of [re, im] pairs")
-    try:
-        mat = np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in entries],
-            dtype=np.complex128,
-        )
-    except (TypeError, IndexError) as exc:
-        raise ValueError("each entry must be a [re, im] pair") from exc
-    return HermitianOperator(mat, atol=atol)
+    return _operator_views(operators_from_jsonable([obj], atol))[0]
+
+
+def tolerance_to_jsonable(tol: ToleranceConfig) -> dict:
+    """Wire format of a tolerance configuration: one number per field."""
+    return dataclasses.asdict(tol)
+
+
+def tolerance_from_jsonable(obj: dict) -> ToleranceConfig:
+    fields = dataclasses.fields(ToleranceConfig)
+    return ToleranceConfig(**{f.name: float(obj[f.name]) for f in fields})

@@ -10,6 +10,8 @@ from effectframes import (
     HermitianOperator,
     NotAnEffectError,
     NotOrthonormalError,
+    SingularBasisError,
+    ToleranceConfig,
     augmented_basis_from_onb,
     complete_projector_basis,
     eig_hermitian,
@@ -199,3 +201,36 @@ def test_validate_over_seeded_bases(d):
     for seed in range(5):
         basis = augmented_basis_from_onb(random_onb(d, seed))
         assert validate_augmented(basis).passed
+
+
+def test_caller_tolerance_reaches_rank_certificate():
+    # sigma_min/sigma_max of the d = 2 computational augmented basis is 0.31.
+    strict = ToleranceConfig(rank_cutoff=0.9)
+    with pytest.raises(SingularBasisError):
+        augmented_basis_from_onb(EYE2, tol=strict)
+    loose = ToleranceConfig(rank_cutoff=0.3)
+    basis = augmented_basis_from_onb(EYE2, tol=loose)
+    assert basis.tol is loose
+    assert basis.basis_view.rank == 4
+
+
+def test_caller_tolerance_reaches_element_checks():
+    basis = augmented_basis_from_onb(EYE2)
+    ops = (HermitianOperator(np.diag([1.0 + 1e-7, 0.0]).astype(complex)),) + basis.ops[1:]
+    slack = ToleranceConfig(psd_slack=1e-6, residual=1e-6)
+    tampered = AugmentedBasis(onb=basis.onb, ops=ops, c=basis.c, gamma=basis.gamma, tol=slack)
+    assert len(tampered.elements) == 4
+    strict = AugmentedBasis(onb=basis.onb, ops=ops, c=basis.c, gamma=basis.gamma)
+    with pytest.raises(NotAnEffectError):
+        strict.elements
+
+
+def test_rank_one_condition_matches_per_element_eigenvalues():
+    basis = augmented_basis_from_onb(random_onb(4, 3))
+    ops = list(basis.ops)
+    ops[5] = ops[5] + ops[6] * 1e-3
+    tampered = AugmentedBasis(onb=basis.onb, ops=tuple(ops), c=basis.c, gamma=basis.gamma)
+    worst = max(float(np.max(np.abs(eig_hermitian(op)[0][1:]))) for op in ops)
+    witness = validate_augmented(tampered).conditions["rank-one"].witness
+    assert witness == pytest.approx(worst, rel=1e-9)
+    assert witness > DEFAULT_TOL.psd_slack

@@ -343,3 +343,68 @@ def test_out_file_writing(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["verdict"] == "pass"
+
+
+def test_shared_parser_gives_same_output_as_fresh_parser(capsys, tmp_path):
+    from effectframes.cli import _build_parser
+
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "certify-cone", "--dim", "2", "--seed", "3", "--out", str(cert_path))
+    calls = [
+        ("augbasis", "--dim", "2", "--pretty"),
+        ("augbasis", "--dim", "2"),
+        ("reconstruct", "--dim", "2", "--seed", "1", "--tol-residual", "1e-6"),
+        ("reconstruct", "--dim", "2", "--seed", "1"),
+        ("certify-cone", "--verify", str(cert_path), "--tol-residual", "1e-5"),
+        ("certify-cone", "--verify", str(cert_path)),
+        ("cauchy", "grid", "--a", "1/1", "--n", "4", "--v", "1/8", "--pretty"),
+        ("reconstruct", "--dim", "2", "--seed", "1", "--frobnicate"),
+        ("augbasis", "--dim", "3", "--seed", "2"),
+    ]
+    shared = [run_cli(capsys, *argv)[:2] for argv in calls]
+    alone = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        alone.append(run_cli(capsys, *argv)[:2])
+    assert shared == alone
+    assert shared[0][1] != shared[1][1]
+    assert json.loads(shared[2][1])["tolerances"]["residual"] == 1e-6
+    assert json.loads(shared[3][1])["tolerances"]["residual"] == 1e-8
+
+
+def test_validate_operator_overflowing_on_symmetrization_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"dim": 2, "entries": [[[1e308, 0.0]] * 2] * 2}))
+    code, out, err = run_cli(capsys, "validate", "--kind", "operator", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_report_value_is_exit_2(capsys, tmp_path):
+    # Every entry and the symmetrized matrix are finite; only the trace
+    # overflows.  The report would carry "trace": Infinity.
+    path = tmp_path / "op.json"
+    big = operator_to_jsonable(identity(3) * 8.9e307)
+    path.write_text(json.dumps(big))
+    code, out, err = run_cli(capsys, "validate", "--kind", "operator", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert "error" in err and "Traceback" not in err
+
+
+def test_validate_pom_with_mixed_dimensions_is_a_verdict(capsys, tmp_path):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({
+        "dim": 2,
+        "effects": [
+            operator_to_jsonable(identity(2) * 0.5),
+            operator_to_jsonable(identity(3) * 0.5),
+        ],
+    }))
+    code, out, _ = run_cli(capsys, "validate", "--kind", "pom", "--in", str(path))
+    assert code == 1
+    report = json.loads(out)
+    assert report["violated"] == "dimension-mismatch"
+    assert report["details"] == {"dim": 2, "count": 2}

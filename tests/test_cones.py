@@ -33,6 +33,7 @@ from effectframes import (
     rank_one,
     real_coordinates,
     sic_mic_pom,
+    validate_augmented,
     verify_certificate,
 )
 
@@ -231,3 +232,137 @@ def test_certificate_dimension_mismatch():
     mic = random_mic_pom(3, 1)
     with pytest.raises(Exception):
         intersection_span_certificate(basis, mic)
+
+
+# ---------------------------------------------------------------------------
+# Stacked admission and verification against the per-witness reference
+# ---------------------------------------------------------------------------
+
+def _reference_failures(cert, tol):
+    """The per-witness verification loop: one eigendecomposition and one
+    matrix-space recombination per witness and family."""
+    d = cert.augmented.dim
+    failures = []
+    if not validate_augmented(cert.augmented, tol).passed:
+        failures.append("augmented-basis")
+    total = sum(e.mat for e in cert.mic.effects)
+    if np.linalg.norm(total - np.eye(d)) > tol.residual:
+        failures.append("mic-pom-sum")
+    if len(cert.witnesses) != d * d or len(cert.memberships) != d * d:
+        failures.append("witness-count")
+    for k, (witness, mems) in enumerate(zip(cert.witnesses, cert.memberships)):
+        w = np.linalg.eigvalsh(witness.mat)
+        if w[0] < -tol.psd_slack or w[-1] > 1.0 + tol.psd_slack:
+            failures.append(f"witness-{k}-effect")
+            continue
+        for label, mem in zip(("augmented", "mic"), mems):
+            if float(np.min(mem.coeffs)) < -tol.psd_slack:
+                failures.append(f"witness-{k}-{label}-negative-coefficient")
+            acc = np.zeros((d, d), dtype=complex)
+            for cj, el in zip(mem.coeffs, mem.basis):
+                acc += cj * el.mat
+            if np.linalg.norm(acc - witness.mat) > tol.residual:
+                failures.append(f"witness-{k}-{label}-residual")
+    coords = np.array([real_coordinates(w.op) for w in cert.witnesses])
+    if np.linalg.matrix_rank(coords, tol=tol.rank_cutoff * np.linalg.norm(coords, 2)) != d * d:
+        failures.append("witness-rank")
+    return failures
+
+
+def _tamper_effect(p):
+    p["tolerances"].update(psd_slack=0.5, residual=0.5)
+    p["witnesses"][1] = operator_to_jsonable(identity(p["dim"]) * 1.25)
+
+
+def _tamper_negative(p):
+    p["memberships"][2]["augmented"]["coeffs"][0] = -0.5
+
+
+def _tamper_residual(p):
+    p["memberships"][0]["mic"]["coeffs"][1] += 1e-6
+
+
+def _tamper_count(p):
+    del p["witnesses"][-1], p["memberships"][-1]
+
+
+def _tamper_rank(p):
+    p["witnesses"][3] = p["witnesses"][0]
+    p["memberships"][3] = p["memberships"][0]
+
+
+def _tamper_augmented(p):
+    p["augmented"]["c"] = 1.2
+
+
+def _tamper_mic_sum(p):
+    p["tolerances"]["residual"] = 1e-5
+    for e in p["mic"]["effects"]:
+        e["entries"] = ((1.0 + 1e-7) * np.array(e["entries"])).tolist()
+
+
+TAMPERINGS = {
+    "witness-1-effect": _tamper_effect,
+    "witness-2-augmented-negative-coefficient": _tamper_negative,
+    "witness-0-mic-residual": _tamper_residual,
+    "witness-count": _tamper_count,
+    "witness-rank": _tamper_rank,
+    "augmented-basis": _tamper_augmented,
+    "mic-pom-sum": _tamper_mic_sum,
+}
+
+
+@pytest.mark.parametrize("d, seed", [(2, 1), (3, 4)])
+@pytest.mark.parametrize("label", sorted(TAMPERINGS))
+def test_verify_matches_per_witness_reference(d, seed, label):
+    basis = augmented_basis_from_onb(random_onb(d, seed))
+    cert = intersection_span_certificate(basis, random_mic_pom(d, seed + 1), seed=seed)
+    payload = json.loads(json.dumps(certificate_to_jsonable(cert)))
+    TAMPERINGS[label](payload)
+    back = certificate_from_jsonable(payload)
+    report = verify_certificate(back, DEFAULT_TOL)
+    assert label in report.failures
+    assert list(report.failures) == _reference_failures(back, DEFAULT_TOL)
+    assert report.witness_count == len(back.witnesses)
+
+
+def test_verify_reports_margins_like_reference():
+    basis = augmented_basis_from_onb(random_onb(3, 2))
+    cert = intersection_span_certificate(basis, random_mic_pom(3, 3))
+    report = verify_certificate(cert)
+    assert report.passed and report.rank == 9
+    lows = [float(np.min(m.coeffs)) for pair in cert.memberships for m in pair]
+    residuals = [
+        hs_distance(m.recombine(), w.op)
+        for w, pair in zip(cert.witnesses, cert.memberships)
+        for m in pair
+    ]
+    assert report.min_coefficient == min(lows)
+    assert report.max_membership_residual == pytest.approx(max(residuals), abs=1e-14)
+
+
+def test_stacked_admission_stops_at_first_failure_and_consults_nnls_in_order(monkeypatch):
+    basis = augmented_basis_from_onb(EYE2)
+    sic = sic_mic_pom()
+    e_delta, _ = interior_point_Edelta(basis, 0.125)
+    ket0 = rank_one(np.array([1.0, 0.0], dtype=complex))  # in the augmented cone only
+    minus = rank_one(np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0))  # in neither
+    calls = []
+    scipy_nnls = cones.nnls
+
+    def recording_nnls(mat, vec):
+        calls.append(mat is sic.basis_view.coordinate_matrix)
+        return scipy_nnls(mat, vec)
+
+    monkeypatch.setattr(cones, "nnls", recording_nnls)
+    for middle, fallback_on_mic in ((ket0, True), (minus, False)):
+        calls.clear()
+        stack = cones.hermitian_stack([e_delta.mat, middle.mat, e_delta.mat])
+        admitted = cones._admit_witnesses(stack, basis.basis_view, sic.basis_view, DEFAULT_TOL)
+        assert len(admitted) == 1
+        assert calls == [fallback_on_mic]
+        op, mem_a, mem_m = admitted[0]
+        np.testing.assert_array_equal(op.mat, e_delta.mat)
+        single = cone_membership(e_delta.op, basis, DEFAULT_TOL)
+        np.testing.assert_allclose(mem_a.coeffs, single.coeffs, atol=1e-14)
+        assert cone_membership(middle, sic) is None or cone_membership(middle, basis) is None

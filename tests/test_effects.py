@@ -13,12 +13,17 @@ from effectframes import (
     NotAnEffectError,
     POM,
     PomIdentityError,
+    DimensionMismatchError,
     coexists,
+    effect_checks,
+    effects_of,
     eig_hermitian,
+    hermitian_stack,
     hs_distance,
     identity,
     is_effect,
     max_scale,
+    operator_to_jsonable,
     pom_from_jsonable,
     pom_to_jsonable,
     psd_sqrt,
@@ -252,3 +257,49 @@ def test_pom_json_round_trip():
     assert len(back.effects) == 4
     for a, b in zip(sic.pom.effects, back.effects):
         assert hs_distance(a.op, b.op) < 1e-15
+
+
+def _reference_effect_check(h, tol):
+    """Per-operator decision on the full eigendecomposition."""
+    w, _ = eig_hermitian(h, tol)
+    low, high = float(w[-1]), float(w[0])
+    if low < -tol.psd_slack and high > 1.0 + tol.psd_slack:
+        return False, low if (-low) > (high - 1.0) else high
+    if low < -tol.psd_slack:
+        return False, low
+    if high > 1.0 + tol.psd_slack:
+        return False, high
+    return True, None
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_effect_checks_match_per_operator_reference(d):
+    rng = np.random.default_rng(d)
+    mats = []
+    for scale, shift in ((0.2, 0.5), (1.0, 0.5), (0.3, -0.2), (0.3, 1.1), (2.0, 0.0)):
+        for _ in range(6):
+            x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            mats.append(scale * (x + x.conj().T) / 4.0 + shift * np.eye(d))
+    stack = hermitian_stack(mats)
+    checks = effect_checks(stack)
+    assert {c.ok for c in checks} == {True, False}
+    for op, check in zip([HermitianOperator(m) for m in stack], checks):
+        ok, witness = _reference_effect_check(op, DEFAULT_TOL)
+        assert check.ok == ok == is_effect(op).ok
+        if not ok:
+            assert check.witness == pytest.approx(witness, abs=1e-12)
+
+
+def test_effects_of_checks_whole_family():
+    ops = [identity(2) * 0.5, identity(2) * 0.25, identity(2) * 1.5]
+    assert all(isinstance(e, Effect) for e in effects_of(ops[:2]))
+    assert effects_of(ops[:2])[1].op is ops[1]
+    with pytest.raises(NotAnEffectError, match="element 2"):
+        effects_of(ops)
+
+
+def test_pom_json_rejects_mixed_dimensions():
+    blob = {"dim": 2, "effects": [operator_to_jsonable(identity(2) * 0.5),
+                                  operator_to_jsonable(identity(3) * 0.5)]}
+    with pytest.raises(DimensionMismatchError):
+        pom_from_jsonable(blob)

@@ -12,7 +12,10 @@ from effectframes import (
     HermitianOperator,
     NotAnEffectError,
     TabulatedFrame,
+    ToleranceConfig,
     augmented_basis_from_onb,
+    certificate_from_jsonable,
+    certificate_to_jsonable,
     check_additivity,
     coexisting_pair,
     consistency_DT,
@@ -202,6 +205,22 @@ def test_consistency_flags_adversarial_frame():
     cert = intersection_span_certificate(basis, mic, seed=0)
     dev = consistency_DT(AdversarialSquareFrame(random_density(2, 9)), basis, mic, cert)
     assert dev > 0.01
+
+
+def test_consistency_verifies_certificate_with_its_own_tolerance():
+    from effectframes import CertificateError
+
+    basis = augmented_basis_from_onb(EYE2)
+    mic = sic_mic_pom()
+    payload = certificate_to_jsonable(intersection_span_certificate(basis, mic, seed=0))
+    # A stored coefficient off by 1e-6 fails the certificate's own residual
+    # tolerance (1e-8) but not a caller's 1e-5.
+    payload["memberships"][0]["mic"]["coeffs"][0] += 1e-6
+    cert = certificate_from_jsonable(json.loads(json.dumps(payload)))
+    f = BornFrame(random_density(2, 3))
+    with pytest.raises(CertificateError):
+        consistency_DT(f, basis, mic, cert)
+    assert consistency_DT(f, basis, mic, cert, tol=ToleranceConfig(residual=1e-5)) < 1e-10
 
 
 def test_consistency_demands_matching_certificate():

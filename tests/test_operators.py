@@ -18,15 +18,22 @@ from effectframes import (
     change_of_basis,
     eig_hermitian,
     expand,
+    hermitian_stack,
     hs_distance,
     hs_inner,
     identity,
+    numerical_rank,
     operator_from_jsonable,
     operator_to_jsonable,
+    operators_from_jsonable,
+    operators_to_jsonable,
     orthonormal_operator_basis,
     rank_one,
     real_coordinates,
+    recombine,
     stacked_coordinates,
+    tolerance_from_jsonable,
+    tolerance_to_jsonable,
     zero,
 )
 from conftest import random_hermitian
@@ -347,3 +354,130 @@ def test_eig_trace_preserved(seed):
     op = HermitianOperator((x + x.conj().T) / 2.0)
     w, _ = eig_hermitian(op)
     assert float(np.sum(w)) == pytest.approx(op.trace(), abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Stacks: validation, recombination, rank and the wire format
+# ---------------------------------------------------------------------------
+
+def _old_operator_to_jsonable(a):
+    """Per-element wire format, the reference for the array codec."""
+    mat = a.mat if isinstance(a, HermitianOperator) else a
+    return {
+        "dim": len(mat),
+        "entries": [[[float(x.real), float(x.imag)] for x in row] for row in mat],
+    }
+
+
+def test_hermitian_stack_matches_single_operators(rng):
+    mats = [random_hermitian(rng, 3).mat for _ in range(5)]
+    stack = hermitian_stack(mats)
+    assert stack.shape == (5, 3, 3)
+    assert not stack.flags.writeable
+    for mat, row in zip(mats, stack):
+        assert np.array_equal(HermitianOperator(mat).mat, row)
+
+
+def test_hermitian_stack_scales_asymmetry_per_element():
+    # A large element must not loosen the asymmetry check of a small one.
+    big = np.diag([1e6, 1e6]).astype(complex)
+    skewed = np.array([[0.5, 1e-9], [0.0, 0.5]], dtype=complex)
+    hermitian_stack([big])
+    with pytest.raises(NonHermitianError):
+        hermitian_stack([big, skewed])
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [np.full((1, 2, 2), np.nan), np.full((1, 2, 2), 1e308), np.zeros((2, 2)), np.zeros((1, 2, 3))],
+)
+def test_hermitian_stack_rejects_bad_input(entries):
+    with pytest.raises(ValueError):
+        hermitian_stack(entries)
+
+
+def test_entries_overflowing_on_symmetrization_are_rejected():
+    # Finite input whose (M + M^dagger) / 2 overflows used to pass as an
+    # operator with infinite trace.
+    with pytest.raises(ValueError, match="once symmetrized"):
+        operator_from_jsonable({"dim": 2, "entries": [[[1e308, 0.0]] * 2] * 2})
+
+
+def test_operator_codec_is_byte_identical_to_per_element_form(rng):
+    ops = [random_hermitian(rng, d) for d in (2, 3, 5) for _ in range(4)]
+    m = np.array([[0.0, 1.0], [1.0, -2.5]], dtype=complex)
+    m[0, 1] = complex(1.0, -0.0)
+    m[1, 0] = complex(1.0, 0.0)
+    m[0, 0] = complex(-0.0, 0.0)
+    ops.append(HermitianOperator(m))
+    for op in ops:
+        old = json.dumps(_old_operator_to_jsonable(op), sort_keys=True)
+        assert json.dumps(operator_to_jsonable(op), sort_keys=True) == old
+        back = operator_from_jsonable(json.loads(old))
+        assert np.array_equal(back.mat, op.mat)
+        assert np.array_equal(np.signbit(back.mat.view(float)), np.signbit(op.mat.view(float)))
+    family = hermitian_stack([op.mat for op in ops[:4]])
+    assert json.dumps(operators_to_jsonable(family)) == json.dumps(
+        [_old_operator_to_jsonable(op) for op in ops[:4]]
+    )
+    assert np.array_equal(operators_from_jsonable(operators_to_jsonable(family)), family)
+    raw = np.array([m, -m])  # the raw stack keeps the -0.0 on the diagonal
+    text = json.dumps(operators_to_jsonable(raw))
+    assert "-0.0" in text
+    assert text == json.dumps([_old_operator_to_jsonable(x) for x in raw])
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[["1", "0"], [0, 0]], [[0, 0], [1, 0]]],
+        [[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]],
+        [[[1], [0, 0]], [[0, 0], [1, 0]]],
+        [[[1, 0], [0, 0]]],
+        [[[1, 0], [0, 0]], [[0, 0], [None, 0]]],
+        [[[1, 0], [0, 0]], [[0, 0], [{"re": 1}, 0]]],
+        "entries",
+        7,
+    ],
+)
+def test_operator_codec_rejects_malformed_cells(entries):
+    with pytest.raises(ValueError):
+        operator_from_jsonable({"dim": 2, "entries": entries})
+
+
+def test_family_codec_reports_mixed_dimensions_after_malformed_entries():
+    two, three = operator_to_jsonable(identity(2)), operator_to_jsonable(identity(3))
+    with pytest.raises(DimensionMismatchError):
+        operators_from_jsonable([two, three])
+    skewed = {"dim": 2, "entries": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}
+    with pytest.raises(NonHermitianError):
+        operators_from_jsonable([skewed, three])
+    with pytest.raises(ValueError):
+        operators_from_jsonable([])
+
+
+def test_recombine_matches_loop(rng):
+    basis = orthonormal_operator_basis(3)
+    coeffs = rng.standard_normal(9)
+    acc = np.zeros((3, 3), dtype=complex)
+    for cj, el in zip(coeffs, basis):
+        acc += cj * el.mat
+    np.testing.assert_allclose(recombine(coeffs, basis).mat, acc, atol=1e-14)
+    back = expand(HermitianOperator(acc), basis).recombine()
+    np.testing.assert_allclose(back.mat, acc, atol=1e-14)
+
+
+def test_numerical_rank():
+    assert numerical_rank(np.array([3.0, 1.0, 1e-9]), DEFAULT_TOL) == 2
+    assert numerical_rank(np.array([3.0, 1.0, 1e-9]), ToleranceConfig(rank_cutoff=1e-12)) == 3
+    assert numerical_rank(np.zeros(3), DEFAULT_TOL) == 0
+    assert numerical_rank(np.array([]), DEFAULT_TOL) == 0
+
+
+def test_tolerance_codec_round_trip():
+    tol = ToleranceConfig(psd_slack=1e-10, residual=1e-7)
+    blob = tolerance_to_jsonable(tol)
+    assert list(blob) == ["eig_offdiag", "psd_slack", "residual", "rank_cutoff"]
+    assert tolerance_from_jsonable(json.loads(json.dumps(blob))) == tol
+    with pytest.raises(KeyError):
+        tolerance_from_jsonable({"psd_slack": 1e-9})
