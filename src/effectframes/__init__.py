@@ -12,24 +12,43 @@ functions are explicitly representable and refutable witnesses for their
 unboundedness come from Pell's equation.
 
 Each module's ``__all__`` is the single list of its public names; the
-package re-exports all of them.
+package re-exports all of them.  The exact corner (`cauchy`) is loaded with
+the package and needs only the standard library.  The five numerical
+modules load numpy, so they are imported on the first use of one of their
+names (PEP 562).  Those names are looked up in their module on every
+access and never stored here, so a name rebound in its module (by a
+tracer or a test double) is seen through the package as well.
 """
 
-from . import augmented, cauchy, cones, effects, frames, operators
-from .operators import *  # noqa: F401,F403
-from .effects import *  # noqa: F401,F403
-from .augmented import *  # noqa: F401,F403
-from .cones import *  # noqa: F401,F403
-from .frames import *  # noqa: F401,F403
+import importlib
+from functools import lru_cache
+
+from . import cauchy
 from .cauchy import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *operators.__all__,
-    *effects.__all__,
-    *augmented.__all__,
-    *cones.__all__,
-    *frames.__all__,
-    *cauchy.__all__,
-]
+_NUMERICAL = ("operators", "effects", "augmented", "cones", "frames")
+
+
+@lru_cache(maxsize=None)
+def _numerical_names() -> dict:
+    """Public name -> defining module, over the numerical modules."""
+    modules = [importlib.import_module(f".{name}", __name__) for name in _NUMERICAL]
+    return {name: module for module in modules for name in module.__all__}
+
+
+def __getattr__(name: str):
+    if name in _NUMERICAL:
+        return importlib.import_module(f".{name}", __name__)
+    if name == "__all__":
+        return [*_numerical_names(), *cauchy.__all__]
+    if not name.startswith("_"):
+        module = _numerical_names().get(name)
+        if module is not None:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_NUMERICAL, *_numerical_names()})

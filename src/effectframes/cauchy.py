@@ -12,9 +12,13 @@ equation P^2 - 2 Q^2 = 1 produces points arbitrarily close to zero with
 arbitrarily large f, the executable refutation of boundedness for the
 non-linear models.
 
-Everything here is exact: values are `fractions.Fraction`, points of the
-quadratic model are exact (p, q) pairs, and comparisons go through integer
-arithmetic only.  No floats enter any decision.
+Everything here is exact, and every decision is made in integers: grid
+checks compare numerators and denominators by cross-multiplication, signs
+in the quadratic field square out to integer comparisons, and the Pell
+walk runs on integer pairs.  A `fractions.Fraction` is built only for a
+value that is returned; points of the quadratic model are exact (p, q)
+pairs of them.  No floats enter any decision; the module needs nothing
+beyond the standard library.
 """
 
 from __future__ import annotations
@@ -60,13 +64,19 @@ class NotRepresentableError(ValueError):
 
 
 def as_fraction(x: RationalLike) -> Fraction:
-    """Exact rational from an int, a Fraction, or a 'p/q' string."""
+    """Exact rational from an int, a Fraction, or a 'p/q' string.
+
+    A zero denominator is invalid input and raises ValueError.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
@@ -79,6 +89,30 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
+def _surd_sign(p: int, q: int) -> int:
+    """Exact sign of p + q*sqrt(2) for integers p and q.
+
+    With p and q of opposite signs the comparison p + q*sqrt(2) vs 0
+    squares to p**2 vs 2*q**2, which is never a tie since sqrt(2) is
+    irrational; the larger square wins, carrying its sign.
+    """
+    if (p >= 0) == (q >= 0) or p == 0 or q == 0:
+        return (p + q > 0) - (p + q < 0)
+    if p * p > 2 * q * q:
+        return 1 if p > 0 else -1
+    return 1 if q > 0 else -1
+
+
+def _surd_floor(p: int, q: int, d: int) -> int:
+    """floor((p + q*sqrt(2)) / d) for integers p, q and d > 0, exactly.
+
+    With s = isqrt(2 q**2), |q| sqrt(2) lies in (s, s + 1) unless q = 0, and
+    a fractional part in [0, 1) never moves floor((m + theta) / d).
+    """
+    s = math.isqrt(2 * q * q)
+    return (p + s) // d if q >= 0 else (p - s - 1) // d
+
+
 def _sqrt2_convergent(steps: int) -> Fraction:
     p, q = 1, 1
     for _ in range(steps):
@@ -86,8 +120,8 @@ def _sqrt2_convergent(steps: int) -> Fraction:
     return Fraction(p, q)
 
 
-# Rational approximation of sqrt(2) good to ~1e-92, used only to seed
-# integer-part estimates that are then corrected by exact sign checks.
+# Rational approximation of sqrt(2) good to ~1e-92, used only for display
+# values; no decision reads it.
 _SQRT2_APPROX = _sqrt2_convergent(120)
 
 
@@ -122,21 +156,11 @@ class QSqrt2:
     def sign(self) -> int:
         """Exact sign, decided by integer arithmetic only.
 
-        With p and q of opposite signs the comparison p + q*sqrt(2) vs 0
-        squares to p**2 vs 2*q**2, which is never a tie since sqrt(2) is
-        irrational.
+        Scaling by both (positive) denominators leaves the integer pair
+        whose sign `_surd_sign` decides.
         """
-        sp, sq = _sign(self.p), _sign(self.q)
-        if sq == 0:
-            return sp
-        if sp == 0:
-            return sq
-        if sp == sq:
-            return sp
-        # Opposite signs: the larger square wins, carrying its sign.
-        if self.p * self.p > 2 * self.q * self.q:
-            return sp
-        return sq
+        p, q = self.p, self.q
+        return _surd_sign(p.numerator * q.denominator, q.numerator * p.denominator)
 
     def is_zero(self) -> bool:
         return self.p == 0 and self.q == 0
@@ -154,26 +178,25 @@ class QSqrt2:
         return (self - other).sign() >= 0
 
     def approx(self) -> float:
-        """Float approximation, for display only; never used in decisions."""
-        return float(self.p) + float(self.q) * math.sqrt(2.0)
+        """Correctly rounded float value, for display only; never used in
+        decisions, and never raises (beyond the float range it is +-inf).
+
+        With p and q of opposite signs p + q*sqrt(2) cancels; it equals
+        (p**2 - 2 q**2) / (p - q*sqrt(2)), whose denominator does not.  The
+        value is formed in Fraction and rounded once.
+        """
+        p, q = self.p, self.q
+        if (p > 0 > q) or (q > 0 > p):
+            value = (p * p - 2 * q * q) / (p - q * _SQRT2_APPROX)
+        else:
+            value = p + q * _SQRT2_APPROX
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
 
     def __str__(self) -> str:
         return f"{fraction_str(self.p)} + {fraction_str(self.q)}*sqrt(2)"
-
-
-def _floor_qsqrt2(x: QSqrt2) -> int:
-    if x.q == 0:
-        return math.floor(x.p)
-    est = math.floor(x.p + x.q * _SQRT2_APPROX)
-    while QSqrt2(x.p - (est + 1), x.q).sign() >= 0:
-        est += 1
-    while QSqrt2(x.p - est, x.q).sign() < 0:
-        est -= 1
-    return est
-
-
-def _ceil_qsqrt2(x: QSqrt2) -> int:
-    return -_floor_qsqrt2(-x)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +225,7 @@ class GridAdditiveFunction:
         if n < 1:
             raise ValueError(f"grid needs at least one step, got n = {n}")
         object.__setattr__(self, "n", n)
-        values = tuple(as_fraction(v) for v in self.values)
+        values = tuple(map(as_fraction, self.values))
         if len(values) != n + 1:
             raise ValueError(f"expected {n + 1} values, got {len(values)}")
         object.__setattr__(self, "values", values)
@@ -223,28 +246,36 @@ class GridAdditiveFunction:
 
         Additivity over all index pairs is equivalent to constant unit
         increments, which is what gets scanned; the reported witness names
-        the violating pair (k, 1).
+        the violating pair (k, 1).  f(k+1) - f(k) = f(1) is compared
+        cross-multiplied over the three denominators.
         """
+        values = self.values
         out: list[str] = []
-        if self.values[0] != 0:
-            out.append(f"f(0) = {fraction_str(self.values[0])}, expected 0/1")
-        unit = self.values[1] if self.n >= 1 else Fraction(0)
+        if values[0] != 0:
+            out.append(f"f(0) = {fraction_str(values[0])}, expected 0/1")
+        unit = values[1]
+        un, ud = unit.numerator, unit.denominator
+        an, ad = un, ud
         for k in range(1, self.n):
-            if self.values[k + 1] - self.values[k] != unit:
+            nxt = values[k + 1]
+            bn, bd = nxt.numerator, nxt.denominator
+            if (bn * ad - an * bd) * ud != un * ad * bd:
                 out.append(
                     f"additivity fails for pair ({k}, 1): "
-                    f"f({k}) + f(1) = {fraction_str(self.values[k] + unit)} "
-                    f"but f({k + 1}) = {fraction_str(self.values[k + 1])}"
+                    f"f({k}) + f(1) = {fraction_str(values[k] + unit)} "
+                    f"but f({k + 1}) = {fraction_str(nxt)}"
                 )
                 break
+            an, ad = bn, bd
         return out
 
 
 def grid_from_unit(a: RationalLike, n: int, v: RationalLike) -> GridAdditiveFunction:
     """The unique grid-additive table with f(a/n) = v, namely f(k a/n) = k v."""
     v = as_fraction(v)
+    vn, vd = v.numerator, v.denominator
     return GridAdditiveFunction(
-        a=as_fraction(a), n=n, values=tuple(k * v for k in range(n + 1))
+        a=as_fraction(a), n=n, values=tuple(Fraction(k * vn, vd) for k in range(n + 1))
     )
 
 
@@ -262,8 +293,10 @@ def check_linear(g: GridAdditiveFunction) -> LinearityResult:
     violations = g.invariant_violations()
     if violations:
         raise GridInvariantError("; ".join(violations))
-    unit = g.values[1]
-    is_linear = all(g.values[k] == k * unit for k in range(g.n + 1))
+    un, ud = g.values[1].numerator, g.values[1].denominator
+    is_linear = all(
+        v.numerator * ud == k * un * v.denominator for k, v in enumerate(g.values)
+    )
     return LinearityResult(is_linear=is_linear, slope=g.values[g.n] / g.a)
 
 
@@ -304,19 +337,35 @@ class WitnessResult(NamedTuple):
     steps: int
 
 
-def _pell_candidates(max_steps: int):
-    """Yield (step, z) for z in (0, 1) built from Pell pairs P^2 - 2Q^2 = 1.
+def _pell_walk(a: Fraction, max_steps: int):
+    """Yield (step, p, q) for the integer points p + q sqrt(2) in (0, a]
+    built from Pell pairs P^2 - 2Q^2 = 1.
 
     Each Pell pair (P, Q) gives two positive numbers shrinking to zero:
     P - Q sqrt(2) = 1/(P + Q sqrt(2)) and its sqrt(2) multiple
     -2Q + P sqrt(2).  Successive pairs come from the fundamental solution
-    (3, 2) via (P, Q) -> (3P + 4Q, 2P + 3Q).
+    (3, 2) via (P, Q) -> (3P + 4Q, 2P + 3Q).  Both families decrease, so
+    once a family is inside (0, a] it stays there.
     """
+    an, ad = a.numerator, a.denominator
+    first_in = second_in = False
     p, q = 3, 2
     for step in range(max_steps):
-        yield step, QSqrt2(Fraction(p), Fraction(-q))
-        yield step, QSqrt2(Fraction(-2 * q), Fraction(p))
+        first_in = first_in or _surd_sign(p * ad - an, -q * ad) <= 0
+        if first_in:
+            yield step, p, -q
+        second_in = second_in or _surd_sign(-2 * q * ad - an, p * ad) <= 0
+        if second_in:
+            yield step, -2 * q, p
         p, q = 3 * p + 4 * q, 2 * p + 3 * q
+
+
+def _value_test(f: QSqrt2Additive, r: Fraction) -> tuple[int, int, int]:
+    """Integers (A, B, C) such that f(p + q sqrt(2)) - r has the sign of
+    A p + B q - C for all integers p, q (a positive common scale)."""
+    an, ad = f.alpha.numerator, f.alpha.denominator
+    bn, bd = f.beta.numerator, f.beta.denominator
+    return an * bd * r.denominator, bn * ad * r.denominator, r.numerator * ad * bd
 
 
 def unboundedness_witness(
@@ -341,31 +390,17 @@ def unboundedness_witness(
             "model is linear (alpha = beta = 0); its only bound witness would "
             "need a non-linear model"
         )
-    upper = QSqrt2.from_rational(a)
-    for step, z in _pell_candidates(max_steps):
-        if z <= upper and f(z) > bound:
-            return WitnessResult(x=z, value=f(z), steps=step)
+    alpha_s, beta_s, bound_s = _value_test(f, bound)
+    for step, p, q in _pell_walk(a, max_steps):
+        if alpha_s * p + beta_s * q > bound_s:
+            x = QSqrt2(p, q)
+            return WitnessResult(x=x, value=f(x), steps=step)
     raise RuntimeError(f"no witness within {max_steps} Pell steps")
 
 
 # ---------------------------------------------------------------------------
 # Extensions to the half line and the whole line
 # ---------------------------------------------------------------------------
-
-def _min_divisor_at_least(j: int, lower: int) -> int:
-    """Smallest divisor of j that is >= lower (j >= 1, 1 <= lower <= j)."""
-    if lower <= 1:
-        return 1
-    best = j
-    i = 1
-    while i * i <= j:
-        if j % i == 0:
-            for div in (i, j // i):
-                if lower <= div < best:
-                    best = div
-        i += 1
-    return best
-
 
 @dataclass(frozen=True)
 class ExtensionView:
@@ -401,28 +436,46 @@ class ExtensionView:
     # -- grid-base helpers ---------------------------------------------------
 
     def _grid_index(self, x: Fraction) -> int:
-        j = x * self.base.n / self.base.a
-        if j.denominator != 1:
+        """j with x = j a/n, from j = x n / a in integers."""
+        a = self.base.a
+        j, rest = divmod(
+            x.numerator * self.base.n * a.denominator, x.denominator * a.numerator
+        )
+        if rest:
             raise NotRepresentableError(
                 f"{fraction_str(x)} is not a multiple of the grid step "
                 f"{fraction_str(self.base.step)}"
             )
-        return j.numerator
+        return j
 
     def minimal_modulus(self, x: RationalLike) -> int:
-        """Smallest n with x/n in the base domain (grid point, or in [0, a])."""
+        """Smallest n with x/n in the base domain (grid point, or in [0, a]).
+
+        On a grid, x = j a/n_grid needs n | j and j/n <= n_grid, so the
+        smallest n is j/k for the largest divisor k of j with k <= n_grid:
+        at most n_grid trial divisions.
+        """
         if isinstance(self.base, GridAdditiveFunction):
             x = as_fraction(x)
             if x < 0:
                 raise ValueError("minimal modulus is defined for nonnegative inputs")
             j = self._grid_index(x)
-            if j == 0:
-                return 1
-            return _min_divisor_at_least(j, -(-j // self.base.n))
+            for k in range(min(j, self.base.n), 0, -1):
+                if j % k == 0:
+                    return j // k
+            return 1  # j = 0
         z = _as_qsqrt2(x)
         if z.sign() < 0:
             raise ValueError("minimal modulus is defined for nonnegative inputs")
-        return max(1, _ceil_qsqrt2(z.scale(1 / self.a)))
+        # ceil(z / a) = -floor(-(p + q sqrt(2)) / a) over one integer denominator.
+        p, q, a = z.p, z.q, self.a
+        scale = p.denominator * q.denominator * a.numerator
+        floor = _surd_floor(
+            -p.numerator * q.denominator * a.denominator,
+            -q.numerator * p.denominator * a.denominator,
+            scale,
+        )
+        return max(1, -floor)
 
     def f_plus(self, x, n: int | None = None) -> Fraction:
         """n f(x/n) on nonnegative inputs, with the minimal n by default."""
@@ -554,42 +607,38 @@ def _check_grid_condition(
     raise ValueError(f"unknown condition {which!r}")
 
 
+# Refutation tests on s = A p + B q against r_s = C from `_value_test`:
+# f(z) - r has the sign of s - r_s, and |f(z)| > r iff |s| > r_s.
+_REFUTES = {
+    "bounded_above": lambda s, r_s: s > r_s,
+    "bounded_below": lambda s, r_s: s < r_s,
+    "continuous_at_zero": lambda s, r_s: abs(s) > r_s,
+}
+
+
 def _check_qsqrt2_condition(
     f: QSqrt2Additive, which: str, bound, eps, interval, budget: int
 ) -> ConditionReport:
     a = as_fraction(interval) if interval is not None else Fraction(1)
-    upper = QSqrt2.from_rational(a)
     searched = (
         f"Pell candidates of the first {budget} steps inside (0, {fraction_str(a)}]"
     )
-    if which == "bounded_above":
-        b = as_fraction(bound)
-        for _, z in _pell_candidates(budget):
-            if z <= upper and f(z) > b:
+    if which in _REFUTES:
+        refutes = _REFUTES[which]
+        continuity = which == "continuous_at_zero"
+        alpha_s, beta_s, r_s = _value_test(f, as_fraction(eps if continuity else bound))
+        for _, p, q in _pell_walk(a, budget):
+            if refutes(alpha_s * p + beta_s * q, r_s):
+                z = QSqrt2(p, q)
+                note = " (witness can be made arbitrarily small)" if continuity else ""
                 return ConditionReport(
-                    which, False, _point_witness(str(z), z.approx(), f(z)), searched
-                )
-        return ConditionReport(which, True, None, searched)
-    if which == "bounded_below":
-        c = as_fraction(bound)
-        for _, z in _pell_candidates(budget):
-            if z <= upper and f(z) < c:
-                return ConditionReport(
-                    which, False, _point_witness(str(z), z.approx(), f(z)), searched
-                )
-        return ConditionReport(which, True, None, searched)
-    if which == "continuous_at_zero":
-        e = as_fraction(eps)
-        for _, z in _pell_candidates(budget):
-            if z <= upper and abs(f(z)) > e:
-                return ConditionReport(
-                    which, False, _point_witness(str(z), z.approx(), f(z)),
-                    searched + " (witness can be made arbitrarily small)",
+                    which, False, _point_witness(str(z), z.approx(), f(z)), searched + note
                 )
         return ConditionReport(which, True, None, searched)
     if which == "monotone":
+        upper = QSqrt2.from_rational(a)
         points = [upper.scale(Fraction(k, 8)) for k in range(9)]
-        points.extend(z for _, z in _pell_candidates(budget) if z <= upper)
+        points.extend(QSqrt2(p, q) for _, p, q in _pell_walk(a, budget))
         points.sort()
         for left, right in zip(points, points[1:]):
             if left < right and f(left) > f(right):

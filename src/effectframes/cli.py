@@ -3,56 +3,24 @@
 One executable, six subcommands, deterministic JSON reports: identical
 arguments and input files always produce byte-identical report bodies.
 Exit code 0 means every check passed, 1 means a verification verdict
-failed (the report names it), 2 means invalid input or arguments.
+failed (the report names it) or a search or solver gave up (an `error:`
+line on stderr names it), 2 means invalid input or arguments.
 Timestamps never enter the report body; a metadata line goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
 from functools import lru_cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .operators import (
-    DEFAULT_TOL,
-    DimensionMismatchError,
-    ToleranceConfig,
-    numerical_rank,
-    operator_from_jsonable,
-    operator_to_jsonable,
-    operators_from_jsonable,
-    stacked_coordinates,
-    tolerance_to_jsonable,
-)
-from .effects import (
-    DensityOperator,
-    MicPom,
-    effect_checks,
-    pom_from_jsonable,
-    random_density,
-    random_mic_pom,
-    random_onb,
-)
-from .augmented import (
-    augmented_basis_from_jsonable,
-    augmented_basis_from_onb,
-    augmented_basis_to_jsonable,
-    validate_augmented,
-)
-from .cones import (
-    CertificateError,
-    certificate_from_jsonable,
-    certificate_to_jsonable,
-    intersection_span_certificate,
-    verify_certificate,
-)
-from .frames import BornFrame, check_additivity, frame_from_jsonable, reconstruct_density
+# Only the exact half is imported with the CLI.  The numerical modules load
+# numpy, so each numerical handler imports what it uses when it is called
+# (after the first call, a lookup in sys.modules).
 from .cauchy import (
     ExtensionView,
     QSqrt2Additive,
@@ -64,6 +32,9 @@ from .cauchy import (
     unboundedness_witness,
 )
 
+if TYPE_CHECKING:
+    from .operators import ToleranceConfig
+
 _MIC_SEED_OFFSET = 1000003
 _CONE_MIC_SEED_OFFSET = 7919
 _TEST_SET_SEED = 1234
@@ -71,6 +42,8 @@ _TEST_SET_COUNT = 200
 
 
 def _tolerances(args) -> ToleranceConfig:
+    from .operators import DEFAULT_TOL, ToleranceConfig
+
     residual = getattr(args, "tol_residual", None)
     if residual is None:
         return DEFAULT_TOL
@@ -100,6 +73,18 @@ def _emit(report: dict, args) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_reconstruct(args) -> tuple[dict, bool]:
+    import numpy as np
+
+    from .effects import (
+        DensityOperator,
+        MicPom,
+        pom_from_jsonable,
+        random_density,
+        random_mic_pom,
+    )
+    from .frames import BornFrame, reconstruct_density
+    from .operators import operator_from_jsonable, operator_to_jsonable, tolerance_to_jsonable
+
     tol = _tolerances(args)
     d = args.dim
     if args.state:
@@ -140,14 +125,23 @@ def _cmd_reconstruct(args) -> tuple[dict, bool]:
 
 
 def _cmd_certify_cone(args) -> tuple[dict, bool]:
+    from .augmented import augmented_basis_from_onb
+    from .cones import (
+        CertificateError,
+        certificate_from_jsonable,
+        certificate_to_jsonable,
+        intersection_span_certificate,
+        verify_certificate,
+    )
+    from .effects import random_mic_pom, random_onb
+    from .operators import tolerance_to_jsonable
+
     tol = _tolerances(args)
     if args.verify:
+        # Judged by the caller's tolerances, never by those in the file.
         try:
-            cert = certificate_from_jsonable(_load_json(args.verify))
-            used = cert.tol
-            if args.tol_residual is not None:
-                used = dataclasses.replace(cert.tol, residual=args.tol_residual)
-            report = verify_certificate(cert, used)
+            cert = certificate_from_jsonable(_load_json(args.verify), tol)
+            report = verify_certificate(cert, tol)
             body = {
                 "subcommand": "certify-cone",
                 "mode": "verify",
@@ -157,7 +151,7 @@ def _cmd_certify_cone(args) -> tuple[dict, bool]:
                 "max_membership_residual": report.max_membership_residual,
                 "min_coefficient": report.min_coefficient,
                 "witness_count": report.witness_count,
-                "tolerances": tolerance_to_jsonable(used),
+                "tolerances": tolerance_to_jsonable(tol),
             }
             return body, report.passed
         except CertificateError as exc:
@@ -196,6 +190,16 @@ def _cmd_certify_cone(args) -> tuple[dict, bool]:
 
 
 def _cmd_augbasis(args) -> tuple[dict, bool]:
+    import numpy as np
+
+    from .augmented import (
+        augmented_basis_from_onb,
+        augmented_basis_to_jsonable,
+        validate_augmented,
+    )
+    from .effects import random_onb
+    from .operators import operator_to_jsonable, tolerance_to_jsonable
+
     tol = _tolerances(args)
     d = args.dim
     if args.seed is None:
@@ -222,6 +226,9 @@ def _cmd_augbasis(args) -> tuple[dict, bool]:
 
 
 def _cmd_verify_frame(args) -> tuple[dict, bool]:
+    from .frames import check_additivity, frame_from_jsonable
+    from .operators import tolerance_to_jsonable
+
     tol = _tolerances(args)
     frame = frame_from_jsonable(_load_json(args.frame), tol)
     report = check_additivity(frame, trials=args.trials, seed=args.seed, tol=tol)
@@ -301,6 +308,11 @@ def _cmd_cauchy(args) -> tuple[dict, bool]:
 
 
 def _validate_pom_like(mats, tol: ToleranceConfig, need_rank: bool) -> tuple[dict, str | None]:
+    import numpy as np
+
+    from .effects import effect_checks
+    from .operators import numerical_rank, stacked_coordinates
+
     d = mats.shape[-1]
     details: dict = {"dim": d, "count": len(mats)}
     if len(mats) < 2:
@@ -324,6 +336,14 @@ def _validate_pom_like(mats, tol: ToleranceConfig, need_rank: bool) -> tuple[dic
 
 
 def _cmd_validate(args) -> tuple[dict, bool]:
+    from .augmented import augmented_basis_from_jsonable, validate_augmented
+    from .operators import (
+        DimensionMismatchError,
+        operator_from_jsonable,
+        operators_from_jsonable,
+        tolerance_to_jsonable,
+    )
+
     tol = _tolerances(args)
     payload = _load_json(args.infile)
     violated: str | None = None
@@ -465,6 +485,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a search or solver gave up: no verdict reached
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     elapsed = time.monotonic() - started
     print(f"# {args.command} finished in {elapsed:.3f}s at {stamp}", file=sys.stderr)

@@ -434,9 +434,9 @@ class CertificateReport:
 
 
 def verify_certificate(
-    cert: SpanCertificate, tol: ToleranceConfig | None = None
+    cert: SpanCertificate, tol: ToleranceConfig = DEFAULT_TOL
 ) -> CertificateReport:
-    """Recheck a certificate from its data alone.
+    """Recheck a certificate from its data alone, at the caller's tolerances.
 
     Recomputes what the certificate claims: the augmented family satisfies
     its defining conditions, the MIC-POM is intact, every witness is an
@@ -444,9 +444,10 @@ def verify_certificate(
     coefficients, and the witness family has full rank.  Residuals are
     recomputed, never trusted: each is the distance between a witness and
     the combination of the certificate's own family with the stored
-    coefficients, measured in the isometric real coordinates.
+    coefficients, measured in the isometric real coordinates.  The
+    tolerances the certificate carries (`cert.tol`) are never consulted: a
+    certificate cannot loosen its own check.
     """
-    tol = tol or cert.tol
     d = cert.augmented.dim
     failures: list[str] = []
 
@@ -525,16 +526,23 @@ def certificate_to_jsonable(cert: SpanCertificate) -> dict:
     }
 
 
-def certificate_from_jsonable(obj: dict) -> SpanCertificate:
+def certificate_from_jsonable(
+    obj: dict, tol: ToleranceConfig | None = None
+) -> SpanCertificate:
     """Rebuild a certificate from its wire form.
 
-    Structural problems (missing keys, malformed operators) raise
-    ValueError; semantic invariant violations surface as
-    `CertificateError` so callers can report a failed verification verdict
-    rather than a parse error.
+    The rebuilt families are checked at `tol`, which the certificate then
+    carries.  With `tol` None the tolerances stored in the file are used,
+    so the file can loosen these checks: a verifier of an untrusted file
+    passes its own (as `certify-cone --verify` does); `verify_certificate`
+    never reads the stored ones.  Structural problems (missing keys,
+    malformed operators) raise ValueError; semantic invariant violations
+    surface as `CertificateError` so callers can report a failed
+    verification verdict rather than a parse error.
     """
     try:
-        tol = tolerance_from_jsonable(obj["tolerances"])
+        if tol is None:
+            tol = tolerance_from_jsonable(obj["tolerances"])
         augmented = augmented_basis_from_jsonable(obj["augmented"], tol)
         mic_obj = obj["mic"]
         e_delta_obj = obj["e_delta"]

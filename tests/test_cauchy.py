@@ -370,3 +370,196 @@ def test_model_dispatch():
     assert isinstance(f, QSqrt2Additive)
     with pytest.raises(ValueError):
         model_from_jsonable({"kind": "cubic"})
+
+
+# -- integer decisions against the Fraction references ------------------------
+#
+# The checkers decide in integers; these references are the Fraction
+# algorithms they replaced, kept to pin results and messages.
+
+def _brute_force_modulus(j, n):
+    """Smallest m with j/m a grid index: m | j and j/m <= n (m >= j/n)."""
+    return next(m for m in range(max(1, -(-j // n)), j + 1) if j % m == 0) if j else 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 24, 77, 1000])
+def test_minimal_modulus_matches_brute_force(n):
+    a = F(3, 7)
+    view = ExtensionView(grid_from_unit(a, n, F(5, 3)))
+    for j in range(3001):
+        assert view.minimal_modulus(j * a / n) == _brute_force_modulus(j, n), j
+
+
+def _fraction_sign(p, q):
+    """Sign of p + q sqrt(2) in Fraction arithmetic (the former QSqrt2.sign)."""
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sq == 0 or sp == sq:
+        return sp or sq
+    if sp == 0:
+        return sq
+    return sp if p * p > 2 * q * q else sq
+
+
+@pytest.mark.parametrize("a", [F(1), F(2, 7), F(13, 4)])
+def test_qsqrt2_minimal_modulus_is_smallest_admissible(a):
+    view = ExtensionView(QSqrt2Additive(F(1), F(-2)), a)
+    parts = [F(0), F(1, 3), F(5), F(-7, 2), F(99, 70), F(-577, 408), F(10) ** 12 + F(1, 9)]
+    for p in parts:
+        for q in parts:
+            if _fraction_sign(p, q) < 0:
+                continue
+            n = view.minimal_modulus(QSqrt2(p, q))
+            assert _fraction_sign(p / n - a, q / n) <= 0  # z/n <= a
+            assert n == 1 or _fraction_sign(p / (n - 1) - a, q / (n - 1)) > 0, (p, q)
+
+
+def _fraction_pell_candidates(a, max_steps):
+    """(step, p, q) in (0, a] from the Pell pairs, every test in Fraction."""
+    big_p, big_q = 3, 2
+    for step in range(max_steps):
+        for p, q in ((F(big_p), F(-big_q)), (F(-2 * big_q), F(big_p))):
+            if _fraction_sign(p - a, q) <= 0:
+                yield step, p, q
+        big_p, big_q = 3 * big_p + 4 * big_q, 2 * big_p + 3 * big_q
+
+
+def _fraction_witness(f, bound, a, max_steps=20000):
+    for step, p, q in _fraction_pell_candidates(a, max_steps):
+        value = f.alpha * p + f.beta * q
+        if value > bound:
+            return p, q, value, step
+    raise RuntimeError("no witness")
+
+
+MODELS = [(F(1), F(0)), (F(0), F(1)), (F(-3, 2), F(5, 7)), (F(2), F(-3)), (F(-1), F(-1))]
+
+
+@pytest.mark.parametrize("alpha, beta", MODELS)
+@pytest.mark.parametrize("a", [F(1, 7), F(1), F(13, 4)])
+def test_witness_matches_fraction_walk(alpha, beta, a):
+    f = QSqrt2Additive(alpha, beta)
+    for k in (0, 3, 100, 300):
+        bound = F(10) ** k
+        w = unboundedness_witness(f, bound, a)
+        assert (w.x.p, w.x.q, w.value, w.steps) == _fraction_witness(f, bound, a)
+
+
+@pytest.mark.parametrize("alpha, beta", MODELS)
+@pytest.mark.parametrize("which", ["bounded_above", "bounded_below", "continuous_at_zero"])
+def test_qsqrt2_condition_matches_fraction_scan(alpha, beta, which):
+    f = QSqrt2Additive(alpha, beta)
+    a, r, budget = F(1, 3), F(10) ** 6, 40
+    refuted = {
+        "bounded_above": lambda v: v > r,
+        "bounded_below": lambda v: v < -r,
+        "continuous_at_zero": lambda v: abs(v) > r,
+    }[which]
+    expected = next(
+        (
+            (p, q, f.alpha * p + f.beta * q)
+            for _, p, q in _fraction_pell_candidates(a, budget)
+            if refuted(f.alpha * p + f.beta * q)
+        ),
+        None,
+    )
+    threshold = -r if which == "bounded_below" else r
+    rep = check_condition(f, which, bound=threshold, eps=r, interval=a, budget=budget)
+    assert rep.holds_on_searched == (expected is None)
+    if expected is not None:
+        p, q, value = expected
+        assert rep.witness["x"] == str(QSqrt2(p, q))
+        assert rep.witness["value"] == fraction_str(value)
+
+
+def _fraction_violations(g):
+    """The former invariant scan, on Fraction differences."""
+    out = []
+    if g.values[0] != 0:
+        out.append(f"f(0) = {fraction_str(g.values[0])}, expected 0/1")
+    unit = g.values[1]
+    for k in range(1, g.n):
+        if g.values[k + 1] - g.values[k] != unit:
+            out.append(
+                f"additivity fails for pair ({k}, 1): "
+                f"f({k}) + f(1) = {fraction_str(g.values[k] + unit)} "
+                f"but f({k + 1}) = {fraction_str(g.values[k + 1])}"
+            )
+            break
+    return out
+
+
+@given(
+    positive_rationals,
+    st.integers(min_value=1, max_value=40),
+    rationals,
+    st.lists(st.tuples(st.integers(min_value=0, max_value=40), rationals), max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_tampered_grid_messages_match_fraction_scan(a, n, v, edits):
+    values = list(grid_from_unit(a, n, v).values)
+    for k, delta in edits:
+        values[k % (n + 1)] += delta
+    g = GridAdditiveFunction(a=a, n=n, values=tuple(values))
+    expected = _fraction_violations(g)
+    assert g.invariant_violations() == expected
+    if expected:
+        with pytest.raises(GridInvariantError):
+            check_linear(g)
+    else:
+        res = check_linear(g)
+        assert res.is_linear == all(x == k * values[1] for k, x in enumerate(values))
+        assert res.slope == values[n] / a
+
+
+def test_qsqrt2_sign_matches_fraction_sign():
+    parts = [F(0), F(1), F(-1), F(3, 2), F(-17, 12), F(577, 408), F(-99, 70), F(10) ** 40]
+    for p in parts:
+        for q in parts:
+            assert QSqrt2(p, q).sign() == _fraction_sign(p, q)
+
+
+# -- display values ----------------------------------------------------------
+
+def _decimal_value(z):
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 1200
+        two = Decimal(2)
+        value = (
+            Decimal(z.p.numerator) / Decimal(z.p.denominator)
+            + Decimal(z.q.numerator) / Decimal(z.q.denominator) * two.sqrt()
+        )
+        return float(value)
+
+
+def test_approx_of_deep_witness_is_correctly_rounded():
+    w = unboundedness_witness(QSqrt2Additive(F(1), F(0)), F(10) ** 200)
+    x = w.x.approx()
+    assert 0.0 < x <= 1.0
+    assert x == _decimal_value(w.x)
+
+
+def test_approx_is_correctly_rounded_on_both_sign_patterns():
+    for z in (
+        QSqrt2(F(17), F(-12)),
+        QSqrt2(F(-4), F(3)),
+        QSqrt2(F(1, 3), F(2, 7)),
+        QSqrt2(F(-5), F(-1, 9)),
+        QSqrt2(F(7, 2), F(0)),
+    ):
+        assert z.approx() == _decimal_value(z), z
+
+
+def test_approx_never_raises():
+    huge = F(10) ** 400
+    assert QSqrt2(huge, F(0)).approx() == float("inf")
+    assert QSqrt2(-huge, F(1)).approx() == float("-inf")
+    assert QSqrt2(-huge, huge).approx() == float("inf")
+    w = unboundedness_witness(QSqrt2Additive(F(1), F(0)), F(1), a=F(1, 10 ** 340))
+    assert w.x.approx() == 0.0  # below the smallest subnormal, rounded once
+
+
+def test_as_fraction_zero_denominator_is_value_error():
+    with pytest.raises(ValueError):
+        as_fraction("1/0")

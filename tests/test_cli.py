@@ -1,6 +1,15 @@
+import functools
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+import effectframes
 
 from effectframes import (
     AdversarialSquareFrame,
@@ -408,3 +417,165 @@ def test_validate_pom_with_mixed_dimensions_is_a_verdict(capsys, tmp_path):
     report = json.loads(out)
     assert report["violated"] == "dimension-mismatch"
     assert report["details"] == {"dim": 2, "count": 2}
+
+
+# -- the exact half: hangs, display values and error exits -------------------
+
+def test_cauchy_extend_huge_point_on_grid_model_is_fast(capsys, tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid_to_jsonable(grid_from_unit(1, 24, "7/100"))))
+    started = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "cauchy", "extend", "--in", str(path), "--x", "1000000000000000000/1"
+    )
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    report = json.loads(out)
+    # x = 24 * 10**18 grid steps; 24 divides it, so n = 10**18 and x/n = 1.
+    assert report["n_used"] == 10**18
+    assert report["f_real"] == f"{168 * 10**16}/1"
+
+
+def test_cauchy_witness_tiny_interval_reports_rounded_point(capsys):
+    code, out, err = run_cli(
+        capsys, "cauchy", "witness",
+        "--alpha", "1/1", "--beta", "0/1", "--bound", "1/1", "--interval", "1/1" + "0" * 340,
+    )
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["x_approx"] == 0.0  # x < 1e-340 rounds to zero, once
+    assert len(report["p"]) > 340
+
+
+@pytest.mark.parametrize("argv", [
+    ("grid", "--a", "1/0", "--n", "4", "--v", "1/1"),
+    ("witness", "--alpha", "1/1", "--beta", "0/1", "--bound", "1/1", "--interval", "1/0"),
+])
+def test_cauchy_zero_denominator_is_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, "cauchy", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def _no_pell_witness(monkeypatch):
+    from effectframes import cli, unboundedness_witness
+
+    monkeypatch.setattr(
+        cli, "unboundedness_witness", functools.partial(unboundedness_witness, max_steps=3)
+    )
+    return ("cauchy", "witness", "--alpha", "1/1", "--beta", "0/1", "--bound", "10000/1")
+
+
+def _no_mic_pom(monkeypatch):
+    from effectframes import GenerationRetryError, effects
+
+    def give_up(*args, **kwargs):
+        raise GenerationRetryError("no MIC-POM within the retry budget")
+
+    monkeypatch.setattr(effects, "random_mic_pom", give_up)
+    return ("reconstruct", "--dim", "2", "--seed", "1")
+
+
+def _no_eigh(monkeypatch):
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", diverge)
+    return ("augbasis", "--dim", "2", "--seed", "5")
+
+
+@pytest.mark.parametrize("setup, message", [
+    (_no_pell_witness, "no witness within 3 Pell steps"),
+    (_no_mic_pom, "no MIC-POM within the retry budget"),
+    (_no_eigh, "eigendecomposition failed"),
+])
+def test_runtime_errors_exit_1_without_traceback(capsys, monkeypatch, setup, message):
+    code, out, err = run_cli(capsys, *setup(monkeypatch))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+def test_certify_cone_verify_ignores_tolerances_in_the_file(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "certify-cone", "--dim", "2", "--seed", "1", "--out", str(cert_path))
+    payload = json.loads(cert_path.read_text())
+    defaults = dict(payload["tolerances"])
+    for item in payload["memberships"]:
+        item["augmented"]["coeffs"] = [0.0] * 4
+        item["mic"]["coeffs"] = [5.0] * 4
+    payload["tolerances"].update(residual=1e3, psd_slack=1e3)
+    cert_path.write_text(json.dumps(payload))
+    code, out, _ = run_cli(capsys, "certify-cone", "--verify", str(cert_path))
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "fail"
+    assert "witness-0-augmented-residual" in report["failures"]
+    assert report["tolerances"] == defaults
+
+
+# -- numpy is loaded on first numerical use ----------------------------------
+
+def _python(code: str) -> str:
+    src = str(Path(effectframes.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cauchy_cli_does_not_load_numpy():
+    out = _python(
+        "import sys, effectframes, effectframes.cli\n"
+        "code = effectframes.cli.main(['cauchy', 'grid', '--a', '1/1', '--n', '4', '--v', '1/8'])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    assert out.splitlines()[-1] == "0 []"
+
+
+def test_star_import_is_the_union_of_the_module_lists():
+    from effectframes import augmented, cauchy, cones, effects, frames, operators
+
+    namespace: dict = {}
+    exec("from effectframes import *", namespace)
+    namespace.pop("__builtins__")
+    modules = (operators, effects, augmented, cones, frames, cauchy)
+    union = {name for module in modules for name in module.__all__}
+    assert set(namespace) == union
+    assert sorted(effectframes.__all__) == sorted(union)
+    assert union <= set(dir(effectframes))
+    for module in modules:
+        for name in module.__all__:
+            assert namespace[name] is getattr(module, name)
+
+
+def test_tracer_leaves_no_wrapper_in_the_package_after_first_access():
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    out = _python(
+        "import importlib.util, sys\n"
+        "import effectframes as ef\n"
+        "assert 'effectframes.operators' not in sys.modules\n"
+        f"spec = importlib.util.spec_from_file_location('perfbench_tracer', {str(tracer)!r})\n"
+        "tracer = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracer)\n"
+        "resolved = [tracer._resolve(t) for t in tracer.TARGETS]\n"
+        "originals = {attr: f for owner, attr, f in resolved\n"
+        "             if not isinstance(owner, type) and attr in ef.__all__}\n"
+        "t = tracer.Tracer()\n"
+        "t.install()\n"
+        "wrappers = [getattr(owner, attr) for owner, attr, _ in t._saved]\n"
+        "seen = {n: getattr(ef, n) for n in originals}\n"
+        "traced = [n for n, f in seen.items() if f.__wrapped__ is originals[n]]\n"
+        "t.uninstall()\n"
+        "leftover = [n for n, f in originals.items() if getattr(ef, n) is not f]\n"
+        "leftover += [k for k, v in vars(ef).items() if any(v is w for w in wrappers)]\n"
+        "print(len(seen), len(traced), leftover)\n"
+    )
+    seen, traced, leftover = out.split(maxsplit=2)
+    assert int(seen) > 10 and traced == seen
+    assert leftover.strip() == "[]"
