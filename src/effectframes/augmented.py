@@ -152,6 +152,14 @@ class AugmentedBasis:
         return OperatorBasis(self.ops, kind="augmented", tol=self.tol)
 
     @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Descending coordinate singular values; unlike `basis_view`, never raises."""
+        view = self.__dict__.get("basis_view")  # built: reuse its decomposition
+        if view is not None:
+            return view.singular_values
+        return np.linalg.svd(stacked_coordinates(self.stack).T, compute_uv=False)
+
+    @cached_property
     def element_sum(self) -> HermitianOperator:
         return HermitianOperator(self.stack.sum(axis=0))
 
@@ -299,7 +307,7 @@ def validate_augmented(
     )
 
     # Condition 4: linear independence over the reals.
-    svals = np.linalg.svd(stacked_coordinates(basis.stack).T, compute_uv=False)
+    svals = basis.singular_values
     ratio = float(svals[-1] / svals[0]) if svals[0] > 0 else 0.0
     rank = numerical_rank(svals, tol)
     conditions["linear-independence"] = ConditionResult(

@@ -47,7 +47,9 @@ def _tolerances(args) -> ToleranceConfig:
     residual = getattr(args, "tol_residual", None)
     if residual is None:
         return DEFAULT_TOL
-    return ToleranceConfig(residual=float(residual))
+    # psd_slack may not exceed the residual: a smaller positive X lowers it too.
+    slack = min(DEFAULT_TOL.psd_slack, residual) if residual > 0 else DEFAULT_TOL.psd_slack
+    return ToleranceConfig(residual=residual, psd_slack=slack)
 
 
 def _load_json(path: str) -> dict:
@@ -403,7 +405,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pretty", action="store_true", help="indent the report")
         p.add_argument(
             "--tol-residual", type=float, default=None,
-            help="override the residual tolerance (default 1e-8)",
+            help="override the residual tolerance (default 1e-8); "
+                 "psd_slack becomes min(1e-9, this value)",
         )
 
     p = sub.add_parser("reconstruct", help="recover a state from frame values on a MIC-POM")

@@ -12,14 +12,12 @@ harvest is returned as a re-checkable certificate.
 
 Cone membership queries solve the square coordinate system of the family:
 the expansion of a point over a full operator basis is unique, so its
-coefficients decide membership.  Nonnegative least squares (scipy, imported
-on first use) remains as a fallback for points the solve rejects, and any
-fit it returns is kept only when its recomputed residual is below
-tolerance.
+coefficients decide membership, and a fit is kept only when its
+recomputed residual is below tolerance.
 
 Witness families are (n, d, d) stacks: candidates are admitted, and a
 certificate re-verified, with one batched effect check and one solve or
-product per cone; the fallback is still consulted candidate by candidate.
+product per cone.
 """
 
 from __future__ import annotations
@@ -157,8 +155,9 @@ def _family_view(family) -> OperatorBasis:
 def nnls(mat: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     """Nonnegative least squares, min ||mat x - target|| over x >= 0.
 
-    Delegates to `scipy.optimize.nnls`, importing scipy on the first call
-    so that importing this package does not load it.
+    Uncalled: the square solve decides membership.  Kept only as a target
+    of the benchmark tracer (`perfbench/tracer.py`) and deleted with it
+    (ROADMAP item 1).  It imports scipy, which is not a dependency.
     """
     from scipy.optimize import nnls as scipy_nnls
 
@@ -170,7 +169,9 @@ def _solve_memberships(
 ) -> list[ConeDecomposition | None]:
     """Decide the (n, d**2) target coordinates with one multi-RHS square solve.
 
-    An entry is None where the solve rejects its target (see `_or_nnls`).
+    A target is admitted when every exact coefficient clears -psd_slack
+    and the residual recomputed from the clipped coefficients is below
+    tolerance; the entry is None otherwise.
     """
     mat = view.coordinate_matrix
     exact = np.linalg.solve(mat, targets.T).T
@@ -181,20 +182,6 @@ def _solve_memberships(
         ConeDecomposition(basis=view, coeffs=c, residual=float(r)) if ok else None
         for c, r, ok in zip(coeffs, residuals, admitted)
     ]
-
-
-def _or_nnls(
-    found: ConeDecomposition | None, target: np.ndarray, view: OperatorBasis, tol: ToleranceConfig
-) -> ConeDecomposition | None:
-    """`found`, or the nonnegative least-squares fallback where the solve rejected."""
-    if found is not None:
-        return found
-    mat = view.coordinate_matrix
-    coeffs, _ = nnls(mat, target)
-    residual = float(np.linalg.norm(mat @ coeffs - target))
-    if residual >= tol.residual:
-        return None
-    return ConeDecomposition(basis=view, coeffs=coeffs, residual=residual)
 
 
 def cone_membership(
@@ -211,19 +198,15 @@ def cone_membership(
 
     The families accepted here are full operator bases, so the expansion
     is unique and the square solve settles membership outright: the point
-    lies in the cone iff every coefficient clears -psd_slack.  A
-    nonnegative least-squares pass remains as a fallback for targets the
-    solve rejects.  The residual stored on the result is always
-    recomputed from the returned coefficients; the solver's own reported
-    norm is not trusted (scipy's nnls has been observed returning a zero
-    residual for points demonstrably outside the cone).  This is the
-    one-target case of the stacked admission used by the certificate.
+    lies in the cone iff every coefficient clears -psd_slack.  The
+    residual stored on the result is recomputed from the returned
+    (clipped) coefficients.  This is the one-target case of the stacked
+    admission used by the certificate.
     """
     view = _family_view(basis)
     if h.dim != view.dim:
         raise DimensionMismatchError(f"operator dim {h.dim} vs basis dim {view.dim}")
-    target = real_coordinates(h)
-    return _or_nnls(_solve_memberships(target[np.newaxis], view, tol)[0], target, view, tol)
+    return _solve_memberships(real_coordinates(h)[np.newaxis], view, tol)[0]
 
 
 def interior_point_Edelta(
@@ -263,7 +246,8 @@ class SpanCertificate:
 
     memberships[k] holds the decomposition of witnesses[k] over the
     augmented family first and over the MIC-POM second.  `radius` is the
-    ball radius actually used around the interior point.
+    ball radius actually used around the interior point.  The witnesses
+    were checked as effects at `tol`.
     """
 
     augmented: AugmentedBasis
@@ -291,23 +275,16 @@ def _admit_witnesses(
     """The longest prefix of a validated candidate stack inside both cones.
 
     One batched effect check and one solve per cone decide the whole
-    stack; walking it in order, the NNLS fallback is consulted for each
-    candidate the solve rejects, augmented cone first, up to the first
-    candidate that fails.
+    stack; the prefix ends at the first candidate that is not an effect
+    or that either solve rejects.
     """
     coords = stacked_coordinates(candidates)
     checks = effect_checks(candidates, tol)
     by_aug = _solve_memberships(coords, aug_view, tol)
     by_mic = _solve_memberships(coords, mic_view, tol)
     admitted = []
-    for k, op in enumerate(_operator_views(candidates)):
-        if not checks[k].ok:
-            break
-        mem_a = _or_nnls(by_aug[k], coords[k], aug_view, tol)
-        if mem_a is None:
-            break
-        mem_m = _or_nnls(by_mic[k], coords[k], mic_view, tol)
-        if mem_m is None:
+    for op, check, mem_a, mem_m in zip(_operator_views(candidates), checks, by_aug, by_mic):
+        if not check.ok or mem_a is None or mem_m is None:
             break
         admitted.append((op, mem_a, mem_m))
     return admitted
@@ -327,9 +304,9 @@ def intersection_span_certificate(
     the two coordinate systems, then shift E_delta by (radius/2) times
     each element of the closed-form orthonormal operator basis.  Every
     witness is re-verified in both cones, as by `cone_membership` (the
-    square coordinate solve decides, nonnegative least squares is its
-    fallback); on any failure the radius halves (at most 20 times) before
-    falling back to seeded random directions inside the ball.  Raises
+    square coordinate solve decides); on any failure the radius halves
+    (at most 20 times) before falling back to seeded random directions
+    inside the ball.  Raises
     `CertificateError` naming the failing stage instead of passing
     silently.
     """
@@ -445,8 +422,9 @@ def verify_certificate(
     recomputed, never trusted: each is the distance between a witness and
     the combination of the certificate's own family with the stored
     coefficients, measured in the isometric real coordinates.  The
-    tolerances the certificate carries (`cert.tol`) are never consulted: a
-    certificate cannot loosen its own check.
+    tolerances the certificate carries (`cert.tol`) cannot loosen a check:
+    the witnesses were checked as effects at `cert.tol` when it was built
+    or parsed, so only at another `tol` is that check repeated.
     """
     d = cert.augmented.dim
     failures: list[str] = []
@@ -466,7 +444,10 @@ def verify_certificate(
         rank = _witness_rank(witnesses, tol)
     if n:
         targets = stacked_coordinates(witnesses[:n])
-        effect_ok = np.array([check.ok for check in effect_checks(witnesses[:n], tol)])
+        if cert.tol == tol:
+            effect_ok = np.ones(n, dtype=bool)
+        else:
+            effect_ok = np.array([check.ok for check in effect_checks(witnesses[:n], tol)])
         per_family = []
         for side, (label, family) in enumerate(
             (("augmented", cert.augmented.stack), ("mic", cert.mic.pom.stack))
@@ -534,11 +515,12 @@ def certificate_from_jsonable(
     The rebuilt families are checked at `tol`, which the certificate then
     carries.  With `tol` None the tolerances stored in the file are used,
     so the file can loosen these checks: a verifier of an untrusted file
-    passes its own (as `certify-cone --verify` does); `verify_certificate`
-    never reads the stored ones.  Structural problems (missing keys,
-    malformed operators) raise ValueError; semantic invariant violations
-    surface as `CertificateError` so callers can report a failed
-    verification verdict rather than a parse error.
+    passes its own (as `certify-cone --verify` does), and
+    `verify_certificate` at other tolerances repeats the witness checks.
+    Structural problems (missing keys, malformed operators) raise
+    ValueError; semantic invariant violations surface as
+    `CertificateError` so callers can report a failed verification
+    verdict rather than a parse error.
     """
     try:
         if tol is None:

@@ -344,6 +344,29 @@ def test_tolerance_override_lands_in_report(capsys):
     assert json.loads(out)["tolerances"]["residual"] == 1e-6
 
 
+def test_tolerance_below_default_psd_slack_lowers_it(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "reconstruct", "--dim", "2", "--seed", "1", "--tol-residual", "1e-10"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "pass"
+    assert report["tolerances"]["residual"] == 1e-10
+    assert report["tolerances"]["psd_slack"] == 1e-10
+
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "certify-cone", "--dim", "3", "--seed", "1", "--out", str(cert_path))
+    code, out, _ = run_cli(
+        capsys, "certify-cone", "--verify", str(cert_path), "--tol-residual", "1e-10"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "pass"
+    assert report["tolerances"] == dict(
+        json.loads(cert_path.read_text())["tolerances"], residual=1e-10, psd_slack=1e-10
+    )
+
+
 def test_out_file_writing(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -536,6 +559,32 @@ def test_cauchy_cli_does_not_load_numpy():
         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
     )
     assert out.splitlines()[-1] == "0 []"
+
+
+def test_numerical_subcommands_run_with_scipy_refused(tmp_path):
+    out = _python(
+        "import importlib.abc, json, sys\n"
+        "class Refuse(importlib.abc.MetaPathFinder):\n"
+        "    def find_spec(self, name, path, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ModuleNotFoundError(f'{name} refused')\n"
+        "sys.meta_path.insert(0, Refuse())\n"
+        "from effectframes.cli import main\n"
+        f"cert, rep = {str(tmp_path / 'cert.json')!r}, {str(tmp_path / 'report.json')!r}\n"
+        "def run(out, *argv):\n"
+        "    code = main([*argv, '--out', out])\n"
+        "    with open(out) as fh:\n"
+        "        return code, json.load(fh)['verdict']\n"
+        "results = []\n"
+        "for d in (2, 3, 4, 5):\n"
+        "    results.append(run(cert, 'certify-cone', '--dim', str(d), '--seed', '1'))\n"
+        "    results.append(run(rep, 'certify-cone', '--verify', cert))\n"
+        "results.append(run(rep, 'reconstruct', '--dim', '3', '--seed', '1'))\n"
+        "print(json.dumps(results), 'scipy' in sys.modules)\n"
+    )
+    results, scipy_loaded = out.splitlines()[-1].rsplit(" ", 1)
+    assert json.loads(results) == [[0, "pass"]] * 9
+    assert scipy_loaded == "False"
 
 
 def test_star_import_is_the_union_of_the_module_lists():

@@ -92,23 +92,47 @@ def test_membership_negative_operator_absent():
     assert cone_membership(neg, sic_mic_pom()) is None
 
 
-def test_membership_nnls_fallback_rejects_negative_coefficient(monkeypatch):
+def _refuse_nnls(mat, vec):
+    raise AssertionError("membership must be decided without nonnegative least squares")
+
+
+def test_membership_rejects_negative_coefficient_without_nnls(monkeypatch):
     sic = sic_mic_pom()
     # I/2 is half the sum of the SIC effects; removing one effect whole
     # leaves its coefficient at -1/2.
     target = HermitianOperator(0.5 * EYE2 - sic.effects[0].mat)
     exact = np.linalg.solve(sic.basis_view.coordinate_matrix, real_coordinates(target))
     np.testing.assert_allclose(exact, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
-    fallback_calls = []
-    scipy_nnls = cones.nnls
-
-    def counting_nnls(mat, vec):
-        fallback_calls.append(vec)
-        return scipy_nnls(mat, vec)
-
-    monkeypatch.setattr(cones, "nnls", counting_nnls)
+    monkeypatch.setattr(cones, "nnls", _refuse_nnls)
     assert cone_membership(target, sic) is None
-    assert len(fallback_calls) == 1
+
+
+def _sic_point(first: float) -> HermitianOperator:
+    """The point with SIC coefficients (first, 1/2, 1/2, 1/2)."""
+    sic = sic_mic_pom()
+    return HermitianOperator(0.5 * EYE2 + (first - 0.5) * sic.effects[0].mat)
+
+
+def test_membership_boundary_is_minus_psd_slack(monkeypatch):
+    monkeypatch.setattr(cones, "nnls", _refuse_nnls)
+    sic = sic_mic_pom()
+    slack = DEFAULT_TOL.psd_slack
+    inside = cone_membership(_sic_point(-slack / 2), sic)
+    assert inside is not None
+    np.testing.assert_allclose(inside.coeffs, [0.0, 0.5, 0.5, 0.5], atol=1e-12)
+    assert inside.residual < DEFAULT_TOL.residual
+    assert cone_membership(_sic_point(-2 * slack), sic) is None
+    # The admission of a witness stack draws the same line and stops at
+    # the first candidate outside it.
+    view = sic.basis_view
+    stack = cones.hermitian_stack(
+        [_sic_point(x).mat for x in (0.5, -slack / 2, -2 * slack, 0.5)]
+    )
+    admitted = cones._admit_witnesses(stack, view, view, DEFAULT_TOL)
+    assert len(admitted) == 2
+    for (op, mem_a, mem_m), first in zip(admitted, (0.5, 0.0)):
+        np.testing.assert_allclose(mem_a.coeffs, [first, 0.5, 0.5, 0.5], atol=1e-12)
+        np.testing.assert_array_equal(mem_m.coeffs, mem_a.coeffs)
 
 
 def test_import_does_not_load_scipy():
@@ -326,6 +350,30 @@ def test_verify_matches_per_witness_reference(d, seed, label):
     assert report.witness_count == len(back.witnesses)
 
 
+def test_verify_repeats_no_check_the_parse_made(monkeypatch):
+    basis = augmented_basis_from_onb(random_onb(3, 1))
+    cert = intersection_span_certificate(basis, random_mic_pom(3, 2), seed=1)
+    payload = json.loads(json.dumps(certificate_to_jsonable(cert)))
+    back = certificate_from_jsonable(payload, DEFAULT_TOL)
+    svd_calls = []
+    numpy_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        svd_calls.append(args[0].shape)
+        return numpy_svd(*args, **kwargs)
+
+    def refuse_effect_checks(mats, tol):
+        raise AssertionError("the parse already checked the witnesses at these tolerances")
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(cones, "effect_checks", refuse_effect_checks)
+    report = verify_certificate(back, DEFAULT_TOL)
+    assert report.passed
+    # Only the witness rank: the augmented family was decomposed by the parse.
+    assert svd_calls == [(9, 9)]
+    assert report == verify_certificate(cert, DEFAULT_TOL)
+
+
 def test_verify_reports_margins_like_reference():
     basis = augmented_basis_from_onb(random_onb(3, 2))
     cert = intersection_span_certificate(basis, random_mic_pom(3, 3))
@@ -341,26 +389,17 @@ def test_verify_reports_margins_like_reference():
     assert report.max_membership_residual == pytest.approx(max(residuals), abs=1e-14)
 
 
-def test_stacked_admission_stops_at_first_failure_and_consults_nnls_in_order(monkeypatch):
+def test_stacked_admission_stops_at_first_failure_without_nnls(monkeypatch):
     basis = augmented_basis_from_onb(EYE2)
     sic = sic_mic_pom()
     e_delta, _ = interior_point_Edelta(basis, 0.125)
     ket0 = rank_one(np.array([1.0, 0.0], dtype=complex))  # in the augmented cone only
     minus = rank_one(np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0))  # in neither
-    calls = []
-    scipy_nnls = cones.nnls
-
-    def recording_nnls(mat, vec):
-        calls.append(mat is sic.basis_view.coordinate_matrix)
-        return scipy_nnls(mat, vec)
-
-    monkeypatch.setattr(cones, "nnls", recording_nnls)
-    for middle, fallback_on_mic in ((ket0, True), (minus, False)):
-        calls.clear()
+    monkeypatch.setattr(cones, "nnls", _refuse_nnls)
+    for middle in (ket0, minus):
         stack = cones.hermitian_stack([e_delta.mat, middle.mat, e_delta.mat])
         admitted = cones._admit_witnesses(stack, basis.basis_view, sic.basis_view, DEFAULT_TOL)
         assert len(admitted) == 1
-        assert calls == [fallback_on_mic]
         op, mem_a, mem_m = admitted[0]
         np.testing.assert_array_equal(op.mat, e_delta.mat)
         single = cone_membership(e_delta.op, basis, DEFAULT_TOL)
