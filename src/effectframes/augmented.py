@@ -36,7 +36,7 @@ from .operators import (
     operators_to_jsonable,
     stacked_coordinates,
 )
-from .effects import Effect, NotAnEffectError, POM, effects_of, is_effect
+from .effects import Effect, NotAnEffectError, POM, _spectrum_checks, effects_of
 
 __all__ = [
     "AugmentedBasis",
@@ -284,9 +284,9 @@ def validate_augmented(
         ),
     )
 
-    # Condition 2: the element sum is an effect.
-    check = is_effect(basis.element_sum, tol)
+    # Condition 2: the element sum is an effect (one decomposition, descending).
     w_sum, _ = eig_hermitian(basis.element_sum, tol)
+    check = _spectrum_checks(w_sum[-1:], w_sum[:1], tol)[0]
     conditions["sum-effect"] = ConditionResult(
         passed=check.ok,
         witness=float(check.witness) if not check.ok else float(w_sum[0]),

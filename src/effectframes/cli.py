@@ -74,6 +74,15 @@ def _emit(report: dict, args) -> None:
 # Subcommand handlers: each returns (report, ok)
 # ---------------------------------------------------------------------------
 
+def _generation_failed(args, tol: ToleranceConfig, **named) -> tuple[dict, bool]:
+    """The fail report of a generated object that fails a check at `tol`."""
+    from .operators import tolerance_to_jsonable
+
+    body = {"subcommand": args.command, "dim": args.dim, "seed": args.seed, **named,
+            "tolerances": tolerance_to_jsonable(tol), "verdict": "fail"}
+    return body, False
+
+
 def _cmd_reconstruct(args) -> tuple[dict, bool]:
     import numpy as np
 
@@ -127,7 +136,7 @@ def _cmd_reconstruct(args) -> tuple[dict, bool]:
 
 
 def _cmd_certify_cone(args) -> tuple[dict, bool]:
-    from .augmented import augmented_basis_from_onb
+    from .augmented import NotOrthonormalError, augmented_basis_from_onb
     from .cones import (
         CertificateError,
         certificate_from_jsonable,
@@ -168,23 +177,17 @@ def _cmd_certify_cone(args) -> tuple[dict, bool]:
     if args.dim is None or args.seed is None:
         raise ValueError("certificate generation needs --dim and --seed")
     d = args.dim
-    basis = augmented_basis_from_onb(random_onb(d, args.seed), tol=tol)
-    mic = random_mic_pom(d, args.seed + _CONE_MIC_SEED_OFFSET, tol)
+    # A generated vector family that fails its own check at the caller's
+    # tolerances is a verdict, not invalid input.
     try:
-        cert = intersection_span_certificate(
-            basis, mic, epsilon=args.epsilon, seed=args.seed, tol=tol
-        )
+        basis = augmented_basis_from_onb(random_onb(d, args.seed), tol=tol)
+        mic = random_mic_pom(d, args.seed + _CONE_MIC_SEED_OFFSET, tol)
+        cert = intersection_span_certificate(basis, mic, epsilon=args.epsilon, tol=tol)
+    except NotOrthonormalError as exc:
+        stage = f"stage onb-orthonormal: {exc}"
+        return _generation_failed(args, tol, mode="generate", failed_stage=stage)
     except CertificateError as exc:
-        body = {
-            "subcommand": "certify-cone",
-            "mode": "generate",
-            "dim": d,
-            "seed": args.seed,
-            "verdict": "fail",
-            "failed_stage": str(exc),
-            "tolerances": tolerance_to_jsonable(tol),
-        }
-        return body, False
+        return _generation_failed(args, tol, mode="generate", failed_stage=str(exc))
     body = {"subcommand": "certify-cone", "mode": "generate", "seed": args.seed,
             "verdict": "pass"}
     body.update(certificate_to_jsonable(cert))
@@ -195,6 +198,7 @@ def _cmd_augbasis(args) -> tuple[dict, bool]:
     import numpy as np
 
     from .augmented import (
+        NotOrthonormalError,
         augmented_basis_from_onb,
         augmented_basis_to_jsonable,
         validate_augmented,
@@ -208,7 +212,10 @@ def _cmd_augbasis(args) -> tuple[dict, bool]:
         onb = np.eye(d, dtype=np.complex128)
     else:
         onb = random_onb(d, args.seed)
-    basis = augmented_basis_from_onb(onb, tol=tol)
+    try:
+        basis = augmented_basis_from_onb(onb, tol=tol)
+    except NotOrthonormalError as exc:  # the library's own family, not the caller's input
+        return _generation_failed(args, tol, violated="onb-orthonormal", detail=str(exc))
     report = validate_augmented(basis, tol)
     body = {
         "subcommand": "augbasis",

@@ -5,10 +5,11 @@ linear combinations of its members.  Three facts are made executable here:
 every effect decomposes spectrally into the cone of the augmented basis
 built from its own eigenvectors, with at most d nonzero coefficients; the
 operator E_delta = I/d + delta * (tail sum) is an interior point of that
-cone at a controlled distance from I/d; and around E_delta a whole ball
-lies in the intersection of the augmented-basis cone and any MIC-POM cone,
-from which d**2 linearly independent common elements are harvested.  The
-harvest is returned as a re-checkable certificate.
+cone at a controlled distance from I/d; and one signed step from E_delta
+along each orthonormal direction, sized by the nearest face of the
+augmented-basis cone and of a MIC-POM cone, harvests d**2 linearly
+independent common elements with no random choice.  The harvest is a
+re-checkable certificate.
 
 Cone membership queries solve the square coordinate system of the family:
 the expansion of a point over a full operator basis is unique, so its
@@ -52,6 +53,7 @@ from .effects import (
     Effect,
     MicPom,
     NotAnEffectError,
+    _checked_effect,
     effect_checks,
     effects_of,
     is_effect,
@@ -83,7 +85,7 @@ __all__ = [
 
 
 class EpsilonTooLargeError(ValueError):
-    """Requested ball radius pushes the interior point outside the effects."""
+    """Requested epsilon pushes the interior point outside the effects."""
 
     def __init__(self, message: str, witness: float):
         super().__init__(message)
@@ -237,7 +239,7 @@ def interior_point_Edelta(
             f"(eigenvalue {check.witness:.12g})",
             witness=float(check.witness),
         )
-    return Effect(shifted, tol), delta
+    return _checked_effect(shifted), delta
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,8 +248,8 @@ class SpanCertificate:
 
     memberships[k] holds the decomposition of witnesses[k] over the
     augmented family first and over the MIC-POM second.  `radius` is the
-    ball radius actually used around the interior point.  The witnesses
-    were checked as effects at `tol`.
+    smallest step s_k of the construction; the verifier never reads it.
+    The witnesses were checked as effects at `tol`.
     """
 
     augmented: AugmentedBasis
@@ -271,12 +273,13 @@ def _admit_witnesses(
     aug_view: OperatorBasis,
     mic_view: OperatorBasis,
     tol: ToleranceConfig,
-) -> list[tuple[HermitianOperator, ConeDecomposition, ConeDecomposition]]:
+) -> list[tuple[Effect, ConeDecomposition, ConeDecomposition]]:
     """The longest prefix of a validated candidate stack inside both cones.
 
     One batched effect check and one solve per cone decide the whole
     stack; the prefix ends at the first candidate that is not an effect
-    or that either solve rejects.
+    or that either solve rejects.  Admitted operators are wrapped as
+    effects without a second check.
     """
     coords = stacked_coordinates(candidates)
     checks = effect_checks(candidates, tol)
@@ -286,7 +289,7 @@ def _admit_witnesses(
     for op, check, mem_a, mem_m in zip(_operator_views(candidates), checks, by_aug, by_mic):
         if not check.ok or mem_a is None or mem_m is None:
             break
-        admitted.append((op, mem_a, mem_m))
+        admitted.append((_checked_effect(op), mem_a, mem_m))
     return admitted
 
 
@@ -299,16 +302,17 @@ def intersection_span_certificate(
 ) -> SpanCertificate:
     """Harvest d**2 linearly independent effects common to both cones.
 
-    Strategy: place the interior point E_delta, bound a safe ball radius
-    from the membership coefficients and the smallest singular values of
-    the two coordinate systems, then shift E_delta by (radius/2) times
-    each element of the closed-form orthonormal operator basis.  Every
-    witness is re-verified in both cones, as by `cone_membership` (the
-    square coordinate solve decides); on any failure the radius halves
-    (at most 20 times) before falling back to seeded random directions
-    inside the ball.  Raises
-    `CertificateError` naming the failing stage instead of passing
-    silently.
+    Halves epsilon until E_delta has every coefficient above psd_slack in
+    both cones, then shifts it once along each element D_k of the
+    orthonormal operator basis: witness k is E_delta + (s_k/2) sigma_k D_k,
+    sigma_k the sign of <E_delta, D_k> (0 read as +1), s_k the largest step
+    keeping every coefficient of both cones nonnegative (one multi-RHS
+    solve per cone), capped at min(lambda_min, 1 - lambda_max) of E_delta
+    since ||D_k||_op <= 1.  By the matrix determinant lemma the family's
+    determinant is det(Q diag(s sigma/2)) (1 + sum_k 2<E_delta, D_k>/(sigma_k
+    s_k)), and the signs make every term positive.  The witnesses are
+    re-verified in both cones and must reach rank d**2; otherwise
+    `CertificateError` names the failing stage.  `seed` is ignored.
     """
     d = basis.dim
     if mic.dim != d:
@@ -341,62 +345,39 @@ def intersection_span_certificate(
             "stage interior-point: no epsilon yields an interior point of both cones"
         )
 
-    # A perturbation within min_coeff * sigma_min of the coordinate system
-    # keeps every membership coefficient nonnegative, for either cone.
-    radius = min(
-        float(np.min(mem_a.coeffs)) * float(aug_view.singular_values[-1]),
-        float(np.min(mem_m.coeffs)) * float(mic_view.singular_values[-1]),
+    directions = orthonormal_operator_basis(d, tol)
+    q = directions.coordinate_matrix
+    signs = np.where(q.T @ real_coordinates(e_delta.op) < 0.0, -1.0, 1.0)
+    lam = np.linalg.eigvalsh(e_delta.mat)
+    cap = min(float(lam[0]), 1.0 - float(lam[-1]))
+    # rates[k]: the fastest fall of any coefficient, relative to its value,
+    # per unit step along sigma_k D_k; s_k = 1 / rates[k] reaches a face.
+    rates = np.zeros(d * d)
+    for mem in (mem_a, mem_m):
+        slopes = np.linalg.solve(mem.basis.coordinate_matrix, q) * signs
+        rates = np.maximum(rates, np.max(-slopes / mem.coeffs[:, np.newaxis], axis=0))
+    steps = cap / np.maximum(1.0, cap * rates)
+    candidates = hermitian_stack(
+        e_delta.mat + (steps * signs / 2.0)[:, np.newaxis, np.newaxis] * directions.stack
     )
-    if radius <= 0.0:
-        raise CertificateError("stage ball-radius: degenerate radius estimate")
-
-    def certificate(r: float, admitted: list) -> SpanCertificate:
-        return SpanCertificate(
-            augmented=basis,
-            mic=mic,
-            epsilon=eps,
-            delta=delta,
-            radius=r,
-            e_delta=e_delta,
-            witnesses=effects_of([op for op, _, _ in admitted], tol),
-            memberships=tuple((a, m) for _, a, m in admitted),
-            rank=d * d,
-            tol=tol,
+    admitted = _admit_witnesses(candidates, aug_view, mic_view, tol)
+    rank = _witness_rank(candidates, tol)
+    if len(admitted) < d * d or rank < d * d:
+        raise CertificateError(
+            f"stage orthonormal-shift: {len(admitted)} of {d * d} witnesses admitted, "
+            f"rank {rank} of {d * d}"
         )
-
-    directions = orthonormal_operator_basis(d, tol).stack
-    r = radius
-    for _ in range(20):
-        candidates = hermitian_stack(e_delta.mat + (r / 2.0) * directions)
-        admitted = _admit_witnesses(candidates, aug_view, mic_view, tol)
-        if len(admitted) == d * d and _witness_rank(candidates, tol) == d * d:
-            return certificate(r, admitted)
-        r /= 2.0
-
-    # Fallback: seeded random directions in the ball, collected greedily
-    # while they keep increasing the numerical rank.
-    rng = np.random.default_rng(seed)
-    admitted = []
-    r = radius
-    for attempt in range(400):
-        if attempt > 0 and attempt % 80 == 0:
-            r /= 2.0
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        direction = HermitianOperator((x + x.conj().T) / 2.0)
-        dnorm = direction.norm()
-        if dnorm <= 0.0:
-            continue
-        candidate = hermitian_stack([e_delta.mat + (r / (2.0 * dnorm)) * direction.mat])
-        found = _admit_witnesses(candidate, aug_view, mic_view, tol)
-        if not found:
-            continue
-        trial = admitted + found
-        if _witness_rank(np.stack([op.mat for op, _, _ in trial]), tol) == len(trial):
-            admitted = trial
-        if len(admitted) == d * d:
-            return certificate(r, admitted)
-    raise CertificateError(
-        f"stage random-ball: only {len(admitted)} of {d * d} independent witnesses found"
+    return SpanCertificate(
+        augmented=basis,
+        mic=mic,
+        epsilon=eps,
+        delta=delta,
+        radius=float(steps.min()),
+        e_delta=e_delta,
+        witnesses=tuple(w for w, _, _ in admitted),
+        memberships=tuple((a, m) for _, a, m in admitted),
+        rank=d * d,
+        tol=tol,
     )
 
 

@@ -98,12 +98,18 @@ def effect_checks(mats: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> tuple
     furthest outside the interval.
     """
     w = np.linalg.eigvalsh(mats)
-    low, high = w[:, 0], w[:, -1]
+    return _spectrum_checks(w[:, 0], w[:, -1], tol)
+
+
+def _spectrum_checks(
+    low: np.ndarray, high: np.ndarray, tol: ToleranceConfig
+) -> tuple[EffectCheck, ...]:
+    """The verdicts of `effect_checks` from each element's extreme eigenvalues."""
     low_bad = low < -tol.psd_slack
     high_bad = high > 1.0 + tol.psd_slack
     failed = low_bad | high_bad
     if not failed.any():
-        return (_IS_EFFECT,) * len(w)
+        return (_IS_EFFECT,) * len(low)
     worst = np.where(low_bad & (~high_bad | (-low > high - 1.0)), low, high)
     return tuple(
         EffectCheck(False, float(x)) if bad else _IS_EFFECT for bad, x in zip(failed, worst)
@@ -157,12 +163,14 @@ def effects_of(ops, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Effect, ...]:
                 f"element {k} is not an effect: "
                 f"eigenvalue {check.witness:.12g} lies outside [0, 1]"
             )
-    effects = []
-    for op in ops:
-        e = object.__new__(Effect)  # checked above; skips the per-element check
-        object.__setattr__(e, "op", op)
-        effects.append(e)
-    return tuple(effects)
+    return tuple(map(_checked_effect, ops))
+
+
+def _checked_effect(op: HermitianOperator) -> Effect:
+    """Wrap an operator whose effect check has already passed, without repeating it."""
+    e = object.__new__(Effect)
+    object.__setattr__(e, "op", op)
+    return e
 
 
 def coexists(e1: Effect, e2: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

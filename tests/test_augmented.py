@@ -234,3 +234,34 @@ def test_rank_one_condition_matches_per_element_eigenvalues():
     witness = validate_augmented(tampered).conditions["rank-one"].witness
     assert witness == pytest.approx(worst, rel=1e-9)
     assert witness > DEFAULT_TOL.psd_slack
+
+
+def test_validate_decomposes_the_element_sum_once(monkeypatch):
+    from effectframes import augmented_basis_from_jsonable, augmented_basis_to_jsonable
+
+    built = augmented_basis_from_onb(random_onb(3, 1))
+    parsed = augmented_basis_from_jsonable(augmented_basis_to_jsonable(built))
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counting(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    report = validate_augmented(parsed)
+    assert report.passed
+    # Only the rank-one check sees the (9, 3, 3) stack; the sum is decomposed once.
+    assert [call for call in calls if call[1] != (9, 3, 3)] == [("eigh", (3, 3))]
+
+
+@pytest.mark.parametrize("factor", [1.5, -0.5])
+def test_validate_sum_effect_witness_is_the_worst_eigenvalue(factor):
+    basis = augmented_basis_from_onb(EYE2)
+    ops = tuple(op * factor for op in basis.ops)
+    tampered = AugmentedBasis(onb=basis.onb, ops=ops, c=basis.c, gamma=basis.gamma)
+    result = validate_augmented(tampered).conditions["sum-effect"]
+    assert not result.passed
+    # The element sum has top eigenvalue 1, so the scaled sum's worst is `factor`.
+    assert result.witness == pytest.approx(factor, abs=1e-12)

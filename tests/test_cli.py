@@ -628,3 +628,42 @@ def test_tracer_leaves_no_wrapper_in_the_package_after_first_access():
     seen, traced, leftover = out.split(maxsplit=2)
     assert int(seen) > 10 and traced == seen
     assert leftover.strip() == "[]"
+
+
+@pytest.mark.parametrize("d, seed", [(4, 449), (5, 262), (5, 318), (5, 356)])
+def test_certify_cone_former_failures_certify_and_verify(capsys, tmp_path, d, seed):
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run_cli(
+        capsys, "certify-cone", "--dim", str(d), "--seed", str(seed), "--out", str(cert_path)
+    )
+    assert code == 0
+    assert json.loads(cert_path.read_text())["verdict"] == "pass"
+    code, out, _ = run_cli(capsys, "certify-cone", "--verify", str(cert_path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "pass" and report["rank"] == d * d
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "command, named, expected",
+    [
+        ("certify-cone", "failed_stage", "stage onb-orthonormal: Gram deviation from identity"),
+        ("augbasis", "violated", "onb-orthonormal"),
+    ],
+)
+def test_generated_onb_failing_caller_tolerance_is_a_verdict(capsys, command, named, expected):
+    # The generated family's Gram deviation (8.5e-16) exceeds the tolerance.
+    code, out, err = run_cli(
+        capsys, command, "--dim", "3", "--seed", "1", "--tol-residual", "1e-17"
+    )
+    assert code == 1
+    assert "error" not in err
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["verdict"] == "fail"
+    assert report[named].startswith(expected)
+    assert report["tolerances"]["residual"] == 1e-17
+    assert report["tolerances"]["psd_slack"] == 1e-17

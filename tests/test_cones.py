@@ -405,3 +405,92 @@ def test_stacked_admission_stops_at_first_failure_without_nnls(monkeypatch):
         single = cone_membership(e_delta.op, basis, DEFAULT_TOL)
         np.testing.assert_allclose(mem_a.coeffs, single.coeffs, atol=1e-14)
         assert cone_membership(middle, sic) is None or cone_membership(middle, basis) is None
+
+
+# ---------------------------------------------------------------------------
+# One signed step per orthonormal direction
+# ---------------------------------------------------------------------------
+
+def _cli_pair(d, seed):
+    """The augmented basis and MIC-POM that `certify-cone --dim d --seed seed` builds."""
+    return augmented_basis_from_onb(random_onb(d, seed)), random_mic_pom(d, seed + 7919)
+
+
+def test_certificate_scan_has_no_failure():
+    for d in range(2, 6):
+        for seed in range(50):
+            cert = intersection_span_certificate(*_cli_pair(d, seed))
+            assert cert.rank == d * d and len(cert.witnesses) == d * d, (d, seed)
+
+
+@pytest.mark.parametrize("d, seed", [(2, 3), (3, 1), (4, 449), (5, 356)])
+def test_certificate_steps_are_signed_capped_and_reach_a_face(d, seed):
+    basis, mic = _cli_pair(d, seed)
+    cert = intersection_span_certificate(basis, mic)
+    directions = cones.orthonormal_operator_basis(d, DEFAULT_TOL).stack
+    e = cert.e_delta.mat
+    lam = np.linalg.eigvalsh(e)
+    cap = min(lam[0], 1.0 - lam[-1])
+    def inner(a, b):
+        return float(np.real(np.trace(a @ b)))
+
+    steps = []
+    for k, (w, mems) in enumerate(zip(cert.witnesses, cert.memberships)):
+        for mem in mems:
+            assert np.all(mem.coeffs >= 0.0)
+        shift = inner(w.mat - e, directions[k])  # sigma_k * s_k / 2
+        np.testing.assert_allclose(w.mat - e, shift * directions[k], atol=1e-15)
+        sigma = -1.0 if inner(e, directions[k]) < 0.0 else 1.0
+        assert np.sign(shift) == sigma, k
+        step = 2.0 * abs(shift)
+        assert step <= cap * (1.0 + 1e-12), k
+        steps.append(step)
+        # The full step s_k reaches a face of one cone unless the cap binds.
+        if step < cap * (1.0 - 1e-9):
+            full = HermitianOperator(e + sigma * step * directions[k])
+            lows = [
+                np.linalg.solve(view.coordinate_matrix, real_coordinates(full)).min()
+                for view in (basis.basis_view, mic.basis_view)
+            ]
+            assert min(lows) == pytest.approx(0.0, abs=1e-9), k
+    assert cert.radius == pytest.approx(min(steps), rel=1e-12)
+    assert verify_certificate(cert).passed
+
+
+def test_certificate_ignores_seed():
+    basis, mic = _cli_pair(3, 2)
+    first = intersection_span_certificate(basis, mic, seed=0)
+    second = intersection_span_certificate(basis, mic, seed=12345)
+    for a, b in zip(first.witnesses, second.witnesses):
+        np.testing.assert_array_equal(a.mat, b.mat)
+    assert first.radius == second.radius
+
+
+def test_certificate_rank_shortfall_raises_at_orthonormal_shift():
+    # Every witness is admitted, but the family's numerical rank is 14 of 16.
+    with pytest.raises(CertificateError, match="stage orthonormal-shift: 16 of 16 .* rank 14"):
+        intersection_span_certificate(*_cli_pair(4, 1571))
+
+
+def test_certificate_checks_each_witness_as_an_effect_once(monkeypatch):
+    from effectframes import effects
+
+    shapes = []
+    numpy_checks = effects.effect_checks
+
+    def counting_checks(mats, tol=DEFAULT_TOL):
+        shapes.append(mats.shape)
+        return numpy_checks(mats, tol)
+
+    basis, mic = _cli_pair(3, 1)  # the MIC-POM is a (9, 3, 3) stack too
+    monkeypatch.setattr(cones, "effect_checks", counting_checks)
+    monkeypatch.setattr(effects, "effect_checks", counting_checks)
+    cert = intersection_span_certificate(basis, mic)
+    # One check per interior point tried (epsilon starts at 1/(4d)), then the witnesses.
+    tried = round(math.log2(1.0 / (4 * 3) / cert.epsilon)) + 1
+    assert shapes == [(1, 3, 3)] * tried + [(9, 3, 3)]
+    assert all(isinstance(w, Effect) for w in cert.witnesses)
+
+    shapes.clear()
+    interior_point_Edelta(basis, cert.epsilon)
+    assert shapes == [(1, 3, 3)]
