@@ -15,9 +15,13 @@ Each module's ``__all__`` is the single list of its public names; the
 package re-exports all of them.  The exact corner (`cauchy`) is loaded with
 the package and needs only the standard library.  The five numerical
 modules load numpy, so they are imported on the first use of one of their
-names (PEP 562).  Those names are looked up in their module on every
-access and never stored here, so a name rebound in its module (by a
-tracer or a test double) is seen through the package as well.
+names (PEP 562): a name loads its module and the numerical modules before
+it in the order operators, effects, frames, augmented, cones, and no
+later one, so state reconstruction never loads the certificate modules.
+Those names are looked up in their module on every access and never
+stored here, so a name rebound in its module (by a tracer or a test
+double) is seen through the package as well.  ``__all__``, ``dir()`` and
+a star import load every module.
 """
 
 import importlib
@@ -28,27 +32,36 @@ from .cauchy import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-_NUMERICAL = ("operators", "effects", "augmented", "cones", "frames")
+_NUMERICAL = ("operators", "effects", "frames", "augmented", "cones")
+
+
+def _numerical_modules():
+    """The numerical modules in `_NUMERICAL` order, each imported when reached."""
+    return (importlib.import_module(f".{name}", __name__) for name in _NUMERICAL)
 
 
 @lru_cache(maxsize=None)
-def _numerical_names() -> dict:
-    """Public name -> defining module, over the numerical modules."""
-    modules = [importlib.import_module(f".{name}", __name__) for name in _NUMERICAL]
-    return {name: module for module in modules for name in module.__all__}
+def _module_of(name: str):
+    """The numerical module whose ``__all__`` holds `name`, or None.
+
+    Imports modules in `_NUMERICAL` order only up to the one defining the
+    name; an unknown name imports them all.
+    """
+    return next((m for m in _numerical_modules() if name in m.__all__), None)
 
 
 def __getattr__(name: str):
-    if name in _NUMERICAL:
+    # `from effectframes import cli` asks for the name before importing it.
+    if name in _NUMERICAL or name == "cli":
         return importlib.import_module(f".{name}", __name__)
     if name == "__all__":
-        return [*_numerical_names(), *cauchy.__all__]
+        return [*(n for m in _numerical_modules() for n in m.__all__), *cauchy.__all__]
     if not name.startswith("_"):
-        module = _numerical_names().get(name)
+        module = _module_of(name)
         if module is not None:
             return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list:
-    return sorted({*globals(), *_NUMERICAL, *_numerical_names()})
+    return sorted({*globals(), *_NUMERICAL, *__getattr__("__all__")})

@@ -88,32 +88,54 @@ def _cmd_reconstruct(args) -> tuple[dict, bool]:
 
     from .effects import (
         DensityOperator,
+        GenerationRetryError,
         MicPom,
+        NotADensityError,
         pom_from_jsonable,
         random_density,
         random_mic_pom,
     )
     from .frames import BornFrame, reconstruct_density
-    from .operators import operator_from_jsonable, operator_to_jsonable, tolerance_to_jsonable
+    from .operators import (
+        operator_from_jsonable,
+        operator_to_jsonable,
+        orthonormal_operator_basis,
+        tolerance_to_jsonable,
+    )
 
     tol = _tolerances(args)
     d = args.dim
+    # An object the library generated that fails its own check at the
+    # caller's tolerances is a verdict; a file that fails is invalid input.
     if args.state:
         rho = DensityOperator(operator_from_jsonable(_load_json(args.state)), tol)
         state_source = "file"
     else:
-        rho = random_density(d, args.seed, tol)
+        try:
+            rho = random_density(d, args.seed, tol)
+        except NotADensityError as exc:
+            return _generation_failed(args, tol, failed_stage=f"stage state: {exc}")
         state_source = "generated"
     if args.mic:
         mic = MicPom(pom_from_jsonable(_load_json(args.mic), tol), tol)
         mic_source = "file"
     else:
-        mic = random_mic_pom(d, args.seed + _MIC_SEED_OFFSET, tol)
+        try:
+            mic = random_mic_pom(d, args.seed + _MIC_SEED_OFFSET, tol)
+        except GenerationRetryError as exc:
+            if exc.__cause__ is None:  # no failed check to report: the search gave up
+                raise
+            stage = f"stage mic-pom: {exc}; last attempt: {exc.__cause__}"
+            return _generation_failed(args, tol, failed_stage=stage)
         mic_source = "generated"
     if rho.dim != d or mic.dim != d:
         raise ValueError("state or MIC-POM dimension disagrees with --dim")
+    try:
+        w_basis = orthonormal_operator_basis(d, tol)
+    except ValueError as exc:
+        return _generation_failed(args, tol, failed_stage=f"stage reference-basis: {exc}")
     report = reconstruct_density(
-        BornFrame(rho), mic, tol=tol,
+        BornFrame(rho), mic, w_basis, tol=tol,
         test_count=_TEST_SET_COUNT, test_seed=_TEST_SET_SEED,
     )
     distance = float(np.linalg.norm(report.rho_hat.mat - rho.mat))

@@ -13,6 +13,11 @@ whole (n, d, d) stack with one batched ``eigvalsh``, `is_effect` is its
 one-element case, and POMs, MIC-POMs, their wire format and the seeded
 MIC-POM generator validate all their elements in that one pass.
 
+Random effects are drawn the same way: `verification_effects` builds its
+whole set from one Gaussian draw, one batched ``eigh`` and one effect
+check; `random_effect` and the coexisting-pair sampler of `frames` draw
+one and two effects the same way.
+
 All generators are pure functions of (dim, seed).
 """
 
@@ -32,6 +37,7 @@ from .operators import (
     SingularBasisError,
     ToleranceConfig,
     _check_same_dim,
+    _eigh,
     _operator_views,
     eig_hermitian,
     hermitian_stack,
@@ -45,6 +51,7 @@ __all__ = [
     "EffectCheck",
     "GenerationRetryError",
     "MicPom",
+    "NotADensityError",
     "NotAnEffectError",
     "POM",
     "PomIdentityError",
@@ -67,6 +74,10 @@ __all__ = [
 
 class NotAnEffectError(ValueError):
     """Operator spectrum leaves [0, 1] beyond the admissible slack."""
+
+
+class NotADensityError(ValueError):
+    """Operator is not positive semidefinite of unit trace within tolerance."""
 
 
 class PomIdentityError(ValueError):
@@ -289,10 +300,10 @@ class DensityOperator:
     def __post_init__(self, tol: ToleranceConfig) -> None:
         tr = self.op.trace()
         if abs(tr - 1.0) > tol.residual:
-            raise ValueError(f"trace {tr!r} differs from 1 beyond {tol.residual:.1e}")
+            raise NotADensityError(f"trace {tr!r} differs from 1 beyond {tol.residual:.1e}")
         w, _ = eig_hermitian(self.op, tol)
         if float(w[-1]) < -tol.psd_slack:
-            raise ValueError(f"negative eigenvalue {float(w[-1]):.3e}")
+            raise NotADensityError(f"negative eigenvalue {float(w[-1]):.3e}")
 
     @property
     def dim(self) -> int:
@@ -384,24 +395,32 @@ def random_density(d: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL) -> Den
     return DensityOperator(HermitianOperator(m / float(np.trace(m).real)), tol)
 
 
-def _effect_from_rng(
-    d: int, rng: np.random.Generator, tol: ToleranceConfig = DEFAULT_TOL
-) -> Effect:
-    x = _ginibre(rng, d)
-    h = HermitianOperator((x + x.conj().T) / 2.0)
-    w, _ = eig_hermitian(h, tol)
-    spread = float(w[0] - w[-1])
-    if spread < 1e-12:
-        return Effect(HermitianOperator(np.eye(d, dtype=np.complex128) / 2.0), tol)
-    mat = (h.mat - float(w[-1]) * np.eye(d)) / spread
-    return Effect(HermitianOperator(mat), tol)
+def _effects_from_rng(
+    d: int, rng: np.random.Generator, count: int, tol: ToleranceConfig = DEFAULT_TOL
+) -> tuple[Effect, ...]:
+    """`count` random effects drawn and checked as one stack.
+
+    Effect k is the Hermitian part of the k-th complex Gaussian matrix
+    (real part drawn before imaginary part, matrix after matrix), its
+    spectrum affinely rescaled onto [0, 1]; a flat spectrum gives I/2.
+    """
+    g = rng.standard_normal((count, 2, d, d))
+    x = g[:, 0] + 1j * g[:, 1]
+    h = hermitian_stack((x + x.conj().swapaxes(1, 2)) / 2.0)
+    w, _ = _eigh(h)
+    low, spread = w[:, 0], w[:, -1] - w[:, 0]
+    flat = spread < 1e-12
+    scale = np.where(flat, 1.0, spread)
+    mats = (h - low[:, np.newaxis, np.newaxis] * np.eye(d)) / scale[:, np.newaxis, np.newaxis]
+    mats[flat] = np.eye(d) / 2.0
+    return effects_of(_operator_views(hermitian_stack(mats)), tol)
 
 
 def random_effect(d: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL) -> Effect:
     """Random Hermitian operator with spectrum affinely rescaled onto [0, 1]."""
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    return _effect_from_rng(d, np.random.default_rng(seed), tol)
+    return _effects_from_rng(d, np.random.default_rng(seed), 1, tol)[0]
 
 
 def random_mic_pom(
@@ -423,6 +442,7 @@ def random_mic_pom(
     rng = np.random.default_rng(seed)
     eye = np.eye(d, dtype=np.complex128)
     vecs = np.empty((d * d, d), dtype=np.complex128)
+    failure = None
     for _ in range(retries):
         for k in range(d * d):
             vecs[k] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -433,18 +453,21 @@ def random_mic_pom(
         try:
             effects = effects_of(_operator_views(hermitian_stack(mats + deficit)), tol)
             return MicPom(POM(effects, tol), tol)
-        except (NotAnEffectError, PomIdentityError, SingularBasisError):
-            continue
+        except (NotAnEffectError, PomIdentityError, SingularBasisError) as exc:
+            failure = exc
     raise GenerationRetryError(
         f"no MIC-POM found for dim {d} after {retries} attempts (seed {seed})"
-    )
+    ) from failure
 
 
 @lru_cache(maxsize=64)
 def verification_effects(d: int, seed: int, count: int = 200) -> tuple[Effect, ...]:
-    """Memoized batch of seeded random effects used as a verification set."""
-    rng = np.random.default_rng(seed)
-    return tuple(_effect_from_rng(d, rng) for _ in range(count))
+    """Memoized set of seeded random effects used as a verification set.
+
+    The whole set is one draw: the same effects, bit for bit, as `count`
+    one-element draws from the same random stream.
+    """
+    return _effects_from_rng(d, np.random.default_rng(seed), count)
 
 
 # ---------------------------------------------------------------------------

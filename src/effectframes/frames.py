@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -43,14 +43,18 @@ from .effects import (
     DensityOperator,
     Effect,
     MicPom,
-    _effect_from_rng,
+    _effects_from_rng,
     effects_of,
     max_scale,
     psd_sqrt,
     verification_effects,
 )
-from .augmented import AugmentedBasis
-from .cones import CertificateError, SpanCertificate, verify_certificate
+
+# Certificates are checked only by `consistency_DT`, which imports the
+# certificate modules when it is called; reconstruction never loads them.
+if TYPE_CHECKING:
+    from .augmented import AugmentedBasis
+    from .cones import SpanCertificate
 
 __all__ = [
     "AdditivityReport",
@@ -153,9 +157,8 @@ def coexisting_pair(
     S of I - E1: the pair (E1, S F S) satisfies E1 + S F S <= I by
     construction.
     """
-    e1 = _effect_from_rng(d, rng, tol)
+    e1, f = _effects_from_rng(d, rng, 2, tol)
     s = psd_sqrt(identity(d) - e1.op, tol)
-    f = _effect_from_rng(d, rng, tol)
     e2 = HermitianOperator(s.mat @ f.mat @ s.mat)
     return e1, Effect(e2, tol)
 
@@ -299,6 +302,8 @@ def consistency_DT(
     the norm of the difference.  The certificate must verify and must bind
     exactly the two families passed in.
     """
+    from .cones import CertificateError, verify_certificate
+
     report = verify_certificate(cert, tol)
     if not report.passed:
         raise CertificateError(

@@ -292,16 +292,24 @@ def eig_hermitian(
     cache = a._eig_cache
     if cache is not None:
         return cache
-    try:
-        w, vecs = np.linalg.eigh(a.mat)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
+    w, vecs = _eigh(a.mat)
     w = w[::-1].copy()
     vecs = vecs[:, ::-1].copy()
     w.setflags(write=False)
     vecs.setflags(write=False)
     object.__setattr__(a, "_eig_cache", (w, vecs))
     return w, vecs
+
+
+def _eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK ``eigh`` of one matrix or an (n, d, d) stack, eigenvalues ascending.
+
+    Raises `EigensolverError` when LAPACK reports no convergence.
+    """
+    try:
+        return np.linalg.eigh(mats)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigendecomposition failed: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from effectframes import (
     operator_to_jsonable,
     pom_to_jsonable,
     random_density,
+    random_mic_pom,
     sic_mic_pom,
 )
 from effectframes.cli import main
@@ -587,6 +588,37 @@ def test_numerical_subcommands_run_with_scipy_refused(tmp_path):
     assert scipy_loaded == "False"
 
 
+def test_reconstruction_loads_no_certificate_module():
+    out = _python(
+        "import contextlib, io, sys\n"
+        "import effectframes as ef\n"
+        "from effectframes import cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "certificate = ['effectframes.augmented', 'effectframes.cones']\n"
+        "def loaded():\n"
+        "    return [m for m in certificate if m in sys.modules]\n"
+        "rho, mic = ef.random_density(3, 1), ef.random_mic_pom(3, 2)\n"
+        "report = ef.reconstruct_density(ef.BornFrame(rho), mic)\n"
+        "assert report.verdict and ef.hs_distance(report.rho_hat, rho.op) < 1e-8\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = cli.main(['reconstruct', '--dim', '3', '--seed', '1'])\n"
+        "print(code, loaded())\n"
+        "try:\n"
+        "    ef.consistency_DT(ef.BornFrame(rho), None, mic, None)\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "print(loaded())\n"
+        "import numpy as np\n"
+        "basis, sic = ef.augmented_basis_from_onb(np.eye(2, dtype=complex)), ef.sic_mic_pom()\n"
+        "cert = ef.intersection_span_certificate(basis, sic)\n"
+        "print(ef.consistency_DT(ef.BornFrame(ef.random_density(2, 4)), basis, sic, cert) < 1e-10)\n"
+    )
+    after_reconstruct, after_call, works = out.splitlines()[-3:]
+    assert after_reconstruct == "0 []"
+    assert after_call == "['effectframes.augmented', 'effectframes.cones']"
+    assert works == "True"
+
+
 def test_star_import_is_the_union_of_the_module_lists():
     from effectframes import augmented, cauchy, cones, effects, frames, operators
 
@@ -667,3 +699,42 @@ def test_generated_onb_failing_caller_tolerance_is_a_verdict(capsys, command, na
     assert report[named].startswith(expected)
     assert report["tolerances"]["residual"] == 1e-17
     assert report["tolerances"]["psd_slack"] == 1e-17
+
+
+@pytest.mark.parametrize("dim, seed, tolerance, stage", [
+    # The closed-form reference basis has Gram deviation 2.2e-16.
+    ("3", "1", "1e-16", "stage reference-basis: orthonormal basis has Gram deviation"),
+    # Every MIC-POM draw sums to the identity only within rounding.
+    ("3", "1", "1e-17", "stage mic-pom: no MIC-POM found for dim 3 after 32 attempts"),
+    # The generated state's trace is 1 + 2.2e-16.
+    ("2", "0", "1e-17", "stage state: trace 1.0000000000000002 differs from 1"),
+])
+def test_reconstruct_generated_object_failing_caller_tolerance_is_a_verdict(
+    capsys, dim, seed, tolerance, stage
+):
+    code, out, err = run_cli(
+        capsys, "reconstruct", "--dim", dim, "--seed", seed, "--tol-residual", tolerance
+    )
+    assert code == 1
+    assert "error" not in err
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["subcommand"] == "reconstruct" and report["verdict"] == "fail"
+    assert report["failed_stage"].startswith(stage)
+    assert report["tolerances"]["residual"] == float(tolerance)
+
+
+def test_reconstruct_files_failing_caller_tolerance_are_exit_2(capsys, tmp_path):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(operator_to_jsonable(random_density(2, 0).op)))
+    code, out, err = run_cli(
+        capsys, "reconstruct", "--dim", "2", "--seed", "0", "--state", str(state),
+        "--tol-residual", "1e-17",
+    )
+    assert (code, out) == (2, "") and err.startswith("error: trace")
+    mic = tmp_path / "mic.json"
+    mic.write_text(json.dumps(pom_to_jsonable(random_mic_pom(3, 1000004).pom)))
+    code, out, err = run_cli(
+        capsys, "reconstruct", "--dim", "3", "--seed", "1", "--mic", str(mic),
+        "--tol-residual", "1e-17",
+    )
+    assert (code, out) == (2, "") and err.startswith("error: effects sum to identity")

@@ -14,6 +14,7 @@ from effectframes import (
     POM,
     PomIdentityError,
     DimensionMismatchError,
+    EigensolverError,
     coexists,
     effect_checks,
     effects_of,
@@ -33,7 +34,9 @@ from effectframes import (
     random_onb,
     rank_one,
     sic_mic_pom,
+    verification_effects,
 )
+from effectframes.effects import _effects_from_rng
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -303,3 +306,71 @@ def test_pom_json_rejects_mixed_dimensions():
                                   operator_to_jsonable(identity(3) * 0.5)]}
     with pytest.raises(DimensionMismatchError):
         pom_from_jsonable(blob)
+
+
+# -- random effects are drawn as one stack ----------------------------------
+
+def _per_effect_reference(d, rng, count):
+    """Effect by effect: two (d, d) draws, one ``eigh``, one affine rescale."""
+    mats = []
+    for _ in range(count):
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = (x + x.conj().T) / 2.0
+        w = np.linalg.eigh(h)[0]
+        spread = float(w[-1] - w[0])
+        if spread < 1e-12:
+            mats.append(np.eye(d, dtype=np.complex128) / 2.0)
+        else:
+            mats.append((h - float(w[0]) * np.eye(d)) / spread)
+    return np.stack(mats)
+
+
+@pytest.mark.parametrize("count", [1, 200])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_batched_effects_equal_per_effect_draws(d, count):
+    reference = _per_effect_reference(d, np.random.default_rng(1234), count)
+    batched = np.stack([e.mat for e in verification_effects(d, 1234, count)])
+    assert batched.dtype == reference.dtype and batched.shape == reference.shape
+    assert batched.tobytes() == reference.tobytes()
+    single = random_effect(d, 1234).mat
+    assert single.tobytes() == reference[0].tobytes()
+
+
+class _Stream:
+    """A stand-in generator handing out a fixed sequence of numbers in order."""
+
+    def __init__(self, numbers):
+        self.numbers = np.asarray(numbers, dtype=np.float64)
+
+    def standard_normal(self, size):
+        n = math.prod(size)
+        out, self.numbers = self.numbers[:n], self.numbers[n:]
+        return out.reshape(size)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_batched_flat_spectrum_is_half_identity(d):
+    zeros = np.zeros(3 * 2 * d * d)
+    batched = np.stack([e.mat for e in _effects_from_rng(d, _Stream(zeros), 3)])
+    reference = _per_effect_reference(d, _Stream(zeros), 3)
+    assert batched.tobytes() == reference.tobytes()
+    assert np.array_equal(batched, np.broadcast_to(np.eye(d) / 2.0, (3, d, d)))
+    # A flat element between two drawn ones: the mask replaces only that one.
+    numbers = np.random.default_rng(d).standard_normal(3 * 2 * d * d)
+    numbers[2 * d * d:4 * d * d] = 0.0
+    batched = np.stack([e.mat for e in _effects_from_rng(d, _Stream(numbers), 3)])
+    reference = _per_effect_reference(d, _Stream(numbers), 3)
+    assert batched.tobytes() == reference.tobytes()
+    assert np.array_equal(batched[1], np.eye(d) / 2.0)
+    assert not np.array_equal(batched[0], np.eye(d) / 2.0)
+
+
+def test_batched_draw_reports_eigensolver_failure(monkeypatch):
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", diverge)
+    with pytest.raises(EigensolverError, match="eigendecomposition failed"):
+        random_effect(3, 0)
+    with pytest.raises(EigensolverError, match="eigendecomposition failed"):
+        verification_effects(3, 98765, 7)
