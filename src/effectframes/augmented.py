@@ -22,16 +22,17 @@ import numpy as np
 
 from .operators import (
     DEFAULT_TOL,
+    CoordinateRank,
     HermitianOperator,
     OperatorBasis,
     ToleranceConfig,
     _operator_views,
     complex_from_jsonable,
     complex_to_jsonable,
+    coordinate_rank,
     eig_hermitian,
     hermitian_stack,
     identity,
-    numerical_rank,
     operators_from_jsonable,
     operators_to_jsonable,
     stacked_coordinates,
@@ -152,14 +153,6 @@ class AugmentedBasis:
         return OperatorBasis(self.ops, kind="augmented", tol=self.tol)
 
     @cached_property
-    def singular_values(self) -> np.ndarray:
-        """Descending coordinate singular values; unlike `basis_view`, never raises."""
-        view = self.__dict__.get("basis_view")  # built: reuse its decomposition
-        if view is not None:
-            return view.singular_values
-        return np.linalg.svd(stacked_coordinates(self.stack).T, compute_uv=False)
-
-    @cached_property
     def element_sum(self) -> HermitianOperator:
         return HermitianOperator(self.stack.sum(axis=0))
 
@@ -199,7 +192,7 @@ def augmented_basis_from_onb(
         if top > 1.0 + tol.psd_slack:
             raise NotAnEffectError(
                 f"override c = {c_val} gives the element sum top eigenvalue "
-                f"{top:.12g} > 1"
+                f"{top!r} > 1"
             )
     ops = _operator_views(hermitian_stack(c_val * projs))
     basis = AugmentedBasis(onb=u, ops=ops, c=c_val, gamma=gamma, tol=tol)
@@ -291,7 +284,7 @@ def validate_augmented(
         passed=check.ok,
         witness=float(check.witness) if not check.ok else float(w_sum[0]),
         detail=(
-            f"element sum has eigenvalue {check.witness:.12g} outside [0, 1]"
+            f"element sum has eigenvalue {check.witness!r} outside [0, 1]"
             if not check.ok
             else f"element sum top eigenvalue {float(w_sum[0]):.12g}"
         ),
@@ -306,14 +299,16 @@ def validate_augmented(
         detail=f"largest second eigenvalue magnitude {worst_second:.3e}",
     )
 
-    # Condition 4: linear independence over the reals.
-    svals = basis.singular_values
-    ratio = float(svals[-1] / svals[0]) if svals[0] > 0 else 0.0
-    rank = numerical_rank(svals, tol)
+    # Condition 4: linear independence over the reals.  Unlike `basis_view`
+    # this never raises; a view already built lends its singular values.
+    view = basis.__dict__.get("basis_view")
+    svd = (coordinate_rank(stacked_coordinates(basis.stack)) if view is None
+           else CoordinateRank(view.singular_values))
+    rank = svd.rank(tol)
     conditions["linear-independence"] = ConditionResult(
         passed=rank == d * d,
-        witness=ratio,
-        detail=f"rank {rank} of {d * d}, sigma_min/sigma_max = {ratio:.3e}",
+        witness=svd.ratio,
+        detail=f"rank {rank} of {d * d}, sigma_min/sigma_max = {svd.ratio:.3e}",
     )
 
     gap = float(np.linalg.norm(basis.element_sum.mat - np.eye(d)))

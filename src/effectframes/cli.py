@@ -78,8 +78,8 @@ def _generation_failed(args, tol: ToleranceConfig, **named) -> tuple[dict, bool]
     """The fail report of a generated object that fails a check at `tol`."""
     from .operators import tolerance_to_jsonable
 
-    body = {"subcommand": args.command, "dim": args.dim, "seed": args.seed, **named,
-            "tolerances": tolerance_to_jsonable(tol), "verdict": "fail"}
+    body = {"subcommand": args.command, "dim": getattr(args, "dim", None), "seed": args.seed,
+            **named, "tolerances": tolerance_to_jsonable(tol), "verdict": "fail"}
     return body, False
 
 
@@ -96,12 +96,7 @@ def _cmd_reconstruct(args) -> tuple[dict, bool]:
         random_mic_pom,
     )
     from .frames import BornFrame, reconstruct_density
-    from .operators import (
-        operator_from_jsonable,
-        operator_to_jsonable,
-        orthonormal_operator_basis,
-        tolerance_to_jsonable,
-    )
+    from .operators import operator_from_jsonable, operator_to_jsonable, tolerance_to_jsonable
 
     tol = _tolerances(args)
     d = args.dim
@@ -130,13 +125,8 @@ def _cmd_reconstruct(args) -> tuple[dict, bool]:
         mic_source = "generated"
     if rho.dim != d or mic.dim != d:
         raise ValueError("state or MIC-POM dimension disagrees with --dim")
-    try:
-        w_basis = orthonormal_operator_basis(d, tol)
-    except ValueError as exc:
-        return _generation_failed(args, tol, failed_stage=f"stage reference-basis: {exc}")
     report = reconstruct_density(
-        BornFrame(rho), mic, w_basis, tol=tol,
-        test_count=_TEST_SET_COUNT, test_seed=_TEST_SET_SEED,
+        BornFrame(rho), mic, tol, test_count=_TEST_SET_COUNT, test_seed=_TEST_SET_SEED
     )
     distance = float(np.linalg.norm(report.rho_hat.mat - rho.mat))
     body = {
@@ -257,12 +247,19 @@ def _cmd_augbasis(args) -> tuple[dict, bool]:
 
 
 def _cmd_verify_frame(args) -> tuple[dict, bool]:
+    from .effects import NotAnEffectError
     from .frames import check_additivity, frame_from_jsonable
     from .operators import tolerance_to_jsonable
 
     tol = _tolerances(args)
+    # A frame file that fails its own check at the caller's tolerances is
+    # invalid input; a sampled pair that fails is a verdict.
     frame = frame_from_jsonable(_load_json(args.frame), tol)
-    report = check_additivity(frame, trials=args.trials, seed=args.seed, tol=tol)
+    try:
+        report = check_additivity(frame, trials=args.trials, seed=args.seed, tol=tol)
+    except NotAnEffectError as exc:
+        return _generation_failed(args, tol, kind=frame.kind, dim=frame.dim, trials=args.trials,
+                                  failed_stage=f"stage coexisting-pair: {exc}")
     if report.max_violation > tol.residual:
         violated = "additivity"
     elif report.identity_deviation > tol.residual:
@@ -342,7 +339,7 @@ def _validate_pom_like(mats, tol: ToleranceConfig, need_rank: bool) -> tuple[dic
     import numpy as np
 
     from .effects import effect_checks
-    from .operators import numerical_rank, stacked_coordinates
+    from .operators import coordinate_rank, stacked_coordinates
 
     d = mats.shape[-1]
     details: dict = {"dim": d, "count": len(mats)}
@@ -359,8 +356,7 @@ def _validate_pom_like(mats, tol: ToleranceConfig, need_rank: bool) -> tuple[dic
     if need_rank:
         if len(mats) != d * d:
             return details, "element-count"
-        svals = np.linalg.svd(stacked_coordinates(mats), compute_uv=False)
-        details["rank"] = numerical_rank(svals, tol)
+        details["rank"] = coordinate_rank(stacked_coordinates(mats)).rank(tol)
         if details["rank"] != d * d:
             return details, "linear-independence"
     return details, None

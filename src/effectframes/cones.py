@@ -11,10 +11,10 @@ augmented-basis cone and of a MIC-POM cone, harvests d**2 linearly
 independent common elements with no random choice.  The harvest is a
 re-checkable certificate.
 
-Cone membership queries solve the square coordinate system of the family:
-the expansion of a point over a full operator basis is unique, so its
-coefficients decide membership, and a fit is kept only when its
-recomputed residual is below tolerance.
+Cone membership is decided by the square solve of the family
+(`OperatorBasis.solve`): the expansion of a point over a full operator
+basis is unique, so its coefficients decide membership, and a fit is kept
+only when its recomputed residual is below tolerance.
 
 Witness families are (n, d, d) stacks: candidates are admitted, and a
 certificate re-verified, with one batched effect check and one solve or
@@ -34,10 +34,10 @@ from .operators import (
     OperatorBasis,
     ToleranceConfig,
     _operator_views,
+    coordinate_rank,
     eig_hermitian,
     hermitian_stack,
     hs_distance,
-    numerical_rank,
     operator_from_jsonable,
     operator_to_jsonable,
     operators_from_jsonable,
@@ -175,10 +175,9 @@ def _solve_memberships(
     and the residual recomputed from the clipped coefficients is below
     tolerance; the entry is None otherwise.
     """
-    mat = view.coordinate_matrix
-    exact = np.linalg.solve(mat, targets.T).T
+    exact = view.solve(targets.T, tol).T
     coeffs = np.clip(exact, 0.0, None)
-    residuals = np.linalg.norm(coeffs @ mat.T - targets, axis=1)
+    residuals = np.linalg.norm(coeffs @ view.coordinate_matrix.T - targets, axis=1)
     admitted = (exact.min(axis=1) >= -tol.psd_slack) & (residuals < tol.residual)
     return [
         ConeDecomposition(basis=view, coeffs=c, residual=float(r)) if ok else None
@@ -194,16 +193,10 @@ def cone_membership(
     """Membership test for the cone of nonnegative combinations of a family.
 
     `basis` may be an OperatorBasis or anything carrying a `basis_view`
-    (augmented bases, MIC-POMs).  Returns a decomposition when a
-    nonnegative fit reaches residual below tol.residual, and None
-    otherwise.  Absence is a value, not an error.
-
-    The families accepted here are full operator bases, so the expansion
-    is unique and the square solve settles membership outright: the point
-    lies in the cone iff every coefficient clears -psd_slack.  The
-    residual stored on the result is recomputed from the returned
-    (clipped) coefficients.  This is the one-target case of the stacked
-    admission used by the certificate.
+    (augmented bases, MIC-POMs).  The expansion over a full basis is
+    unique: the point is admitted when every coefficient clears -psd_slack
+    and the residual of the clipped coefficients is below tol.residual.
+    Returns None otherwise; absence is a value, not an error.
     """
     view = _family_view(basis)
     if h.dim != view.dim:
@@ -236,7 +229,7 @@ def interior_point_Edelta(
     if not check.ok:
         raise EpsilonTooLargeError(
             f"epsilon = {epsilon} moves the interior point outside the effects "
-            f"(eigenvalue {check.witness:.12g})",
+            f"(eigenvalue {check.witness!r})",
             witness=float(check.witness),
         )
     return _checked_effect(shifted), delta
@@ -262,10 +255,6 @@ class SpanCertificate:
     memberships: tuple[tuple[ConeDecomposition, ConeDecomposition], ...]
     rank: int
     tol: ToleranceConfig
-
-
-def _witness_rank(mats: np.ndarray, tol: ToleranceConfig) -> int:
-    return numerical_rank(np.linalg.svd(stacked_coordinates(mats), compute_uv=False), tol)
 
 
 def _admit_witnesses(
@@ -354,14 +343,14 @@ def intersection_span_certificate(
     # per unit step along sigma_k D_k; s_k = 1 / rates[k] reaches a face.
     rates = np.zeros(d * d)
     for mem in (mem_a, mem_m):
-        slopes = np.linalg.solve(mem.basis.coordinate_matrix, q) * signs
+        slopes = mem.basis.solve(q, tol) * signs
         rates = np.maximum(rates, np.max(-slopes / mem.coeffs[:, np.newaxis], axis=0))
     steps = cap / np.maximum(1.0, cap * rates)
     candidates = hermitian_stack(
         e_delta.mat + (steps * signs / 2.0)[:, np.newaxis, np.newaxis] * directions.stack
     )
     admitted = _admit_witnesses(candidates, aug_view, mic_view, tol)
-    rank = _witness_rank(candidates, tol)
+    rank = coordinate_rank(stacked_coordinates(candidates)).rank(tol)
     if len(admitted) < d * d or rank < d * d:
         raise CertificateError(
             f"stage orthonormal-shift: {len(admitted)} of {d * d} witnesses admitted, "
@@ -422,9 +411,10 @@ def verify_certificate(
     n = min(len(cert.witnesses), len(cert.memberships))
     if cert.witnesses:
         witnesses = np.stack([w.mat for w in cert.witnesses])
-        rank = _witness_rank(witnesses, tol)
+        coords = stacked_coordinates(witnesses)
+        rank = coordinate_rank(coords).rank(tol)
     if n:
-        targets = stacked_coordinates(witnesses[:n])
+        targets = coords[:n]
         if cert.tol == tol:
             effect_ok = np.ones(n, dtype=bool)
         else:

@@ -146,7 +146,7 @@ class Effect:
         check = is_effect(self.op, tol)
         if not check.ok:
             raise NotAnEffectError(
-                f"eigenvalue {check.witness:.12g} lies outside [0, 1]"
+                f"eigenvalue {check.witness!r} lies outside [0, 1]"
             )
 
     @property
@@ -172,7 +172,7 @@ def effects_of(ops, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Effect, ...]:
         if not check.ok:
             raise NotAnEffectError(
                 f"element {k} is not an effect: "
-                f"eigenvalue {check.witness:.12g} lies outside [0, 1]"
+                f"eigenvalue {check.witness!r} lies outside [0, 1]"
             )
     return tuple(map(_checked_effect, ops))
 

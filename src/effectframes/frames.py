@@ -3,11 +3,11 @@
 A frame function assigns a probability to every effect, additively over
 pairs whose sum is again an effect, with the identity mapped to one.  The
 central result made executable here: such a function is the trace against
-a fixed density operator, and that operator is recoverable from the
-function's values on any MIC-POM via the inverse transpose of a
-change-of-basis matrix.  Frame functions are oracles (evaluation
-contracts), so honest trace functionals, tabulated linear extensions, and
-adversarial non-additive instances share one interface.
+a fixed density operator, whose coordinates the function's values on any
+MIC-POM fix through one square, full-rank linear system.  Frame functions
+are oracles (evaluation contracts), so honest trace functionals, tabulated
+linear extensions, and adversarial non-additive instances share one
+interface.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, ClassVar
 import numpy as np
 
 from .operators import (
-    CoefficientVector,
     DEFAULT_TOL,
     HermitianOperator,
     OperatorBasis,
@@ -31,11 +30,11 @@ from .operators import (
     hs_inner,
     identity,
     _operator_views,
+    operator_from_coordinates,
     operator_from_jsonable,
     operator_to_jsonable,
     operators_from_jsonable,
     operators_to_jsonable,
-    orthonormal_operator_basis,
     real_coordinates,
     stacked_coordinates,
 )
@@ -46,7 +45,6 @@ from .effects import (
     _effects_from_rng,
     effects_of,
     max_scale,
-    psd_sqrt,
     verification_effects,
 )
 
@@ -125,7 +123,7 @@ class TabulatedFrame(FrameFunction):
         return self.basis.dim
 
     def __call__(self, e: Effect) -> float:
-        return float(expand(e.op, self.basis).coeffs @ self.values)
+        return float(expand(e.op, self.basis) @ self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,12 +153,12 @@ def coexisting_pair(
 
     Draws E1 and a free effect F, then squeezes F through the square root
     S of I - E1: the pair (E1, S F S) satisfies E1 + S F S <= I by
-    construction.
+    construction.  S comes from the spectrum of E1, 1 - lambda clipped at 0.
     """
     e1, f = _effects_from_rng(d, rng, 2, tol)
-    s = psd_sqrt(identity(d) - e1.op, tol)
-    e2 = HermitianOperator(s.mat @ f.mat @ s.mat)
-    return e1, Effect(e2, tol)
+    w, v = eig_hermitian(e1.op, tol)
+    s = (v * np.sqrt(np.clip(1.0 - w, 0.0, None))) @ v.conj().T
+    return e1, Effect(HermitianOperator(s @ f.mat @ s), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,30 +242,22 @@ class ReconstructionReport:
 def reconstruct_density(
     f: FrameFunction,
     mic: MicPom,
-    w_basis: OperatorBasis | None = None,
     tol: ToleranceConfig = DEFAULT_TOL,
     test_count: int = 200,
     test_seed: int = 1234,
 ) -> ReconstructionReport:
     """Recover the state behind a frame function from its MIC-POM values.
 
-    The frame vector over the MIC-POM transforms into orthonormal-basis
-    coordinates through the inverse transpose of the change-of-basis
-    matrix; recombining gives the candidate rho_hat.  The report verifies
-    trace, positivity, and the worst |f(E) - Tr(rho_hat E)| over a
-    memoized seeded set of `test_count` effects.  The oracle is queried
-    effect by effect; the traces Tr(rho_hat E) come from one product of the
-    set's cached coordinate matrix with the coordinates of rho_hat.
+    An additive frame's values on the MIC-POM satisfy f_M = M^T r, with M
+    the MIC-POM's coordinate matrix and r the real coordinates of the
+    state: one square solve gives r, and rho_hat is read off it.  The
+    report verifies trace, positivity, and the worst |f(E) - Tr(rho_hat E)|
+    over a memoized seeded set of `test_count` effects, the traces coming
+    from one product with the set's cached coordinate matrix.
     """
     d = mic.dim
-    if w_basis is None:
-        w_basis = orthonormal_operator_basis(d, tol)
-    elif w_basis.kind != "orthonormal":
-        raise ValueError(f"reference basis must be orthonormal, got {w_basis.kind!r}")
     f_m = frame_vector(f, mic.basis_view, tol)
-    cob = change_of_basis(mic.basis_view, w_basis, tol)
-    c_prime = cob.inverse_transpose @ f_m
-    rho_hat = CoefficientVector(basis=w_basis, coeffs=c_prime).recombine()
+    rho_hat = operator_from_coordinates(mic.basis_view.solve(f_m, tol, transpose=True))
     eigs, _ = eig_hermitian(rho_hat, tol)
     trace = rho_hat.trace()
     coords = _verification_coordinates(d, test_seed, test_count)

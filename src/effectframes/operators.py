@@ -3,9 +3,8 @@
 The d x d complex Hermitian matrices form a real vector space of dimension
 d**2 carrying the trace inner product ``<A, B> = Tr(AB)``.  This module
 provides the immutable operator value type, its cached eigendecomposition
-(LAPACK ``eigh``), operator bases of the full space together with
-coordinate expansion and change-of-basis maps, and the JSON wire formats
-for operators and tolerances.
+(LAPACK ``eigh``), operator bases of the full space, and the JSON wire
+formats for operators and tolerances.
 
 Operator families are held as one ``(n, d, d)`` complex stack.
 `hermitian_stack` validates a whole family in one pass (finite entries,
@@ -13,6 +12,10 @@ asymmetry relative to each element's largest entry, symmetrization) and
 the coordinate, recombination, rank and wire-format routines work on the
 stack; each single-operator function is the n = 1 case of its stacked
 version.
+
+Every linear solve of the package is `OperatorBasis.solve`, one square
+system against a basis's coordinate matrix or its transpose, and every
+rank decision is `coordinate_rank`, one SVD per family.
 
 Conventions: eigenvalues are always returned in descending order, operator
 norms are Hilbert-Schmidt (Frobenius) norms, and every public value is
@@ -33,7 +36,7 @@ __all__ = [
     "DEFAULT_TOL",
     "HERMITICITY_ATOL",
     "ChangeOfBasis",
-    "CoefficientVector",
+    "CoordinateRank",
     "DimensionMismatchError",
     "EigensolverError",
     "HermitianOperator",
@@ -44,6 +47,7 @@ __all__ = [
     "change_of_basis",
     "complex_from_jsonable",
     "complex_to_jsonable",
+    "coordinate_rank",
     "eig_hermitian",
     "expand",
     "hs_distance",
@@ -51,6 +55,7 @@ __all__ = [
     "hs_inner",
     "identity",
     "numerical_rank",
+    "operator_from_coordinates",
     "operator_from_jsonable",
     "operator_to_jsonable",
     "operators_from_jsonable",
@@ -354,16 +359,55 @@ def real_coordinates(a: HermitianOperator) -> np.ndarray:
     return stacked_coordinates(a.mat[np.newaxis])[0]
 
 
+def operator_from_coordinates(coords: np.ndarray) -> HermitianOperator:
+    """The Hermitian operator whose `real_coordinates` are `coords`."""
+    d = math.isqrt(len(coords))
+    rows, cols = _strict_upper(d)
+    upper = (coords[d:d + len(rows)] + 1j * coords[d + len(rows):]) / math.sqrt(2.0)
+    mat = np.diag(coords[:d]).astype(np.complex128)
+    mat[rows, cols], mat[cols, rows] = upper, upper.conj()
+    return HermitianOperator(mat)
+
+
+def numerical_rank(singular_values: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+    """Number of singular values (descending) above ``rank_cutoff * sigma_max``."""
+    s = singular_values
+    if s.size == 0 or s[0] <= 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol.rank_cutoff * s[0]))
+
+
+class CoordinateRank(NamedTuple):
+    """Singular values of a family's coordinate matrix, descending and read-only."""
+
+    singular_values: np.ndarray
+
+    @property
+    def ratio(self) -> float:
+        """sigma_min / sigma_max, 0 for a vanishing family."""
+        s = self.singular_values
+        return float(s[-1] / s[0]) if s.size and s[0] > 0 else 0.0
+
+    def rank(self, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+        return numerical_rank(self.singular_values, tol)
+
+
+def coordinate_rank(coords: np.ndarray) -> CoordinateRank:
+    """The package's one SVD: of a family given by its (n, d**2) `stacked_coordinates`."""
+    s = np.linalg.svd(coords.T, compute_uv=False)
+    s.setflags(write=False)
+    return CoordinateRank(s)
+
+
 BASIS_KINDS = ("orthonormal", "augmented", "mic-pom", "generic")
 
 
 class OperatorBasis:
     """A basis of the real vector space of Hermitian operators on C^d.
 
-    Holds exactly d**2 linearly independent Hermitian operators.  Linear
-    independence is certified at construction time through the singular
-    values of the real coordinate matrix; bases tagged ``orthonormal``
-    additionally must have an identity Gram matrix.
+    Holds exactly d**2 linearly independent Hermitian operators, certified
+    at construction by `coordinate_rank` at the basis's tolerances; bases
+    tagged ``orthonormal`` additionally must have an identity Gram matrix.
     """
 
     __slots__ = ("_elements", "_kind", "_tol", "__dict__")
@@ -390,10 +434,11 @@ class OperatorBasis:
         if self.rank < d * d:
             raise SingularBasisError(
                 f"basis is rank deficient: rank {self.rank} < {d * d} "
-                f"(sigma_min/sigma_max = {self.singular_values[-1] / self.singular_values[0]:.3e})"
+                f"(sigma_min/sigma_max = {self._coordinate_rank.ratio:.3e})"
             )
         if kind == "orthonormal":
-            dev = float(np.max(np.abs(self.gram - np.eye(d * d))))
+            m = self.coordinate_matrix
+            dev = float(np.max(np.abs(m.T @ m - np.eye(d * d))))
             if dev > tol.residual:
                 raise ValueError(f"orthonormal basis has Gram deviation {dev:.3e}")
 
@@ -433,48 +478,37 @@ class OperatorBasis:
         return m
 
     @cached_property
-    def gram(self) -> np.ndarray:
-        g = self.coordinate_matrix.T @ self.coordinate_matrix
-        g.setflags(write=False)
-        return g
+    def _coordinate_rank(self) -> CoordinateRank:
+        return coordinate_rank(self.coordinate_matrix.T)
 
-    @cached_property
+    @property
     def singular_values(self) -> np.ndarray:
-        s = np.linalg.svd(self.coordinate_matrix, compute_uv=False)
-        s.setflags(write=False)
-        return s
+        return self._coordinate_rank.singular_values
 
     @property
     def rank(self) -> int:
-        return numerical_rank(self.singular_values, self._tol)
+        return self._coordinate_rank.rank(self._tol)
+
+    def solve(
+        self, targets, tol: ToleranceConfig = DEFAULT_TOL, transpose: bool = False
+    ) -> np.ndarray:
+        """Solve M x = targets (M^T x = targets if `transpose`), M the coordinate matrix.
+
+        `targets` is a vector or a (d**2, k) array of columns.  M x = the
+        coordinates of an operator expands it; M^T x = a functional's values
+        on the elements gives the operator representing it.  Raises
+        `SingularBasisError` unless sigma_min > ``tol.rank_cutoff * sigma_max``.
+        """
+        svd = self._coordinate_rank
+        if svd.rank(tol) < len(self):
+            raise SingularBasisError(
+                f"basis too ill-conditioned to solve (sigma_min/sigma_max = {svd.ratio:.3e})"
+            )
+        m = self.coordinate_matrix
+        return np.linalg.solve(m.T if transpose else m, targets)
 
     def __repr__(self) -> str:
         return f"OperatorBasis(dim={self.dim}, kind={self._kind!r})"
-
-
-@dataclass(frozen=True, eq=False)
-class CoefficientVector:
-    """Coordinates of a Hermitian operator in a given basis."""
-
-    basis: OperatorBasis
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def recombine(self) -> HermitianOperator:
-        """Reassemble sum_j coeffs[j] * basis[j]."""
-        return recombine(self.coeffs, self.basis)
-
-
-def numerical_rank(singular_values: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Number of singular values (descending) above ``rank_cutoff * sigma_max``."""
-    s = singular_values
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_cutoff * s[0]))
 
 
 def recombine(coeffs: np.ndarray, basis: OperatorBasis) -> HermitianOperator:
@@ -519,8 +553,8 @@ def expand(
     h: HermitianOperator,
     basis: OperatorBasis,
     tol: ToleranceConfig = DEFAULT_TOL,
-) -> CoefficientVector:
-    """Coordinates of ``h`` in ``basis`` via the Gram-matrix normal equations.
+) -> np.ndarray:
+    """Coefficients c with sum_j c[j] * basis[j] = h: one `OperatorBasis.solve`.
 
     Raises `SingularBasisError` when the basis condition exceeds the
     configured rank cutoff, and `DimensionMismatchError` on dimension
@@ -528,14 +562,7 @@ def expand(
     """
     if h.dim != basis.dim:
         raise DimensionMismatchError(f"operator dim {h.dim} vs basis dim {basis.dim}")
-    s = basis.singular_values
-    if s[-1] <= tol.rank_cutoff * s[0]:
-        raise SingularBasisError(
-            f"basis too ill-conditioned to expand (sigma_min/sigma_max = {s[-1] / s[0]:.3e})"
-        )
-    rhs = basis.coordinate_matrix.T @ real_coordinates(h)
-    coeffs = np.linalg.solve(basis.gram, rhs)
-    return CoefficientVector(basis=basis, coeffs=coeffs)
+    return basis.solve(real_coordinates(h), tol)
 
 
 class ChangeOfBasis(NamedTuple):
@@ -555,15 +582,15 @@ def change_of_basis(
     dst: OperatorBasis,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> ChangeOfBasis:
-    """Matrix D with ``D @ expand(H, src) = expand(H, dst)`` for all H."""
+    """Matrix D with ``D @ expand(H, src) = expand(H, dst)`` for all H.
+
+    D = M_dst^-1 M_src and D^-T = (M_src^-1 M_dst)^T, M the coordinate
+    matrices, are one multi-RHS `OperatorBasis.solve` each.
+    """
     if src.dim != dst.dim:
         raise DimensionMismatchError(f"basis dims differ: {src.dim} vs {dst.dim}")
-    for basis in (src, dst):
-        s = basis.singular_values
-        if s[-1] <= tol.rank_cutoff * s[0]:
-            raise SingularBasisError("cannot change between rank-deficient bases")
-    d_mat = np.linalg.solve(dst.coordinate_matrix, src.coordinate_matrix)
-    d_invt = np.linalg.solve(src.coordinate_matrix, dst.coordinate_matrix).T
+    d_mat = dst.solve(src.coordinate_matrix, tol)
+    d_invt = src.solve(dst.coordinate_matrix, tol).T
     d_mat.setflags(write=False)
     d_invt.setflags(write=False)
     return ChangeOfBasis(matrix=d_mat, inverse_transpose=d_invt)

@@ -157,7 +157,7 @@ def test_validate_rejects_inflated_sum():
 def test_expand_projector_recovers_scaled_unit_vector():
     basis = augmented_basis_from_onb(EYE2)
     for k, proj in enumerate(complete_projector_basis(EYE2)):
-        coeffs = expand(proj, basis.basis_view).coeffs
+        coeffs = expand(proj, basis.basis_view)
         unit = np.zeros(4)
         unit[k] = 1.0
         assert np.linalg.norm(coeffs * basis.c - unit * 1.0) < 1e-10

@@ -192,6 +192,49 @@ def test_verify_frame_born(capsys, tmp_path):
     assert report["max_violation"] < 1e-12
 
 
+@pytest.mark.parametrize("tolerance", ["1e-16", "1e-17"])
+def test_verify_frame_sampled_pair_failing_caller_tolerance_is_a_verdict(
+    capsys, tmp_path, tolerance
+):
+    # The frame passes its checks; a sampled effect's top eigenvalue is
+    # 1 + 4.4e-16 (at 1e-16) or its lowest -6.9e-17 (at 1e-17).
+    frame_path = tmp_path / "born.json"
+    frame_path.write_text(json.dumps(frame_to_jsonable(BornFrame(random_density(3, 3)))))
+    code, out, err = run_cli(
+        capsys, "verify-frame", "--frame", str(frame_path), "--tol-residual", tolerance
+    )
+    assert code == 1
+    assert "error" not in err
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["subcommand"] == "verify-frame" and report["verdict"] == "fail"
+    assert (report["kind"], report["dim"], report["trials"]) == ("born", 3, 100)
+    assert report["failed_stage"].startswith("stage coexisting-pair: element")
+    assert "eigenvalue 1 lies" not in report["failed_stage"]
+    assert report["tolerances"]["residual"] == float(tolerance)
+
+
+def test_verify_frame_sampler_square_root_holds_at_tight_tolerance(capsys, tmp_path):
+    # The square root of I - E1 comes from E1's own checked spectrum; a
+    # second decomposition of I - E1 gave eigenvalue -1.4e-15 here.
+    frame_path = tmp_path / "born.json"
+    frame_path.write_text(json.dumps(frame_to_jsonable(BornFrame(random_density(2, 3)))))
+    code, out, _ = run_cli(
+        capsys, "verify-frame", "--frame", str(frame_path), "--tol-residual", "1e-15"
+    )
+    assert code == 0
+    assert json.loads(out)["violated"] is None
+
+
+def test_verify_frame_file_failing_caller_tolerance_is_exit_2(capsys, tmp_path):
+    # The state's trace is 1 + 2.2e-16.
+    frame_path = tmp_path / "born.json"
+    frame_path.write_text(json.dumps(frame_to_jsonable(BornFrame(random_density(2, 0)))))
+    code, out, err = run_cli(
+        capsys, "verify-frame", "--frame", str(frame_path), "--tol-residual", "1e-17"
+    )
+    assert (code, out) == (2, "") and err.startswith("error: trace")
+
+
 def test_validate_overfull_pom(capsys, tmp_path):
     bad = {
         "dim": 2,
@@ -702,8 +745,6 @@ def test_generated_onb_failing_caller_tolerance_is_a_verdict(capsys, command, na
 
 
 @pytest.mark.parametrize("dim, seed, tolerance, stage", [
-    # The closed-form reference basis has Gram deviation 2.2e-16.
-    ("3", "1", "1e-16", "stage reference-basis: orthonormal basis has Gram deviation"),
     # Every MIC-POM draw sums to the identity only within rounding.
     ("3", "1", "1e-17", "stage mic-pom: no MIC-POM found for dim 3 after 32 attempts"),
     # The generated state's trace is 1 + 2.2e-16.
@@ -721,6 +762,19 @@ def test_reconstruct_generated_object_failing_caller_tolerance_is_a_verdict(
     assert report["subcommand"] == "reconstruct" and report["verdict"] == "fail"
     assert report["failed_stage"].startswith(stage)
     assert report["tolerances"]["residual"] == float(tolerance)
+
+
+def test_reconstruct_below_rounding_fails_on_deviation(capsys):
+    # State and MIC-POM pass their checks at 1e-16; the reconstruction's
+    # rounding error over the verification effects does not.
+    code, out, err = run_cli(
+        capsys, "reconstruct", "--dim", "3", "--seed", "1", "--tol-residual", "1e-16"
+    )
+    assert code == 1
+    assert "error" not in err
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["verdict"] == "fail" and "failed_stage" not in report
+    assert report["max_deviation"] > 1e-16
 
 
 def test_reconstruct_files_failing_caller_tolerance_are_exit_2(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from effectframes import (
     DEFAULT_TOL,
+    CoordinateRank,
     DimensionMismatchError,
     EigensolverError,
     HermitianOperator,
@@ -16,6 +18,7 @@ from effectframes import (
     SingularBasisError,
     ToleranceConfig,
     change_of_basis,
+    coordinate_rank,
     eig_hermitian,
     expand,
     hermitian_stack,
@@ -23,6 +26,7 @@ from effectframes import (
     hs_inner,
     identity,
     numerical_rank,
+    operator_from_coordinates,
     operator_from_jsonable,
     operator_to_jsonable,
     operators_from_jsonable,
@@ -208,14 +212,15 @@ def test_orthonormal_basis_gram_identity(d):
     assert basis.kind == "orthonormal"
     assert len(basis) == d * d
     assert orthonormal_operator_basis(d) is basis
-    np.testing.assert_allclose(basis.gram, np.eye(d * d), atol=1e-13)
+    m = basis.coordinate_matrix
+    np.testing.assert_allclose(m.T @ m, np.eye(d * d), atol=1e-13)
     for w in basis.elements:
         assert hs_inner(w, w) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_expand_orthonormal_unit_vector():
     basis = orthonormal_operator_basis(2)
-    coeffs = expand(basis.elements[3], basis).coeffs
+    coeffs = expand(basis.elements[3], basis)
     np.testing.assert_allclose(coeffs, [0.0, 0.0, 0.0, 1.0], atol=1e-13)
 
 
@@ -224,7 +229,7 @@ def test_expand_recombine_round_trip(rng):
         basis = orthonormal_operator_basis(d)
         op = random_hermitian(rng, d)
         vec = expand(op, basis)
-        assert hs_distance(vec.recombine(), op) < DEFAULT_TOL.residual
+        assert hs_distance(recombine(vec, basis), op) < DEFAULT_TOL.residual
 
 
 def test_expand_dimension_mismatch():
@@ -293,8 +298,8 @@ def test_change_of_basis_transports_coefficients(rng):
     cob = change_of_basis(src, dst)
     for _ in range(20):
         op = random_hermitian(rng, 3)
-        e_src = expand(op, src).coeffs
-        e_dst = expand(op, dst).coeffs
+        e_src = expand(op, src)
+        e_dst = expand(op, dst)
         assert np.linalg.norm(cob.matrix @ e_src - e_dst) < DEFAULT_TOL.residual
     # inverse transpose consistency: (D^-T)^T D = I
     np.testing.assert_allclose(
@@ -463,7 +468,7 @@ def test_recombine_matches_loop(rng):
     for cj, el in zip(coeffs, basis):
         acc += cj * el.mat
     np.testing.assert_allclose(recombine(coeffs, basis).mat, acc, atol=1e-14)
-    back = expand(HermitianOperator(acc), basis).recombine()
+    back = recombine(expand(HermitianOperator(acc), basis), basis)
     np.testing.assert_allclose(back.mat, acc, atol=1e-14)
 
 
@@ -472,6 +477,52 @@ def test_numerical_rank():
     assert numerical_rank(np.array([3.0, 1.0, 1e-9]), ToleranceConfig(rank_cutoff=1e-12)) == 3
     assert numerical_rank(np.zeros(3), DEFAULT_TOL) == 0
     assert numerical_rank(np.array([]), DEFAULT_TOL) == 0
+
+
+def test_coordinate_rank_reports_rank_and_conditioning():
+    coords = stacked_coordinates(orthonormal_operator_basis(2).stack)
+    full = coordinate_rank(coords)
+    assert full.rank() == 4 and full.ratio == pytest.approx(1.0)
+    np.testing.assert_allclose(full.singular_values, np.ones(4))
+    repeated = coordinate_rank(coords[[0, 1, 2, 0]])
+    assert repeated.rank() == 3 and repeated.ratio < DEFAULT_TOL.rank_cutoff
+    vanishing = coordinate_rank(np.zeros((2, 4)))
+    assert (vanishing.rank(), vanishing.ratio) == (0, 0.0)
+    known = CoordinateRank(np.array([1.0, 1.0, 1.0, 1e-10]))
+    assert known.rank() == 3 and known.rank(ToleranceConfig(rank_cutoff=1e-12)) == 4
+
+
+def test_operator_from_coordinates_inverts_real_coordinates(rng):
+    for d in (2, 3, 4):
+        op = random_hermitian(rng, d)
+        back = operator_from_coordinates(real_coordinates(op))
+        np.testing.assert_allclose(back.mat, op.mat, atol=1e-15)
+
+
+def test_basis_solve_covers_coordinates_and_functionals(rng):
+    basis = OperatorBasis([random_hermitian(rng, 3) for _ in range(9)])
+    ops = [random_hermitian(rng, 3) for _ in range(2)]
+    coeffs = basis.solve(stacked_coordinates(np.stack([op.mat for op in ops])).T)
+    for k, op in enumerate(ops):
+        np.testing.assert_allclose(coeffs[:, k], expand(op, basis), atol=1e-12)
+        assert hs_distance(recombine(coeffs[:, k], basis), op) < 1e-12
+    values = np.array([hs_inner(ops[0], b) for b in basis])
+    np.testing.assert_allclose(
+        basis.solve(values, transpose=True), real_coordinates(ops[0]), atol=1e-12
+    )
+    with pytest.raises(SingularBasisError):
+        basis.solve(values, ToleranceConfig(rank_cutoff=1.0))
+
+
+def test_solves_and_singular_value_decompositions_live_in_operators():
+    """One square solve and one rank routine: no other module calls LAPACK for them."""
+    package = Path(__file__).resolve().parents[1] / "src" / "effectframes"
+    for call in ("linalg.solve(", "linalg.svd("):
+        counts = {
+            path.name: path.read_text(encoding="utf-8").count(call)
+            for path in sorted(package.glob("*.py"))
+        }
+        assert {name: n for name, n in counts.items() if n} == {"operators.py": 1}, call
 
 
 def test_tolerance_codec_round_trip():
