@@ -37,7 +37,7 @@ from .operators import (
     operators_to_jsonable,
     stacked_coordinates,
 )
-from .effects import Effect, NotAnEffectError, POM, _spectrum_checks, effects_of
+from .effects import Effect, POM, _spectrum_checks, effects_of
 
 __all__ = [
     "AugmentedBasis",
@@ -61,6 +61,8 @@ def _as_onb_matrix(onb, tol: ToleranceConfig) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected d vectors of length d as matrix columns, got shape {u.shape}")
     d = u.shape[0]
+    if d < 2:
+        raise ValueError("dimension must be at least 2")
     dev = float(np.linalg.norm(u.conj().T @ u - np.eye(d)))
     if dev > tol.residual:
         raise NotOrthonormalError(
@@ -106,9 +108,10 @@ class AugmentedBasis:
     onb : complex d x d array whose columns are the orthonormal vectors
     ops : the d**2 scaled rank-one operators B_j
     c : common scale of the first d elements, in (0, 1) when valid
-    gamma : top eigenvalue of the projector sum G (so c defaults to 1/gamma)
-    tol : tolerances of the effect checks of `elements` and `completion`
-        and of the rank certificate of `basis_view`
+        (1/gamma when built by `augmented_basis_from_onb`)
+    gamma : top eigenvalue of the projector sum G
+    tol : tolerances of the effect checks of `elements` and `as_pom` and
+        of the rank certificate of `basis_view`
     """
 
     onb: np.ndarray
@@ -150,52 +153,38 @@ class AugmentedBasis:
 
     @cached_property
     def basis_view(self) -> OperatorBasis:
-        return OperatorBasis(self.ops, kind="augmented", tol=self.tol)
+        return OperatorBasis(self.ops, self.tol)
 
     @cached_property
     def element_sum(self) -> HermitianOperator:
         return HermitianOperator(self.stack.sum(axis=0))
 
     @cached_property
-    def completion(self) -> Effect:
-        """The deficit I - sum(B_j), the extra element of the POM closure."""
-        return Effect(identity(self.dim) - self.element_sum, self.tol)
+    def completion(self) -> HermitianOperator:
+        """The deficit I - sum(B_j), the extra element of the POM closure.
 
-    def as_pom(self, tol: ToleranceConfig = DEFAULT_TOL) -> POM:
-        """POM closure: the d**2 elements followed by the completion element."""
-        return POM(self.elements + (self.completion,), tol)
+        Unchecked: `validate_augmented` judges the element sum, and
+        `as_pom` checks the deficit as an effect.
+        """
+        return identity(self.dim) - self.element_sum
+
+    def as_pom(self) -> POM:
+        """POM closure: the d**2 elements followed by the completion, checked at `tol`."""
+        return POM(self.elements + (Effect(self.completion, self.tol),), self.tol)
 
 
-def augmented_basis_from_onb(
-    onb,
-    c: float | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> AugmentedBasis:
+def augmented_basis_from_onb(onb, tol: ToleranceConfig = DEFAULT_TOL) -> AugmentedBasis:
     """Scale the completed projector family into an augmented basis.
 
-    With the default ``c = None`` the scale is 1/Gamma, Gamma being the top
-    eigenvalue of the projector sum; the scaled sum then has top eigenvalue
-    exactly one.  An explicit override c in (0, 1) is accepted only when
-    c * Gamma <= 1 still holds, i.e. the rescaled family keeps an effect
-    for its sum; otherwise the offending eigenvalue is reported.
+    The scale is c = 1/Gamma, Gamma being the top eigenvalue of the
+    projector sum; the scaled sum then has top eigenvalue exactly one.
     """
     u = _as_onb_matrix(onb, tol)
     projs = _projector_stack(u)
-    gamma = float(eig_hermitian(HermitianOperator(projs.sum(axis=0)), tol)[0][0])
-    if c is None:
-        c_val = 1.0 / gamma
-    else:
-        c_val = float(c)
-        if not 0.0 < c_val < 1.0:
-            raise ValueError(f"scale c must lie in (0, 1), got {c_val!r}")
-        top = c_val * gamma
-        if top > 1.0 + tol.psd_slack:
-            raise NotAnEffectError(
-                f"override c = {c_val} gives the element sum top eigenvalue "
-                f"{top!r} > 1"
-            )
-    ops = _operator_views(hermitian_stack(c_val * projs))
-    basis = AugmentedBasis(onb=u, ops=ops, c=c_val, gamma=gamma, tol=tol)
+    gamma = float(eig_hermitian(HermitianOperator(projs.sum(axis=0)))[0][0])
+    c = 1.0 / gamma
+    ops = _operator_views(hermitian_stack(c * projs))
+    basis = AugmentedBasis(onb=u, ops=ops, c=c, gamma=gamma, tol=tol)
     basis.basis_view  # certify linear independence eagerly
     return basis
 
@@ -278,7 +267,7 @@ def validate_augmented(
     )
 
     # Condition 2: the element sum is an effect (one decomposition, descending).
-    w_sum, _ = eig_hermitian(basis.element_sum, tol)
+    w_sum, _ = eig_hermitian(basis.element_sum)
     check = _spectrum_checks(w_sum[-1:], w_sum[:1], tol)[0]
     conditions["sum-effect"] = ConditionResult(
         passed=check.ok,

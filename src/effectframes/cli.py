@@ -37,8 +37,6 @@ if TYPE_CHECKING:
 
 _MIC_SEED_OFFSET = 1000003
 _CONE_MIC_SEED_OFFSET = 7919
-_TEST_SET_SEED = 1234
-_TEST_SET_COUNT = 200
 
 
 def _tolerances(args) -> ToleranceConfig:
@@ -95,7 +93,7 @@ def _cmd_reconstruct(args) -> tuple[dict, bool]:
         random_density,
         random_mic_pom,
     )
-    from .frames import BornFrame, reconstruct_density
+    from .frames import TEST_EFFECT_COUNT, TEST_EFFECT_SEED, BornFrame, reconstruct_density
     from .operators import operator_from_jsonable, operator_to_jsonable, tolerance_to_jsonable
 
     tol = _tolerances(args)
@@ -125,9 +123,7 @@ def _cmd_reconstruct(args) -> tuple[dict, bool]:
         mic_source = "generated"
     if rho.dim != d or mic.dim != d:
         raise ValueError("state or MIC-POM dimension disagrees with --dim")
-    report = reconstruct_density(
-        BornFrame(rho), mic, tol, test_count=_TEST_SET_COUNT, test_seed=_TEST_SET_SEED
-    )
+    report = reconstruct_density(BornFrame(rho), mic, tol)
     distance = float(np.linalg.norm(report.rho_hat.mat - rho.mat))
     body = {
         "subcommand": "reconstruct",
@@ -140,7 +136,7 @@ def _cmd_reconstruct(args) -> tuple[dict, bool]:
         "max_deviation": report.max_deviation,
         "state_distance": distance,
         "rho_hat": operator_to_jsonable(report.rho_hat),
-        "test_effects": {"count": _TEST_SET_COUNT, "seed": _TEST_SET_SEED},
+        "test_effects": {"count": TEST_EFFECT_COUNT, "seed": TEST_EFFECT_SEED},
         "tolerances": tolerance_to_jsonable(tol),
         "verdict": "pass" if report.verdict else "fail",
     }
@@ -234,7 +230,7 @@ def _cmd_augbasis(args) -> tuple[dict, bool]:
         "dim": d,
         "seed": args.seed,
         **augmented_basis_to_jsonable(basis),
-        "completion": operator_to_jsonable(basis.completion.op),
+        "completion": operator_to_jsonable(basis.completion),
         "sum_identity_gap": report.sum_identity_gap,
         "validation": {
             name: {"passed": res.passed, "witness": res.witness, "detail": res.detail}

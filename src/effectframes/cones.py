@@ -134,7 +134,7 @@ def cone_decompose_spectral(
     construction.
     """
     d = e.dim
-    w, v = eig_hermitian(e.op, tol)
+    w, v = eig_hermitian(e.op)
     basis = augmented_basis_from_onb(v, tol=tol)
     coeffs = np.zeros(d * d)
     coeffs[:d] = np.clip(w, 0.0, None) / basis.c
@@ -286,7 +286,6 @@ def intersection_span_certificate(
     basis: AugmentedBasis,
     mic: MicPom,
     epsilon: float | None = None,
-    seed: int = 0,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> SpanCertificate:
     """Harvest d**2 linearly independent effects common to both cones.
@@ -301,7 +300,7 @@ def intersection_span_certificate(
     determinant is det(Q diag(s sigma/2)) (1 + sum_k 2<E_delta, D_k>/(sigma_k
     s_k)), and the signs make every term positive.  The witnesses are
     re-verified in both cones and must reach rank d**2; otherwise
-    `CertificateError` names the failing stage.  `seed` is ignored.
+    `CertificateError` names the failing stage.
     """
     d = basis.dim
     if mic.dim != d:

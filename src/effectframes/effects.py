@@ -196,7 +196,7 @@ def coexists(e1: Effect, e2: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool
 
 def max_scale(e: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Largest x such that x*E is still an effect, namely 1/lambda_max(E)."""
-    w, _ = eig_hermitian(e.op, tol)
+    w, _ = eig_hermitian(e.op)
     top = float(w[0])
     if top <= tol.psd_slack:
         raise ValueError("the zero effect admits arbitrary scaling; no finite bound")
@@ -271,9 +271,7 @@ class MicPom:
 
     @cached_property
     def basis_view(self) -> OperatorBasis:
-        return OperatorBasis(
-            [e.op for e in self.pom], kind="mic-pom", tol=self._tol
-        )
+        return OperatorBasis([e.op for e in self.pom], self._tol)
 
     @property
     def dim(self) -> int:
@@ -301,7 +299,7 @@ class DensityOperator:
         tr = self.op.trace()
         if abs(tr - 1.0) > tol.residual:
             raise NotADensityError(f"trace {tr!r} differs from 1 beyond {tol.residual:.1e}")
-        w, _ = eig_hermitian(self.op, tol)
+        w, _ = eig_hermitian(self.op)
         if float(w[-1]) < -tol.psd_slack:
             raise NotADensityError(f"negative eigenvalue {float(w[-1]):.3e}")
 
@@ -320,7 +318,7 @@ def psd_sqrt(h: HermitianOperator, tol: ToleranceConfig = DEFAULT_TOL) -> Hermit
     Eigenvalues in [-psd_slack, 0) are clamped to zero; anything more
     negative is rejected.
     """
-    w, v = eig_hermitian(h, tol)
+    w, v = eig_hermitian(h)
     if float(w[-1]) < -tol.psd_slack:
         raise ValueError(f"operator is not positive (eigenvalue {float(w[-1]):.3e})")
     roots = np.sqrt(np.clip(w, 0.0, None))
@@ -423,19 +421,18 @@ def random_effect(d: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL) -> Effe
     return _effects_from_rng(d, np.random.default_rng(seed), 1, tol)[0]
 
 
-def random_mic_pom(
-    d: int,
-    seed: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    retries: int = 32,
-) -> MicPom:
+# Draws `random_mic_pom` makes on one random stream before it gives up.
+_MIC_POM_ATTEMPTS = 32
+
+
+def random_mic_pom(d: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL) -> MicPom:
     """Seeded MIC-POM in any dimension d >= 2.
 
     Draws d**2 random rank-one positive operators, rescales the family so
     its sum has top eigenvalue 1/2, then adds the deficit (I - sum)/d**2 to
     every element.  The result sums to the identity exactly; effect and
-    rank-d**2 conditions are re-verified, retrying on the same random
-    stream up to `retries` times.
+    rank-d**2 conditions are re-verified, drawing again from the same
+    random stream up to 32 times.
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
@@ -443,11 +440,11 @@ def random_mic_pom(
     eye = np.eye(d, dtype=np.complex128)
     vecs = np.empty((d * d, d), dtype=np.complex128)
     failure = None
-    for _ in range(retries):
+    for _ in range(_MIC_POM_ATTEMPTS):
         for k in range(d * d):
             vecs[k] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         mats = vecs[:, :, np.newaxis] * vecs[:, np.newaxis, :].conj()
-        top = float(eig_hermitian(HermitianOperator(mats.sum(axis=0)), tol)[0][0])
+        top = float(eig_hermitian(HermitianOperator(mats.sum(axis=0)))[0][0])
         mats *= 0.5 / top
         deficit = (eye - mats.sum(axis=0)) / (d * d)
         try:
@@ -456,7 +453,7 @@ def random_mic_pom(
         except (NotAnEffectError, PomIdentityError, SingularBasisError) as exc:
             failure = exc
     raise GenerationRetryError(
-        f"no MIC-POM found for dim {d} after {retries} attempts (seed {seed})"
+        f"no MIC-POM found for dim {d} after {_MIC_POM_ATTEMPTS} attempts (seed {seed})"
     ) from failure
 
 

@@ -55,6 +55,8 @@ if TYPE_CHECKING:
     from .cones import SpanCertificate
 
 __all__ = [
+    "TEST_EFFECT_COUNT",
+    "TEST_EFFECT_SEED",
     "AdditivityReport",
     "AdversarialSquareFrame",
     "BornFrame",
@@ -71,6 +73,11 @@ __all__ = [
     "reconstruct_density",
     "restriction_linearity_check",
 ]
+
+
+# The seeded verification set every reconstruction is checked against.
+TEST_EFFECT_COUNT = 200
+TEST_EFFECT_SEED = 1234
 
 
 class FrameFunction:
@@ -156,7 +163,7 @@ def coexisting_pair(
     construction.  S comes from the spectrum of E1, 1 - lambda clipped at 0.
     """
     e1, f = _effects_from_rng(d, rng, 2, tol)
-    w, v = eig_hermitian(e1.op, tol)
+    w, v = eig_hermitian(e1.op)
     s = (v * np.sqrt(np.clip(1.0 - w, 0.0, None))) @ v.conj().T
     return e1, Effect(HermitianOperator(s @ f.mat @ s), tol)
 
@@ -211,8 +218,9 @@ def frame_vector(
 ) -> np.ndarray:
     """Component j is f(B_j); every basis element must be an effect.
 
-    `basis` may be an OperatorBasis of raw Hermitian operators or a
-    family (POM, MIC-POM) whose iteration already yields effects.
+    `basis` may be an OperatorBasis of raw Hermitian operators, checked
+    here, or a family (POM, MIC-POM, tuple of effects) whose iteration
+    already yields checked effects.
     """
     if isinstance(basis, OperatorBasis):
         basis = effects_of(basis.elements, tol)  # the error names the element
@@ -220,9 +228,9 @@ def frame_vector(
 
 
 @lru_cache(maxsize=64)
-def _verification_coordinates(d: int, seed: int, count: int) -> np.ndarray:
-    """(count, d**2) real coordinates of the memoized verification effects."""
-    effects = verification_effects(d, seed, count)
+def _verification_coordinates(d: int) -> np.ndarray:
+    """(TEST_EFFECT_COUNT, d**2) real coordinates of the reconstruction test set."""
+    effects = verification_effects(d, TEST_EFFECT_SEED, TEST_EFFECT_COUNT)
     coords = stacked_coordinates(np.stack([e.mat for e in effects]))
     coords.setflags(write=False)
     return coords
@@ -240,11 +248,7 @@ class ReconstructionReport:
 
 
 def reconstruct_density(
-    f: FrameFunction,
-    mic: MicPom,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    test_count: int = 200,
-    test_seed: int = 1234,
+    f: FrameFunction, mic: MicPom, tol: ToleranceConfig = DEFAULT_TOL
 ) -> ReconstructionReport:
     """Recover the state behind a frame function from its MIC-POM values.
 
@@ -252,17 +256,18 @@ def reconstruct_density(
     the MIC-POM's coordinate matrix and r the real coordinates of the
     state: one square solve gives r, and rho_hat is read off it.  The
     report verifies trace, positivity, and the worst |f(E) - Tr(rho_hat E)|
-    over a memoized seeded set of `test_count` effects, the traces coming
-    from one product with the set's cached coordinate matrix.
+    over the memoized `verification_effects` (`TEST_EFFECT_COUNT` effects
+    from `TEST_EFFECT_SEED`), the traces coming from one product with the
+    set's cached coordinate matrix.
     """
     d = mic.dim
-    f_m = frame_vector(f, mic.basis_view, tol)
+    f_m = frame_vector(f, mic, tol)
     rho_hat = operator_from_coordinates(mic.basis_view.solve(f_m, tol, transpose=True))
-    eigs, _ = eig_hermitian(rho_hat, tol)
+    eigs, _ = eig_hermitian(rho_hat)
     trace = rho_hat.trace()
-    coords = _verification_coordinates(d, test_seed, test_count)
-    predicted = coords @ real_coordinates(rho_hat)
-    observed = np.array([f(e) for e in verification_effects(d, test_seed, test_count)])
+    predicted = _verification_coordinates(d) @ real_coordinates(rho_hat)
+    effects = verification_effects(d, TEST_EFFECT_SEED, TEST_EFFECT_COUNT)
+    observed = np.array([f(e) for e in effects])
     max_dev = float(np.max(np.abs(observed - predicted), initial=0.0))
     verdict = (
         abs(trace - 1.0) <= tol.residual
@@ -307,8 +312,8 @@ def consistency_DT(
     for ours_e, theirs_e in zip(mic.effects, cert.mic.effects):
         if hs_distance(ours_e.op, theirs_e.op) > tol.residual:
             raise CertificateError("certificate binds a different MIC-POM")
-    f_b = frame_vector(f, basis.basis_view, tol)
-    f_m = frame_vector(f, mic.basis_view, tol)
+    f_b = frame_vector(f, basis.elements, tol)
+    f_m = frame_vector(f, mic, tol)
     cob = change_of_basis(basis.basis_view, mic.basis_view, tol)
     return float(np.linalg.norm(cob.inverse_transpose @ f_b - f_m))
 
@@ -394,8 +399,6 @@ def frame_from_jsonable(obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> FrameF
             DensityOperator(operator_from_jsonable(obj["rho"]), tol)
         )
     if kind == "tabulated":
-        basis = OperatorBasis(
-            _operator_views(operators_from_jsonable(obj["basis"])), kind="generic", tol=tol
-        )
+        basis = OperatorBasis(_operator_views(operators_from_jsonable(obj["basis"])), tol)
         return TabulatedFrame(basis=basis, values=np.array(obj["values"], dtype=np.float64))
     raise ValueError(f"unknown frame kind {kind!r}")

@@ -128,11 +128,11 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-def hermitian_stack(entries, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+def hermitian_stack(entries) -> np.ndarray:
     """Validate a family of Hermitian matrices as one read-only (n, d, d) stack.
 
     Every element must be finite and have asymmetry ``max|M - M^dagger|``
-    within ``atol * max(1, max|M_k|)``, its own largest entry setting the
+    within ``HERMITICITY_ATOL * max(1, max|M_k|)``, its own largest entry setting the
     scale; the returned stack holds ``(M + M^dagger) / 2``, an exact no-op
     for already-Hermitian IEEE input.  Entries so large that this sum
     overflows count as non-finite, and non-finite entries are reported
@@ -150,11 +150,11 @@ def hermitian_stack(entries, atol: float = HERMITICITY_ATOL) -> np.ndarray:
         mats = (mats + adjoint) / 2
     if not np.isfinite(mats.view(np.float64)).all():
         raise ValueError("matrix entries must be finite, also once symmetrized")
-    bad = asym > atol * scale
+    bad = asym > HERMITICITY_ATOL * scale
     if bad.any():
         k = int(bad.argmax())
         raise NonHermitianError(
-            f"matrix asymmetry {asym[k]:.3e} exceeds {atol:.1e} * {scale[k]:.3e}"
+            f"matrix asymmetry {asym[k]:.3e} exceeds {HERMITICITY_ATOL:.1e} * {scale[k]:.3e}"
         )
     mats.setflags(write=False)
     return mats
@@ -165,16 +165,16 @@ class HermitianOperator:
 
     The stored matrix satisfies ``mat[j, k] == conj(mat[k, j])`` exactly.
     Construction is the one-element case of `hermitian_stack`: raw input
-    whose asymmetry exceeds `atol` is rejected, the rest symmetrized.
+    whose asymmetry exceeds `HERMITICITY_ATOL` is rejected, the rest symmetrized.
     """
 
     __slots__ = ("_mat", "_eig_cache")
 
-    def __init__(self, entries, *, atol: float = HERMITICITY_ATOL):
+    def __init__(self, entries):
         mat = np.asarray(entries, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        object.__setattr__(self, "_mat", hermitian_stack(mat[np.newaxis], atol)[0])
+        object.__setattr__(self, "_mat", hermitian_stack(mat[np.newaxis])[0])
         object.__setattr__(self, "_eig_cache", None)
 
     def __setattr__(self, name, value):
@@ -271,18 +271,8 @@ def hs_distance(a: HermitianOperator, b: HermitianOperator) -> float:
 # Spectral decomposition
 # ---------------------------------------------------------------------------
 
-def eig_hermitian(
-    a: HermitianOperator, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(a: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a Hermitian operator (LAPACK ``eigh``).
-
-    Parameters
-    ----------
-    a : HermitianOperator
-        Operator to diagonalize.
-    tol : ToleranceConfig
-        Accepted so that every spectral caller shares one signature; the
-        decomposition does not depend on it.
 
     Returns
     -------
@@ -399,28 +389,19 @@ def coordinate_rank(coords: np.ndarray) -> CoordinateRank:
     return CoordinateRank(s)
 
 
-BASIS_KINDS = ("orthonormal", "augmented", "mic-pom", "generic")
-
-
 class OperatorBasis:
     """A basis of the real vector space of Hermitian operators on C^d.
 
     Holds exactly d**2 linearly independent Hermitian operators, certified
-    at construction by `coordinate_rank` at the basis's tolerances; bases
-    tagged ``orthonormal`` additionally must have an identity Gram matrix.
+    at construction by `coordinate_rank` at the basis's tolerances.
     """
 
-    __slots__ = ("_elements", "_kind", "_tol", "__dict__")
+    __slots__ = ("_elements", "_tol", "__dict__")
 
     def __init__(
-        self,
-        elements: Iterable[HermitianOperator],
-        kind: str = "generic",
-        tol: ToleranceConfig = DEFAULT_TOL,
+        self, elements: Iterable[HermitianOperator], tol: ToleranceConfig = DEFAULT_TOL
     ):
         elements = tuple(elements)
-        if kind not in BASIS_KINDS:
-            raise ValueError(f"unknown basis kind {kind!r}")
         if not elements:
             raise ValueError("basis needs at least one element")
         d = elements[0].dim
@@ -429,26 +410,16 @@ class OperatorBasis:
         if len(elements) != d * d:
             raise ValueError(f"expected {d * d} elements for dim {d}, got {len(elements)}")
         self._elements = elements
-        self._kind = kind
         self._tol = tol
         if self.rank < d * d:
             raise SingularBasisError(
                 f"basis is rank deficient: rank {self.rank} < {d * d} "
                 f"(sigma_min/sigma_max = {self._coordinate_rank.ratio:.3e})"
             )
-        if kind == "orthonormal":
-            m = self.coordinate_matrix
-            dev = float(np.max(np.abs(m.T @ m - np.eye(d * d))))
-            if dev > tol.residual:
-                raise ValueError(f"orthonormal basis has Gram deviation {dev:.3e}")
 
     @property
     def dim(self) -> int:
         return self._elements[0].dim
-
-    @property
-    def kind(self) -> str:
-        return self._kind
 
     @property
     def elements(self) -> tuple[HermitianOperator, ...]:
@@ -508,7 +479,7 @@ class OperatorBasis:
         return np.linalg.solve(m.T if transpose else m, targets)
 
     def __repr__(self) -> str:
-        return f"OperatorBasis(dim={self.dim}, kind={self._kind!r})"
+        return f"OperatorBasis(dim={self.dim})"
 
 
 def recombine(coeffs: np.ndarray, basis: OperatorBasis) -> HermitianOperator:
@@ -546,7 +517,7 @@ def orthonormal_operator_basis(d: int, tol: ToleranceConfig = DEFAULT_TOL) -> Op
             antisym[j, k] = -1j / math.sqrt(2.0)
             antisym[k, j] = 1j / math.sqrt(2.0)
             ops.append(HermitianOperator(antisym))
-    return OperatorBasis(ops, kind="orthonormal", tol=tol)
+    return OperatorBasis(ops, tol)
 
 
 def expand(
@@ -623,7 +594,7 @@ def operators_to_jsonable(mats: np.ndarray) -> list[dict]:
     return [{"dim": d, "entries": grid} for grid in complex_to_jsonable(mats)]
 
 
-def operators_from_jsonable(items, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+def operators_from_jsonable(items) -> np.ndarray:
     """Parse a non-empty list of operator objects into one validated stack.
 
     Malformed objects raise `ValueError`, asymmetric ones
@@ -640,9 +611,9 @@ def operators_from_jsonable(items, atol: float = HERMITICITY_ATOL) -> np.ndarray
         raise ValueError("expected at least one operator")
     if any(g.shape != grids[0].shape for g in grids):
         for g in grids:
-            hermitian_stack(g[np.newaxis], atol)
+            hermitian_stack(g[np.newaxis])
         raise DimensionMismatchError("operators of one family must share one dimension")
-    return hermitian_stack(grids, atol)
+    return hermitian_stack(grids)
 
 
 def operator_to_jsonable(a: HermitianOperator) -> dict:
@@ -650,13 +621,13 @@ def operator_to_jsonable(a: HermitianOperator) -> dict:
     return operators_to_jsonable(a.mat[np.newaxis])[0]
 
 
-def operator_from_jsonable(obj: dict, atol: float = HERMITICITY_ATOL) -> HermitianOperator:
+def operator_from_jsonable(obj: dict) -> HermitianOperator:
     """Parse the operator wire format, rejecting non-Hermitian input.
 
-    Asymmetry beyond ``atol`` (relative to the largest entry) raises
+    Asymmetry beyond ``HERMITICITY_ATOL`` (relative to the largest entry) raises
     `NonHermitianError`; malformed payloads raise `ValueError`.
     """
-    return _operator_views(operators_from_jsonable([obj], atol))[0]
+    return _operator_views(operators_from_jsonable([obj]))[0]
 
 
 def tolerance_to_jsonable(tol: ToleranceConfig) -> dict:

@@ -92,7 +92,7 @@ def test_criterion_04_intersection_certificates():
         for seed in range(20):
             basis = ef.augmented_basis_from_onb(ef.random_onb(d, 800 + seed))
             mic = ef.random_mic_pom(d, 900 + seed)
-            cert = ef.intersection_span_certificate(basis, mic, seed=seed)
+            cert = ef.intersection_span_certificate(basis, mic)
             assert cert.rank == d * d, f"rank {cert.rank} at d={d} seed={seed}"
             blob = json.dumps(ef.certificate_to_jsonable(cert), sort_keys=True)
             back = ef.certificate_from_jsonable(json.loads(blob))
@@ -114,7 +114,7 @@ def test_criterion_05_coordinate_consistency():
         for seed in range(25):
             basis = ef.augmented_basis_from_onb(ef.random_onb(d, 1100 + seed))
             mic = ef.random_mic_pom(d, 1200 + seed)
-            cert = ef.intersection_span_certificate(basis, mic, seed=seed)
+            cert = ef.intersection_span_certificate(basis, mic)
             f = ef.BornFrame(ef.random_density(d, 1300 + seed))
             worst = max(worst, ef.consistency_DT(f, basis, mic, cert))
     _report(

@@ -172,28 +172,23 @@ def test_completion_makes_a_pom():
         assert hs_distance(pom.total(), identity(d)) < 1e-10
 
 
+def test_completion_is_checked_as_an_effect_only_by_as_pom():
+    # At residual 2e-16 the completion's eigenvalue -5.2e-16 is outside [0, 1].
+    tol = ToleranceConfig(residual=2e-16, psd_slack=2e-16)
+    basis = augmented_basis_from_onb(random_onb(2, 22), tol=tol)
+    assert float(np.linalg.eigvalsh(basis.completion.mat)[0]) < -tol.psd_slack
+    report = validate_augmented(basis, tol)
+    assert [name for name, res in report.conditions.items() if not res.passed] == ["sum-effect"]
+    with pytest.raises(NotAnEffectError):
+        basis.as_pom()
+
+
 def test_elements_are_effects():
     basis = augmented_basis_from_onb(random_onb(3, 8))
     assert all(isinstance(e, Effect) for e in basis.elements)
     head = basis.elements[0]
     w, _ = eig_hermitian(head.op)
     assert w[0] == pytest.approx(basis.c, abs=1e-12)
-
-
-def test_custom_c_accepted_when_sum_stays_effect():
-    basis = augmented_basis_from_onb(EYE2, c=0.25)
-    assert basis.c == 0.25
-    assert validate_augmented(basis).passed
-
-
-def test_custom_c_rejected_when_sum_leaves_effects():
-    with pytest.raises(NotAnEffectError):
-        augmented_basis_from_onb(EYE2, c=0.9)
-
-
-def test_custom_c_rejected_outside_unit_interval():
-    with pytest.raises(ValueError):
-        augmented_basis_from_onb(EYE2, c=1.0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

@@ -274,6 +274,15 @@ def test_validate_sic_as_mic_pom(capsys, tmp_path):
     report = json.loads(out)
     assert report["violated"] is None
     assert report["details"]["rank"] == 4
+    # POMs on C^2 that are not MIC-POMs, one per remaining verdict.
+    for count, violated in ((1, "size"), (3, "element-count"), (4, "linear-independence")):
+        effect = operator_to_jsonable(identity(2) * (1.0 / count))
+        path.write_text(json.dumps({"dim": 2, "effects": [effect] * count}))
+        code, out, _ = run_cli(capsys, "validate", "--kind", "mic-pom", "--in", str(path))
+        report = json.loads(out)
+        assert (code, report["violated"]) == (1, violated)
+        assert report["details"]["count"] == count
+    assert report["details"]["rank"] == 1
 
 
 def test_validate_operator(capsys, tmp_path):
@@ -792,3 +801,26 @@ def test_reconstruct_files_failing_caller_tolerance_are_exit_2(capsys, tmp_path)
         "--tol-residual", "1e-17",
     )
     assert (code, out) == (2, "") and err.startswith("error: effects sum to identity")
+
+
+@pytest.mark.parametrize("argv", [
+    # The closed-form directions have Gram deviation 2.2e-16 to 4.4e-16.
+    ("certify-cone", "--dim", "4", "--seed", "15", "--tol-residual", "4.3e-16"),
+    ("certify-cone", "--dim", "2", "--seed", "26", "--tol-residual", "1e-16"),
+    ("certify-cone", "--dim", "3", "--seed", "18", "--tol-residual", "2e-16"),
+    # The completion I - sum(B_j) has eigenvalue -5.2e-16.
+    ("augbasis", "--dim", "2", "--seed", "22", "--tol-residual", "2e-16"),
+])
+def test_generated_objects_at_tight_tolerances_give_a_verdict(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 1)
+    assert "error:" not in err
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["verdict"] == ("pass" if code == 0 else "fail")
+
+
+@pytest.mark.parametrize("dim", ["0", "1"])
+def test_augbasis_dimension_below_two_is_exit_2(capsys, dim):
+    code, out, err = run_cli(capsys, "augbasis", "--dim", dim)
+    assert (code, out) == (2, "")
+    assert err == "error: dimension must be at least 2\n"

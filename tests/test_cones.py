@@ -184,7 +184,7 @@ def test_interior_point_rejects_nonpositive_epsilon():
 
 def test_certificate_d2_canonical():
     basis = augmented_basis_from_onb(EYE2)
-    cert = intersection_span_certificate(basis, sic_mic_pom(), seed=0)
+    cert = intersection_span_certificate(basis, sic_mic_pom())
     assert cert.rank == 4
     assert len(cert.witnesses) == 4
     assert all(is_effect(w.op).ok for w in cert.witnesses)
@@ -196,14 +196,14 @@ def test_certificate_d2_canonical():
 def test_certificate_d3_seeded():
     basis = augmented_basis_from_onb(random_onb(3, 5))
     mic = random_mic_pom(3, 6)
-    cert = intersection_span_certificate(basis, mic, seed=5)
+    cert = intersection_span_certificate(basis, mic)
     assert cert.rank == 9
     assert verify_certificate(cert).passed
 
 
 def test_certificate_membership_coefficients_nonnegative():
     basis = augmented_basis_from_onb(EYE2)
-    cert = intersection_span_certificate(basis, sic_mic_pom(), seed=1)
+    cert = intersection_span_certificate(basis, sic_mic_pom())
     for mem_a, mem_m in cert.memberships:
         assert np.all(mem_a.coeffs >= -DEFAULT_TOL.psd_slack)
         assert np.all(mem_m.coeffs >= -DEFAULT_TOL.psd_slack)
@@ -214,7 +214,7 @@ def test_certificate_membership_coefficients_nonnegative():
 def test_certificate_serialization_round_trip():
     basis = augmented_basis_from_onb(random_onb(2, 3))
     mic = random_mic_pom(2, 4)
-    cert = intersection_span_certificate(basis, mic, seed=3)
+    cert = intersection_span_certificate(basis, mic)
     blob = json.dumps(certificate_to_jsonable(cert), sort_keys=True)
     back = certificate_from_jsonable(json.loads(blob))
     report = verify_certificate(back)
@@ -226,7 +226,7 @@ def test_certificate_serialization_round_trip():
 
 def test_certificate_rejects_tampered_witness():
     basis = augmented_basis_from_onb(EYE2)
-    cert = intersection_span_certificate(basis, sic_mic_pom(), seed=2)
+    cert = intersection_span_certificate(basis, sic_mic_pom())
     payload = certificate_to_jsonable(cert)
     # inflate one witness beyond the effect interval
     bad = payload["witnesses"][0]
@@ -237,7 +237,7 @@ def test_certificate_rejects_tampered_witness():
 
 def test_certificate_detects_spoofed_membership():
     basis = augmented_basis_from_onb(EYE2)
-    cert = intersection_span_certificate(basis, sic_mic_pom(), seed=2)
+    cert = intersection_span_certificate(basis, sic_mic_pom())
     payload = certificate_to_jsonable(cert)
     payload["memberships"][0]["augmented"]["coeffs"] = [0.0, 0.0, 0.0, 0.0]
     back = certificate_from_jsonable(payload)
@@ -340,7 +340,7 @@ TAMPERINGS = {
 @pytest.mark.parametrize("label", sorted(TAMPERINGS))
 def test_verify_matches_per_witness_reference(d, seed, label):
     basis = augmented_basis_from_onb(random_onb(d, seed))
-    cert = intersection_span_certificate(basis, random_mic_pom(d, seed + 1), seed=seed)
+    cert = intersection_span_certificate(basis, random_mic_pom(d, seed + 1))
     payload = json.loads(json.dumps(certificate_to_jsonable(cert)))
     TAMPERINGS[label](payload)
     back = certificate_from_jsonable(payload)
@@ -352,7 +352,7 @@ def test_verify_matches_per_witness_reference(d, seed, label):
 
 def test_verify_repeats_no_check_the_parse_made(monkeypatch):
     basis = augmented_basis_from_onb(random_onb(3, 1))
-    cert = intersection_span_certificate(basis, random_mic_pom(3, 2), seed=1)
+    cert = intersection_span_certificate(basis, random_mic_pom(3, 2))
     payload = json.loads(json.dumps(certificate_to_jsonable(cert)))
     back = certificate_from_jsonable(payload, DEFAULT_TOL)
     svd_calls = []
@@ -457,10 +457,10 @@ def test_certificate_steps_are_signed_capped_and_reach_a_face(d, seed):
     assert verify_certificate(cert).passed
 
 
-def test_certificate_ignores_seed():
+def test_certificate_is_deterministic():
     basis, mic = _cli_pair(3, 2)
-    first = intersection_span_certificate(basis, mic, seed=0)
-    second = intersection_span_certificate(basis, mic, seed=12345)
+    first = intersection_span_certificate(basis, mic)
+    second = intersection_span_certificate(basis, mic)
     for a, b in zip(first.witnesses, second.witnesses):
         np.testing.assert_array_equal(a.mat, b.mat)
     assert first.radius == second.radius

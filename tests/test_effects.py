@@ -264,7 +264,7 @@ def test_pom_json_round_trip():
 
 def _reference_effect_check(h, tol):
     """Per-operator decision on the full eigendecomposition."""
-    w, _ = eig_hermitian(h, tol)
+    w, _ = eig_hermitian(h)
     low, high = float(w[-1]), float(w[0])
     if low < -tol.psd_slack and high > 1.0 + tol.psd_slack:
         return False, low if (-low) > (high - 1.0) else high

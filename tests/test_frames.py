@@ -12,6 +12,8 @@ from effectframes import (
     HermitianOperator,
     NotAnEffectError,
     OperatorBasis,
+    TEST_EFFECT_COUNT,
+    TEST_EFFECT_SEED,
     TabulatedFrame,
     ToleranceConfig,
     augmented_basis_from_onb,
@@ -173,9 +175,10 @@ def test_reconstruct_hidden_states(d):
 def test_reconstruct_sweep_matches_per_effect_traces(frame_cls):
     """The one-product sweep agrees with evaluating Tr(rho_hat E) per effect."""
     f = frame_cls(random_density(3, 11))
-    report = reconstruct_density(f, random_mic_pom(3, 12), test_count=50, test_seed=99)
+    report = reconstruct_density(f, random_mic_pom(3, 12))
     reference = max(
-        abs(f(e) - hs_inner(report.rho_hat, e.op)) for e in verification_effects(3, 99, 50)
+        abs(f(e) - hs_inner(report.rho_hat, e.op))
+        for e in verification_effects(3, TEST_EFFECT_SEED, TEST_EFFECT_COUNT)
     )
     assert report.max_deviation == pytest.approx(reference, rel=1e-12, abs=1e-14)
 
@@ -191,7 +194,7 @@ def test_reconstruct_basis_independence():
 def test_consistency_identity_for_born_frames():
     basis = augmented_basis_from_onb(EYE2)
     mic = sic_mic_pom()
-    cert = intersection_span_certificate(basis, mic, seed=0)
+    cert = intersection_span_certificate(basis, mic)
     rho = maximally_mixed(2)
     assert consistency_DT(BornFrame(rho), basis, mic, cert) < 1e-10
     for seed in range(10):
@@ -202,7 +205,7 @@ def test_consistency_identity_for_born_frames():
 def test_consistency_flags_adversarial_frame():
     basis = augmented_basis_from_onb(EYE2)
     mic = sic_mic_pom()
-    cert = intersection_span_certificate(basis, mic, seed=0)
+    cert = intersection_span_certificate(basis, mic)
     dev = consistency_DT(AdversarialSquareFrame(random_density(2, 9)), basis, mic, cert)
     assert dev > 0.01
 
@@ -212,7 +215,7 @@ def test_consistency_verifies_certificate_with_its_own_tolerance():
 
     basis = augmented_basis_from_onb(EYE2)
     mic = sic_mic_pom()
-    payload = certificate_to_jsonable(intersection_span_certificate(basis, mic, seed=0))
+    payload = certificate_to_jsonable(intersection_span_certificate(basis, mic))
     # A stored coefficient off by 1e-6 fails the certificate's own residual
     # tolerance (1e-8) but not a caller's 1e-5.
     payload["memberships"][0]["mic"]["coeffs"][0] += 1e-6
@@ -229,7 +232,7 @@ def test_consistency_demands_matching_certificate():
     basis = augmented_basis_from_onb(EYE2)
     other = augmented_basis_from_onb(random_onb(2, 77))
     mic = sic_mic_pom()
-    cert = intersection_span_certificate(basis, mic, seed=0)
+    cert = intersection_span_certificate(basis, mic)
     with pytest.raises(CertificateError):
         consistency_DT(BornFrame(maximally_mixed(2)), other, mic, cert)
 

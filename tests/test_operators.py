@@ -209,7 +209,6 @@ def test_orthonormal_basis_d2_is_scaled_paulis():
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_orthonormal_basis_gram_identity(d):
     basis = orthonormal_operator_basis(d)
-    assert basis.kind == "orthonormal"
     assert len(basis) == d * d
     assert orthonormal_operator_basis(d) is basis
     m = basis.coordinate_matrix
@@ -276,13 +275,13 @@ def test_coordinate_matrix_columns_are_element_coordinates():
 
 def test_operator_basis_needs_d_squared_elements():
     with pytest.raises(ValueError):
-        OperatorBasis(elements=(identity(2), rank_one(KET0)), kind="generic")
+        OperatorBasis(elements=(identity(2), rank_one(KET0)))
 
 
 def test_operator_basis_rejects_dependent_family():
     ops = (identity(2), identity(2) * 2.0, rank_one(KET0), rank_one(KET1))
     with pytest.raises(SingularBasisError):
-        OperatorBasis(elements=ops, kind="generic")
+        OperatorBasis(elements=ops)
 
 
 def test_change_of_basis_same_basis_is_identity():
@@ -294,7 +293,7 @@ def test_change_of_basis_same_basis_is_identity():
 def test_change_of_basis_transports_coefficients(rng):
     src = orthonormal_operator_basis(3)
     perm = tuple(src.elements[k] for k in (4, 0, 8, 2, 6, 1, 7, 3, 5))
-    dst = OperatorBasis(elements=perm, kind="generic")
+    dst = OperatorBasis(elements=perm)
     cob = change_of_basis(src, dst)
     for _ in range(20):
         op = random_hermitian(rng, 3)
@@ -310,7 +309,7 @@ def test_change_of_basis_transports_coefficients(rng):
 def test_change_of_basis_round_trip():
     b1 = orthonormal_operator_basis(2)
     elems = tuple(reversed(b1.elements))
-    b2 = OperatorBasis(elements=elems, kind="generic")
+    b2 = OperatorBasis(elements=elems)
     forward = change_of_basis(b1, b2)
     backward = change_of_basis(b2, b1)
     np.testing.assert_allclose(forward.matrix @ backward.matrix, np.eye(4), atol=1e-12)
