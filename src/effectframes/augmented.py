@@ -95,6 +95,11 @@ def _projector_stack(u: np.ndarray) -> np.ndarray:
     return hermitian_stack(vecs[:, :, np.newaxis] * vecs[:, np.newaxis, :].conj())
 
 
+def _scaled_family(u: np.ndarray, c: float) -> tuple[HermitianOperator, ...]:
+    """The completed projector family of `u`, every element scaled by c."""
+    return _operator_views(hermitian_stack(c * _projector_stack(u)))
+
+
 @dataclass(frozen=True, eq=False)
 class AugmentedBasis:
     """d**2 rank-one effects, the first d proportional to onb projectors.
@@ -183,38 +188,45 @@ def augmented_basis_from_onb(onb, tol: ToleranceConfig = DEFAULT_TOL) -> Augment
     projs = _projector_stack(u)
     gamma = float(eig_hermitian(HermitianOperator(projs.sum(axis=0)))[0][0])
     c = 1.0 / gamma
-    ops = _operator_views(hermitian_stack(c * projs))
-    basis = AugmentedBasis(onb=u, ops=ops, c=c, gamma=gamma, tol=tol)
+    basis = AugmentedBasis(onb=u, ops=_scaled_family(u, c), c=c, gamma=gamma, tol=tol)
     basis.basis_view  # certify linear independence eagerly
     return basis
 
 
-def augmented_basis_to_jsonable(basis: AugmentedBasis) -> dict:
-    """Wire format ``{"onb": [...], "c": c, "gamma": gamma, "elements": [...]}``."""
-    return {
-        "onb": complex_to_jsonable(basis.onb),
-        "c": basis.c,
-        "gamma": basis.gamma,
-        "elements": operators_to_jsonable(basis.stack),
-    }
+def augmented_basis_to_jsonable(basis: AugmentedBasis, elements: bool = True) -> dict:
+    """Wire format ``{"onb": [...], "c": c, "gamma": gamma, "elements": [...]}``.
+
+    With `elements` False the elements are left out: they are the vector
+    family's completed projectors scaled by c, which a reader rebuilds.
+    """
+    obj = {"onb": complex_to_jsonable(basis.onb), "c": basis.c, "gamma": basis.gamma}
+    if elements:
+        obj["elements"] = operators_to_jsonable(basis.stack)
+    return obj
 
 
 def augmented_basis_from_jsonable(obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> AugmentedBasis:
-    """Rebuild an augmented basis from its wire format with shape checks only.
+    """Rebuild an augmented basis from its wire format.
 
-    Whether it satisfies its defining conditions is for `validate_augmented`
-    to report.  Missing keys raise `KeyError`, malformed content
-    `ValueError`.
+    Stored elements get shape checks only: whether they satisfy the
+    defining conditions is for `validate_augmented` to report.  Absent
+    elements are rebuilt from the vector family at the stored scale c, the
+    way `augmented_basis_from_onb` builds them, once the family is checked
+    orthonormal at `tol` (`NotOrthonormalError` otherwise).  Missing keys
+    raise `KeyError`, malformed content `ValueError`.
     """
-    ops = _operator_views(operators_from_jsonable(obj["elements"]))
-    d = ops[0].dim
-    return AugmentedBasis(
-        onb=complex_from_jsonable(obj["onb"], (d, d)),
-        ops=ops,
-        c=float(obj["c"]),
-        gamma=float(obj["gamma"]),
-        tol=tol,
-    )
+    c = float(obj["c"])
+    if "elements" in obj:
+        ops = _operator_views(operators_from_jsonable(obj["elements"]))
+        d = ops[0].dim
+        onb = complex_from_jsonable(obj["onb"], (d, d))
+    else:
+        if not math.isfinite(c):
+            raise ValueError(f"scale c must be finite, got {c!r}")
+        d = len(obj["onb"])
+        onb = _as_onb_matrix(complex_from_jsonable(obj["onb"], (d, d)), tol)
+        ops = _scaled_family(onb, c)
+    return AugmentedBasis(onb=onb, ops=ops, c=c, gamma=float(obj["gamma"]), tol=tol)
 
 
 @dataclass(frozen=True)

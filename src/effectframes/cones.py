@@ -9,7 +9,9 @@ cone at a controlled distance from I/d; and one signed step from E_delta
 along each orthonormal direction, sized by the nearest face of the
 augmented-basis cone and of a MIC-POM cone, harvests d**2 linearly
 independent common elements with no random choice.  The harvest is a
-re-checkable certificate.
+re-checkable certificate, and its file stores only what a reader cannot
+derive: one signed step per direction instead of the witnesses, and no
+decompositions.
 
 Cone membership is decided by the square solve of the family
 (`OperatorBasis.solve`): the expansion of a point over a full operator
@@ -62,6 +64,7 @@ from .effects import (
 )
 from .augmented import (
     AugmentedBasis,
+    NotOrthonormalError,
     augmented_basis_from_jsonable,
     augmented_basis_from_onb,
     augmented_basis_to_jsonable,
@@ -185,6 +188,22 @@ def _solve_memberships(
     ]
 
 
+def _expansions(
+    targets: np.ndarray, view: OperatorBasis, tol: ToleranceConfig
+) -> tuple[ConeDecomposition, ...]:
+    """The exact coefficients of (n, d**2) target coordinates over a family.
+
+    One multi-RHS square solve; the coefficients are kept unclipped, so a
+    negative one stays visible, and each residual is recomputed from them.
+    """
+    coeffs = view.solve(targets.T, tol).T
+    residuals = np.linalg.norm(coeffs @ view.coordinate_matrix.T - targets, axis=1)
+    return tuple(
+        ConeDecomposition(basis=view, coeffs=c, residual=float(r))
+        for c, r in zip(coeffs, residuals)
+    )
+
+
 def cone_membership(
     h: HermitianOperator,
     basis,
@@ -239,10 +258,14 @@ def interior_point_Edelta(
 class SpanCertificate:
     """d**2 effects in both cones, with membership proofs and a rank claim.
 
-    memberships[k] holds the decomposition of witnesses[k] over the
-    augmented family first and over the MIC-POM second.  `radius` is the
-    smallest step s_k of the construction; the verifier never reads it.
-    The witnesses were checked as effects at `tol`.
+    Witness k is E_delta + (steps[k]/2) D_k (`_step_witnesses`), steps[k]
+    = sigma_k s_k its signed step; `steps` is None when the witnesses came
+    from a file that stored them.  memberships[k] holds the decomposition
+    of witnesses[k] over the augmented family first and over the MIC-POM
+    second: the admitted, clipped coefficients of the construction, or
+    the exact ones a reader solves for when the file stores none.
+    `radius` is min |steps|, the smallest step s_k; the verifier never
+    reads it.  The witnesses were checked as effects at `tol`.
     """
 
     augmented: AugmentedBasis
@@ -251,10 +274,23 @@ class SpanCertificate:
     delta: float
     radius: float
     e_delta: Effect
+    steps: np.ndarray | None
     witnesses: tuple[Effect, ...]
     memberships: tuple[tuple[ConeDecomposition, ConeDecomposition], ...]
     rank: int
     tol: ToleranceConfig
+
+
+def _step_witnesses(e_delta: np.ndarray, steps: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """The (n, d, d) stack E_delta + (steps[k]/2) D_k over the first n directions.
+
+    D_k is the k-th element of `orthonormal_operator_basis`.  The one
+    formula for the witnesses: the construction harvests them with it and a
+    reader derives them with it from the stored steps, so a derived witness
+    is bit for bit the one that was built.
+    """
+    directions = orthonormal_operator_basis(e_delta.shape[0], tol).stack[: len(steps)]
+    return hermitian_stack(e_delta + (steps / 2.0)[:, np.newaxis, np.newaxis] * directions)
 
 
 def _admit_witnesses(
@@ -333,8 +369,7 @@ def intersection_span_certificate(
             "stage interior-point: no epsilon yields an interior point of both cones"
         )
 
-    directions = orthonormal_operator_basis(d, tol)
-    q = directions.coordinate_matrix
+    q = orthonormal_operator_basis(d, tol).coordinate_matrix
     signs = np.where(q.T @ real_coordinates(e_delta.op) < 0.0, -1.0, 1.0)
     lam = np.linalg.eigvalsh(e_delta.mat)
     cap = min(float(lam[0]), 1.0 - float(lam[-1]))
@@ -345,9 +380,9 @@ def intersection_span_certificate(
         slopes = mem.basis.solve(q, tol) * signs
         rates = np.maximum(rates, np.max(-slopes / mem.coeffs[:, np.newaxis], axis=0))
     steps = cap / np.maximum(1.0, cap * rates)
-    candidates = hermitian_stack(
-        e_delta.mat + (steps * signs / 2.0)[:, np.newaxis, np.newaxis] * directions.stack
-    )
+    signed = steps * signs
+    signed.setflags(write=False)
+    candidates = _step_witnesses(e_delta.mat, signed, tol)
     admitted = _admit_witnesses(candidates, aug_view, mic_view, tol)
     rank = coordinate_rank(stacked_coordinates(candidates)).rank(tol)
     if len(admitted) < d * d or rank < d * d:
@@ -362,6 +397,7 @@ def intersection_span_certificate(
         delta=delta,
         radius=float(steps.min()),
         e_delta=e_delta,
+        steps=signed,
         witnesses=tuple(w for w, _, _ in admitted),
         memberships=tuple((a, m) for _, a, m in admitted),
         rank=d * d,
@@ -386,11 +422,12 @@ def verify_certificate(
 
     Recomputes what the certificate claims: the augmented family satisfies
     its defining conditions, the MIC-POM is intact, every witness is an
-    effect whose stored decompositions recombine to it with nonnegative
-    coefficients, and the witness family has full rank.  Residuals are
-    recomputed, never trusted: each is the distance between a witness and
-    the combination of the certificate's own family with the stored
-    coefficients, measured in the isometric real coordinates.  The
+    effect whose decompositions (stored in the file, or solved for when it
+    was read) recombine to it with nonnegative coefficients, and the
+    witness family has full rank.  Residuals are recomputed, never
+    trusted: each is the distance between a witness and the combination of
+    the certificate's own family with the certificate's coefficients,
+    measured in the isometric real coordinates.  The
     tolerances the certificate carries (`cert.tol`) cannot loosen a check:
     the witnesses were checked as effects at `cert.tol` when it was built
     or parsed, so only at another `tol` is that check repeated.
@@ -456,41 +493,62 @@ def verify_certificate(
 # ---------------------------------------------------------------------------
 
 def certificate_to_jsonable(cert: SpanCertificate) -> dict:
-    return {
+    """Wire form: the families, the scalars and one signed step per direction.
+
+    The augmented elements, the witnesses and their decompositions are
+    left out, since `certificate_from_jsonable` derives them.  Only a
+    certificate without steps, read from an older file, stores its
+    witnesses.
+    """
+    obj = {
         "dim": cert.augmented.dim,
         "epsilon": cert.epsilon,
         "delta": cert.delta,
         "radius": cert.radius,
         "rank": cert.rank,
         "tolerances": tolerance_to_jsonable(cert.tol),
-        "augmented": augmented_basis_to_jsonable(cert.augmented),
+        "augmented": augmented_basis_to_jsonable(cert.augmented, elements=False),
         "mic": pom_to_jsonable(cert.mic.pom),
         "e_delta": operator_to_jsonable(cert.e_delta.op),
-        "witnesses": operators_to_jsonable(np.stack([e.mat for e in cert.witnesses])),
-        "memberships": [
-            {
-                "augmented": {"coeffs": a.coeffs.tolist(), "residual": a.residual},
-                "mic": {"coeffs": m.coeffs.tolist(), "residual": m.residual},
-            }
-            for a, m in cert.memberships
-        ],
     }
+    if cert.steps is None:
+        obj["witnesses"] = operators_to_jsonable(np.stack([e.mat for e in cert.witnesses]))
+    else:
+        obj["steps"] = cert.steps.tolist()
+    return obj
+
+
+def _steps_from_jsonable(items, d: int) -> np.ndarray:
+    """At most d**2 finite signed steps as a read-only array; ValueError otherwise."""
+    steps = np.asarray(items)
+    if steps.ndim != 1 or steps.dtype.kind not in "biuf" or not np.isfinite(steps).all():
+        raise ValueError("steps must be a list of finite numbers")
+    if len(steps) > d * d:
+        raise ValueError(f"expected at most {d * d} steps, got {len(steps)}")
+    steps = steps.astype(np.float64)
+    steps.setflags(write=False)
+    return steps
 
 
 def certificate_from_jsonable(
     obj: dict, tol: ToleranceConfig | None = None
 ) -> SpanCertificate:
-    """Rebuild a certificate from its wire form.
+    """Rebuild a certificate from its wire form, deriving what it leaves out.
 
-    The rebuilt families are checked at `tol`, which the certificate then
-    carries.  With `tol` None the tolerances stored in the file are used,
-    so the file can loosen these checks: a verifier of an untrusted file
-    passes its own (as `certify-cone --verify` does), and
-    `verify_certificate` at other tolerances repeats the witness checks.
-    Structural problems (missing keys, malformed operators) raise
-    ValueError; semantic invariant violations surface as
-    `CertificateError` so callers can report a failed verification
-    verdict rather than a parse error.
+    A block the file stores is read; an absent one is derived, as the
+    construction would: the augmented elements from the vector family
+    (checked orthonormal) at the stored scale c, the witnesses from the
+    signed steps by `_step_witnesses`, and each witness's decompositions
+    by one solve per cone, unclipped.  Either way the witnesses are checked
+    as effects at `tol`, which the certificate then carries, and
+    `verify_certificate` judges the rest.  With `tol` None the tolerances
+    stored in the file are used, so the file can loosen these checks: a
+    verifier of an untrusted file passes its own (as `certify-cone
+    --verify` does), and `verify_certificate` at other tolerances repeats
+    the witness checks.  Structural problems (missing keys, malformed
+    operators or steps) raise ValueError; semantic invariant violations
+    surface as `CertificateError` so callers can report a failed
+    verification verdict rather than a parse error.
     """
     try:
         if tol is None:
@@ -498,34 +556,53 @@ def certificate_from_jsonable(
         augmented = augmented_basis_from_jsonable(obj["augmented"], tol)
         mic_obj = obj["mic"]
         e_delta_obj = obj["e_delta"]
-        witness_objs = list(obj["witnesses"])
-        membership_objs = list(obj["memberships"])
+        if "witnesses" in obj:
+            witness_objs, steps = list(obj["witnesses"]), None
+        else:
+            witness_objs, steps = None, _steps_from_jsonable(obj["steps"], augmented.dim)
+        membership_objs = list(obj["memberships"]) if "memberships" in obj else None
         epsilon = float(obj["epsilon"])
         delta = float(obj["delta"])
         radius = float(obj["radius"])
         rank = int(obj["rank"])
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed certificate JSON: {exc}") from exc
+    except NotOrthonormalError as exc:
+        raise CertificateError(f"certificate content fails its invariants: {exc}") from exc
 
     try:
         mic = MicPom(pom_from_jsonable(mic_obj, tol), tol)
         e_delta = Effect(operator_from_jsonable(e_delta_obj), tol)
-        witnesses = ()
-        if witness_objs:
-            witnesses = effects_of(_operator_views(operators_from_jsonable(witness_objs)), tol)
+        if witness_objs is not None:
+            stack = operators_from_jsonable(witness_objs) if witness_objs else ()
+        elif e_delta.dim != augmented.dim:
+            raise DimensionMismatchError(
+                f"E_delta dim {e_delta.dim} vs augmented dim {augmented.dim}"
+            )
+        else:
+            stack = _step_witnesses(e_delta.mat, steps, tol)
+        witnesses = effects_of(_operator_views(stack), tol) if len(stack) else ()
         aug_view = augmented.basis_view
         mic_view = mic.basis_view
-        memberships = tuple(
-            tuple(
-                ConeDecomposition(
-                    basis=view,
-                    coeffs=np.array(item[side]["coeffs"], dtype=np.float64),
-                    residual=float(item[side]["residual"]),
+        if membership_objs is not None:
+            memberships = tuple(
+                tuple(
+                    ConeDecomposition(
+                        basis=view,
+                        coeffs=np.array(item[side]["coeffs"], dtype=np.float64),
+                        residual=float(item[side]["residual"]),
+                    )
+                    for side, view in (("augmented", aug_view), ("mic", mic_view))
                 )
-                for side, view in (("augmented", aug_view), ("mic", mic_view))
+                for item in membership_objs
             )
-            for item in membership_objs
-        )
+        elif witnesses:
+            coords = stacked_coordinates(stack)
+            memberships = tuple(
+                zip(_expansions(coords, aug_view, tol), _expansions(coords, mic_view, tol))
+            )
+        else:
+            memberships = ()
     except (NotAnEffectError, ValueError) as exc:
         raise CertificateError(f"certificate content fails its invariants: {exc}") from exc
 
@@ -536,6 +613,7 @@ def certificate_from_jsonable(
         delta=delta,
         radius=radius,
         e_delta=e_delta,
+        steps=steps,
         witnesses=witnesses,
         memberships=memberships,
         rank=rank,

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from effectframes import HermitianOperator
+from effectframes import HermitianOperator, certificate_to_jsonable
+from effectframes.augmented import augmented_basis_to_jsonable
+from effectframes.operators import operators_to_jsonable
 
 # Filled by the acceptance tests; echoed after the run so the one-line
 # verdicts survive pytest's output capture.
@@ -23,3 +25,24 @@ def rng():
 def random_hermitian(rng, d, scale=1.0):
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return HermitianOperator(scale * (x + x.conj().T) / 2.0)
+
+
+def full_layout(cert) -> dict:
+    """The certificate in the layout that also stores what a reader derives.
+
+    The augmented elements, the witnesses and both decompositions of every
+    witness, as certificates were written before the compact layout, in
+    place of the signed steps.
+    """
+    payload = certificate_to_jsonable(cert)
+    payload.pop("steps", None)
+    payload["augmented"] = augmented_basis_to_jsonable(cert.augmented)
+    payload["witnesses"] = operators_to_jsonable(np.stack([e.mat for e in cert.witnesses]))
+    payload["memberships"] = [
+        {
+            "augmented": {"coeffs": a.coeffs.tolist(), "residual": a.residual},
+            "mic": {"coeffs": m.coeffs.tolist(), "residual": m.residual},
+        }
+        for a, m in cert.memberships
+    ]
+    return payload

@@ -19,6 +19,7 @@ from effectframes import (
     grid_from_unit,
     grid_to_jsonable,
     identity,
+    certificate_from_jsonable,
     operator_to_jsonable,
     pom_to_jsonable,
     random_density,
@@ -26,6 +27,15 @@ from effectframes import (
     sic_mic_pom,
 )
 from effectframes.cli import main
+
+from conftest import full_layout
+
+
+def _full_layout_file(cert_path):
+    """Rewrite a written certificate in the full layout and return its payload."""
+    payload = full_layout(certificate_from_jsonable(json.loads(cert_path.read_text())))
+    cert_path.write_text(json.dumps(payload))
+    return payload
 
 
 def run_cli(capsys, *argv):
@@ -103,7 +113,7 @@ def test_certify_cone_and_verify_round_trip(capsys, tmp_path):
 def test_certify_cone_verify_flags_tampering(capsys, tmp_path):
     cert_path = tmp_path / "cert.json"
     run_cli(capsys, "certify-cone", "--dim", "2", "--seed", "2", "--out", str(cert_path))
-    payload = json.loads(cert_path.read_text())
+    payload = _full_layout_file(cert_path)
     payload["memberships"][0]["augmented"]["coeffs"] = [0.0] * 4
     cert_path.write_text(json.dumps(payload))
     code, out, _ = run_cli(capsys, "certify-cone", "--verify", str(cert_path))
@@ -116,7 +126,7 @@ def test_certify_cone_verify_flags_tampering(capsys, tmp_path):
 def test_certify_cone_verify_uses_tol_residual(capsys, tmp_path):
     cert_path = tmp_path / "cert.json"
     run_cli(capsys, "certify-cone", "--dim", "2", "--seed", "1", "--out", str(cert_path))
-    payload = json.loads(cert_path.read_text())
+    payload = _full_layout_file(cert_path)
     # Move one stored coefficient so that its residual lands between the
     # default tolerance (1e-8) and the override (1e-5).
     payload["memberships"][0]["mic"]["coeffs"][0] += 1e-6
@@ -135,6 +145,70 @@ def test_certify_cone_verify_uses_tol_residual(capsys, tmp_path):
     report = json.loads(out)
     assert report["verdict"] == "pass"
     assert report["tolerances"] == dict(payload["tolerances"], residual=1e-5)
+
+
+# -- the compact certificate layout ------------------------------------------
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+@pytest.mark.parametrize("name", ["certificate_d3_signed_steps", "certificate_d3_random_ball"])
+def test_certify_cone_verifies_full_layout_files_unchanged(capsys, tmp_path, name):
+    # Full-layout files, with witnesses one signed step from E_delta
+    # (signed_steps) and drawn at random (random_ball), each committed with
+    # the report the full-layout reader gave.
+    out = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys, "certify-cone", "--verify", str(FIXTURES / f"{name}.json"), "--out", str(out)
+    )
+    assert code == 0
+    assert out.read_bytes() == (FIXTURES / f"{name}.verify.json").read_bytes()
+
+
+def test_certify_cone_compact_file_is_under_30_percent_of_full(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run_cli(
+        capsys, "certify-cone", "--dim", "8", "--seed", "1", "--out", str(cert_path)
+    )
+    assert code == 0
+    payload = json.loads(cert_path.read_text())
+    assert {"witnesses", "memberships"}.isdisjoint(payload)
+    assert "elements" not in payload["augmented"]
+    full = dict(payload)
+    full.update(full_layout(certificate_from_jsonable(payload)))
+    encode = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    assert len(encode(payload)) <= 0.3 * len(encode(full))
+
+
+@pytest.mark.parametrize("column", ["scaled", "repeated"])
+def test_certify_cone_verify_bad_vector_family_is_a_verdict(capsys, tmp_path, column):
+    # Scaled, the family is not orthonormal; repeated, the augmented family
+    # derived from it would be singular.  Either way the file fails.
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "certify-cone", "--dim", "3", "--seed", "1", "--out", str(cert_path))
+    payload = json.loads(cert_path.read_text())
+    onb = np.array(payload["augmented"]["onb"])
+    onb[:, 1] = 1.01 * onb[:, 1] if column == "scaled" else onb[:, 0]
+    payload["augmented"]["onb"] = onb.tolist()
+    cert_path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "certify-cone", "--verify", str(cert_path))
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "fail"
+    assert "Gram deviation" in report["failures"][0]
+    assert "Traceback" not in err
+
+
+def test_certify_cone_verify_non_numeric_step_is_exit_2(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "certify-cone", "--dim", "2", "--seed", "1", "--out", str(cert_path))
+    payload = json.loads(cert_path.read_text())
+    payload["steps"][0] = "a step"
+    cert_path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "certify-cone", "--verify", str(cert_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "steps" in err and "Traceback" not in err
 
 
 def test_certify_cone_needs_dim_and_seed(capsys):
@@ -577,7 +651,7 @@ def test_runtime_errors_exit_1_without_traceback(capsys, monkeypatch, setup, mes
 def test_certify_cone_verify_ignores_tolerances_in_the_file(capsys, tmp_path):
     cert_path = tmp_path / "cert.json"
     run_cli(capsys, "certify-cone", "--dim", "2", "--seed", "1", "--out", str(cert_path))
-    payload = json.loads(cert_path.read_text())
+    payload = _full_layout_file(cert_path)
     defaults = dict(payload["tolerances"])
     for item in payload["memberships"]:
         item["augmented"]["coeffs"] = [0.0] * 4

@@ -37,6 +37,8 @@ from effectframes import (
     verify_certificate,
 )
 
+from conftest import full_layout
+
 GAMMA2 = 2.0 + 1.0 / math.sqrt(2.0)
 EYE2 = np.eye(2, dtype=complex)
 
@@ -227,7 +229,7 @@ def test_certificate_serialization_round_trip():
 def test_certificate_rejects_tampered_witness():
     basis = augmented_basis_from_onb(EYE2)
     cert = intersection_span_certificate(basis, sic_mic_pom())
-    payload = certificate_to_jsonable(cert)
+    payload = full_layout(cert)
     # inflate one witness beyond the effect interval
     bad = payload["witnesses"][0]
     bad["entries"][0][0][0] = 2.0
@@ -238,7 +240,7 @@ def test_certificate_rejects_tampered_witness():
 def test_certificate_detects_spoofed_membership():
     basis = augmented_basis_from_onb(EYE2)
     cert = intersection_span_certificate(basis, sic_mic_pom())
-    payload = certificate_to_jsonable(cert)
+    payload = full_layout(cert)
     payload["memberships"][0]["augmented"]["coeffs"] = [0.0, 0.0, 0.0, 0.0]
     back = certificate_from_jsonable(payload)
     report = verify_certificate(back)
@@ -341,13 +343,63 @@ TAMPERINGS = {
 def test_verify_matches_per_witness_reference(d, seed, label):
     basis = augmented_basis_from_onb(random_onb(d, seed))
     cert = intersection_span_certificate(basis, random_mic_pom(d, seed + 1))
-    payload = json.loads(json.dumps(certificate_to_jsonable(cert)))
+    payload = json.loads(json.dumps(full_layout(cert)))
     TAMPERINGS[label](payload)
     back = certificate_from_jsonable(payload)
     report = verify_certificate(back, DEFAULT_TOL)
     assert label in report.failures
     assert list(report.failures) == _reference_failures(back, DEFAULT_TOL)
     assert report.witness_count == len(back.witnesses)
+
+
+def _compact_effect(p):
+    # A shift of 0.75 D_1 = 0.75 (|0><0| - |1><1|)/sqrt(2) moves two
+    # eigenvalues of E_delta (about 1/d) out of [0, 1], by less than the
+    # loosened slack the file is parsed at.
+    p["tolerances"].update(psd_slack=0.5, residual=0.5)
+    p["steps"][1] = 1.5 * math.sqrt(2.0)
+
+
+def _compact_negative(p):
+    # Flipped and four times as long: past a face of the augmented cone.
+    p["steps"][2] *= -4.0
+
+
+def _compact_count(p):
+    del p["steps"][-1]
+
+
+def _compact_rank(p):
+    p["steps"] = [0.0] * len(p["steps"])
+
+
+# The compact layout stores no decompositions: each is the exact solve of
+# its witness over the family, so its residual is rounding alone and
+# `witness-k-<cone>-residual` cannot arise.  Every other label does.
+COMPACT_TAMPERINGS = {
+    "witness-1-effect": _compact_effect,
+    "witness-2-augmented-negative-coefficient": _compact_negative,
+    "witness-count": _compact_count,
+    "witness-rank": _compact_rank,
+    "augmented-basis": _tamper_augmented,
+    "mic-pom-sum": _tamper_mic_sum,
+}
+
+
+@pytest.mark.parametrize("d, seed", [(2, 1), (3, 4)])
+@pytest.mark.parametrize("label", sorted(COMPACT_TAMPERINGS))
+def test_verify_compact_matches_per_witness_reference(d, seed, label):
+    basis = augmented_basis_from_onb(random_onb(d, seed))
+    cert = intersection_span_certificate(basis, random_mic_pom(d, seed + 1))
+    payload = json.loads(json.dumps(certificate_to_jsonable(cert)))
+    assert "steps" in payload and "witnesses" not in payload
+    COMPACT_TAMPERINGS[label](payload)
+    back = certificate_from_jsonable(payload)
+    report = verify_certificate(back, DEFAULT_TOL)
+    assert label in report.failures
+    assert list(report.failures) == _reference_failures(back, DEFAULT_TOL)
+    assert report.witness_count == len(back.witnesses)
+    assert report.max_membership_residual < 1e-12
 
 
 def test_verify_repeats_no_check_the_parse_made(monkeypatch):
@@ -494,3 +546,82 @@ def test_certificate_checks_each_witness_as_an_effect_once(monkeypatch):
     shapes.clear()
     interior_point_Edelta(basis, cert.epsilon)
     assert shapes == [(1, 3, 3)]
+
+
+# ---------------------------------------------------------------------------
+# The compact layout: what a reader derives equals what was built
+# ---------------------------------------------------------------------------
+
+def test_compact_layout_derives_the_built_certificate(tmp_path):
+    from effectframes.cli import main
+
+    for d in range(2, 6):
+        for seed in range(10):
+            cert = intersection_span_certificate(*_cli_pair(d, seed))
+            compact = certificate_to_jsonable(cert)
+            back = certificate_from_jsonable(json.loads(json.dumps(compact)))
+            assert len(back.witnesses) == d * d
+            for built, derived in zip(cert.witnesses, back.witnesses):
+                assert derived.mat.tobytes() == built.mat.tobytes(), (d, seed)
+            assert back.augmented.stack.tobytes() == cert.augmented.stack.tobytes()
+            reports = []
+            for name, payload in (("compact", compact), ("full", full_layout(cert))):
+                path = tmp_path / f"{name}.json"
+                path.write_text(json.dumps(payload))
+                out = tmp_path / f"{name}.report.json"
+                assert main(["certify-cone", "--verify", str(path), "--out", str(out)]) == 0
+                reports.append(out.read_bytes())
+            assert reports[0] == reports[1], (d, seed)
+
+
+def test_criterion_04_certificates_verify_in_both_layouts():
+    # The 40 certificates of acceptance criterion 04, re-verified from each layout.
+    for d in (2, 3):
+        for seed in range(20):
+            basis = augmented_basis_from_onb(random_onb(d, 800 + seed))
+            cert = intersection_span_certificate(basis, random_mic_pom(d, 900 + seed))
+            reports = [
+                verify_certificate(certificate_from_jsonable(json.loads(json.dumps(payload))))
+                for payload in (certificate_to_jsonable(cert), full_layout(cert))
+            ]
+            assert reports[0].passed, (d, seed, reports[0].failures)
+            assert reports[0] == reports[1], (d, seed)
+
+
+def test_compact_layout_stores_the_signed_steps():
+    cert = intersection_span_certificate(*_cli_pair(3, 2))
+    payload = certificate_to_jsonable(cert)
+    np.testing.assert_array_equal(payload["steps"], cert.steps)
+    assert payload["radius"] == float(np.abs(cert.steps).min())
+
+
+def test_full_layout_is_read_and_rewritten_compact_where_it_can_be():
+    cert = intersection_span_certificate(*_cli_pair(2, 5))
+    back = certificate_from_jsonable(json.loads(json.dumps(full_layout(cert))))
+    assert back.steps is None
+    # Witnesses read from a file cannot be derived again, so they are
+    # written; their decompositions and the augmented elements are not.
+    rewritten = certificate_to_jsonable(back)
+    assert "witnesses" in rewritten and "steps" not in rewritten
+    assert "memberships" not in rewritten and "elements" not in rewritten["augmented"]
+    again = certificate_from_jsonable(json.loads(json.dumps(rewritten)))
+    assert verify_certificate(again) == verify_certificate(back)
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [["0.1"] * 4, [[0.1]] * 4, [None] * 4, [float("nan")] * 4, 0.1, [0.01] * 5],
+)
+def test_malformed_steps_are_value_errors(steps):
+    cert = intersection_span_certificate(*_cli_pair(2, 1))
+    payload = certificate_to_jsonable(cert)
+    payload["steps"] = steps
+    with pytest.raises(ValueError):
+        certificate_from_jsonable(payload)
+
+
+def test_compact_payload_without_steps_is_malformed():
+    payload = certificate_to_jsonable(intersection_span_certificate(*_cli_pair(2, 1)))
+    del payload["steps"]
+    with pytest.raises(ValueError, match="malformed certificate JSON"):
+        certificate_from_jsonable(payload)

@@ -18,7 +18,6 @@ from effectframes import (
     ToleranceConfig,
     augmented_basis_from_onb,
     certificate_from_jsonable,
-    certificate_to_jsonable,
     check_additivity,
     coexisting_pair,
     consistency_DT,
@@ -41,6 +40,8 @@ from effectframes import (
     sic_mic_pom,
     verification_effects,
 )
+
+from conftest import full_layout
 
 EYE2 = np.eye(2, dtype=complex)
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -215,7 +216,7 @@ def test_consistency_verifies_certificate_with_its_own_tolerance():
 
     basis = augmented_basis_from_onb(EYE2)
     mic = sic_mic_pom()
-    payload = certificate_to_jsonable(intersection_span_certificate(basis, mic))
+    payload = full_layout(intersection_span_certificate(basis, mic))
     # A stored coefficient off by 1e-6 fails the certificate's own residual
     # tolerance (1e-8) but not a caller's 1e-5.
     payload["memberships"][0]["mic"]["coeffs"][0] += 1e-6
