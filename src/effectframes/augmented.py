@@ -27,6 +27,7 @@ from .operators import (
     OperatorBasis,
     ToleranceConfig,
     _operator_views,
+    _strict_upper,
     complex_from_jsonable,
     complex_to_jsonable,
     coordinate_rank,
@@ -63,12 +64,17 @@ def _as_onb_matrix(onb, tol: ToleranceConfig) -> np.ndarray:
     d = u.shape[0]
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    dev = float(np.linalg.norm(u.conj().T @ u - np.eye(d)))
+    dev = _gram_deviation(u)
     if dev > tol.residual:
         raise NotOrthonormalError(
             f"Gram deviation from identity is {dev:.3e} (allowed {tol.residual:.1e})"
         )
     return u
+
+
+def _gram_deviation(u: np.ndarray) -> float:
+    """||U^dagger U - I||, zero exactly when the columns of U are orthonormal."""
+    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
 
 
 def complete_projector_basis(
@@ -86,18 +92,16 @@ def complete_projector_basis(
 def _projector_stack(u: np.ndarray) -> np.ndarray:
     """The completed projector family of `complete_projector_basis` as a stack."""
     d = u.shape[0]
-    vecs = [u[:, j] for j in range(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            vecs.append((u[:, j] + u[:, k]) / math.sqrt(2.0))
-            vecs.append((u[:, j] + 1j * u[:, k]) / math.sqrt(2.0))
-    vecs = np.array(vecs)
+    j, k = _strict_upper(d)  # the pairs j < k in row-major order
+    first, second = u[:, j].T, u[:, k].T
+    pairs = np.stack([first + second, first + 1j * second], axis=1) / math.sqrt(2.0)
+    vecs = np.concatenate([u.T, pairs.reshape(-1, d)])
     return hermitian_stack(vecs[:, :, np.newaxis] * vecs[:, np.newaxis, :].conj())
 
 
-def _scaled_family(u: np.ndarray, c: float) -> tuple[HermitianOperator, ...]:
-    """The completed projector family of `u`, every element scaled by c."""
-    return _operator_views(hermitian_stack(c * _projector_stack(u)))
+def _scaled_family(projs: np.ndarray, c: float) -> tuple[HermitianOperator, ...]:
+    """A `_projector_stack`, every element scaled by c."""
+    return _operator_views(hermitian_stack(c * projs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +192,7 @@ def augmented_basis_from_onb(onb, tol: ToleranceConfig = DEFAULT_TOL) -> Augment
     projs = _projector_stack(u)
     gamma = float(eig_hermitian(HermitianOperator(projs.sum(axis=0)))[0][0])
     c = 1.0 / gamma
-    basis = AugmentedBasis(onb=u, ops=_scaled_family(u, c), c=c, gamma=gamma, tol=tol)
+    basis = AugmentedBasis(onb=u, ops=_scaled_family(projs, c), c=c, gamma=gamma, tol=tol)
     basis.basis_view  # certify linear independence eagerly
     return basis
 
@@ -225,7 +229,7 @@ def augmented_basis_from_jsonable(obj: dict, tol: ToleranceConfig = DEFAULT_TOL)
             raise ValueError(f"scale c must be finite, got {c!r}")
         d = len(obj["onb"])
         onb = _as_onb_matrix(complex_from_jsonable(obj["onb"], (d, d)), tol)
-        ops = _scaled_family(onb, c)
+        ops = _scaled_family(_projector_stack(onb), c)
     return AugmentedBasis(onb=onb, ops=ops, c=c, gamma=float(obj["gamma"]), tol=tol)
 
 
@@ -255,27 +259,34 @@ def validate_augmented(
 ) -> AugmentedBasisReport:
     """Check the four defining conditions, returning numeric witnesses.
 
-    Conditions: (1) the first d elements equal c |e_j><e_j| with c in
-    (0, 1); (2) the element sum is an effect; (3) every element is rank
-    one; (4) the elements are linearly independent.  Total: never raises
-    on malformed content, it reports instead.
+    Conditions: (1) the vector family is orthonormal and the first d
+    elements equal c |e_j><e_j| with c in (0, 1); (2) the element sum is
+    an effect; (3) every element is rank one; (4) the elements are
+    linearly independent.  Total: never raises on malformed content, it
+    reports instead.
     """
     d = basis.dim
     conditions: dict[str, ConditionResult] = {}
 
-    # Condition 1: scaled projectors onto the vector family, scale in (0, 1).
+    # Condition 1: scaled projectors onto an orthonormal vector family,
+    # scale in (0, 1).
     c_ok = 0.0 < basis.c < 1.0
+    gram_dev = _gram_deviation(basis.onb)
+    onb_ok = gram_dev <= tol.residual
     cols = basis.onb.T
     targets = basis.c * (cols[:, :, np.newaxis] * cols[:, np.newaxis, :].conj())
     max_dev = float(np.max(np.linalg.norm(basis.stack[:d] - targets, axis=(1, 2))))
     proj_ok = max_dev <= tol.residual
+    if not c_ok:
+        witness, detail = basis.c, f"c = {basis.c!r} outside (0, 1)"
+    elif not onb_ok:
+        witness = gram_dev
+        detail = f"vector family Gram deviation from identity is {gram_dev:.3e}"
+    else:
+        witness = max_dev
+        detail = f"max deviation of first {d} elements from c|e_j><e_j| is {max_dev:.3e}"
     conditions["scaled-projectors"] = ConditionResult(
-        passed=c_ok and proj_ok,
-        witness=basis.c if not c_ok else max_dev,
-        detail=(
-            f"c = {basis.c!r} outside (0, 1)" if not c_ok
-            else f"max deviation of first {d} elements from c|e_j><e_j| is {max_dev:.3e}"
-        ),
+        passed=c_ok and onb_ok and proj_ok, witness=witness, detail=detail
     )
 
     # Condition 2: the element sum is an effect (one decomposition, descending).

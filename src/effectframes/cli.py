@@ -360,12 +360,8 @@ def _validate_pom_like(mats, tol: ToleranceConfig, need_rank: bool) -> tuple[dic
 
 def _cmd_validate(args) -> tuple[dict, bool]:
     from .augmented import augmented_basis_from_jsonable, validate_augmented
-    from .operators import (
-        DimensionMismatchError,
-        operator_from_jsonable,
-        operators_from_jsonable,
-        tolerance_to_jsonable,
-    )
+    from .effects import pom_stack_from_jsonable
+    from .operators import DimensionMismatchError, operator_from_jsonable, tolerance_to_jsonable
 
     tol = _tolerances(args)
     payload = _load_json(args.infile)
@@ -375,14 +371,10 @@ def _cmd_validate(args) -> tuple[dict, bool]:
         op = operator_from_jsonable(payload)
         details = {"dim": op.dim, "trace": op.trace()}
     elif args.kind in ("pom", "mic-pom"):
-        if not isinstance(payload, dict) or "effects" not in payload:
-            raise ValueError("POM JSON must carry an 'effects' list")
-        items = payload["effects"]
-        if not items:
-            raise ValueError("POM JSON carries no effects")
         try:
-            mats = operators_from_jsonable(items)
-        except DimensionMismatchError:
+            mats = pom_stack_from_jsonable(payload)
+        except DimensionMismatchError:  # only an 'effects' list can mix dimensions
+            items = payload["effects"]
             details = {"dim": int(items[0]["dim"]), "count": len(items)}
             violated = "dimension-mismatch"
         else:

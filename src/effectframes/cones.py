@@ -10,7 +10,8 @@ along each orthonormal direction, sized by the nearest face of the
 augmented-basis cone and of a MIC-POM cone, harvests d**2 linearly
 independent common elements with no random choice.  The harvest is a
 re-checkable certificate, and its file stores only what a reader cannot
-derive: one signed step per direction instead of the witnesses, and no
+derive: the MIC-POM as one row of exact coordinates per effect, one
+signed step per direction instead of the witnesses, and no
 decompositions.
 
 Cone membership is decided by the square solve of the family
@@ -18,14 +19,17 @@ Cone membership is decided by the square solve of the family
 basis is unique, so its coefficients decide membership, and a fit is kept
 only when its recomputed residual is below tolerance.
 
-Witness families are (n, d, d) stacks: candidates are admitted, and a
-certificate re-verified, with one batched effect check and one solve or
-product per cone.
+Witness families are (n, d, d) stacks and their coefficients over each
+cone (n, d**2) arrays: candidates are admitted, and a certificate
+re-verified, with one batched effect check and one solve or product per
+cone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,9 +59,10 @@ from .effects import (
     Effect,
     MicPom,
     NotAnEffectError,
+    PomIdentityError,
     _checked_effect,
+    _require_effects,
     effect_checks,
-    effects_of,
     is_effect,
     pom_from_jsonable,
     pom_to_jsonable,
@@ -75,6 +80,7 @@ __all__ = [
     "CertificateError",
     "CertificateReport",
     "ConeDecomposition",
+    "Decompositions",
     "EpsilonTooLargeError",
     "SpanCertificate",
     "certificate_from_jsonable",
@@ -169,28 +175,44 @@ def nnls(mat: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     return scipy_nnls(mat, target)
 
 
+class Decompositions(NamedTuple):
+    """The coefficients of n operators over one family, one row per operator.
+
+    `coeffs` is a read-only, C-contiguous (n, d**2) array and `residuals`
+    the (n,) distances between each operator and its recombination.
+    """
+
+    coeffs: np.ndarray
+    residuals: np.ndarray
+
+
+def _decompositions(coeffs: np.ndarray, residuals: np.ndarray) -> Decompositions:
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
+    residuals = np.asarray(residuals, dtype=np.float64)
+    coeffs.setflags(write=False)
+    residuals.setflags(write=False)
+    return Decompositions(coeffs, residuals)
+
+
 def _solve_memberships(
     targets: np.ndarray, view: OperatorBasis, tol: ToleranceConfig
-) -> list[ConeDecomposition | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decide the (n, d**2) target coordinates with one multi-RHS square solve.
 
-    A target is admitted when every exact coefficient clears -psd_slack
-    and the residual recomputed from the clipped coefficients is below
-    tolerance; the entry is None otherwise.
+    Returns the clipped coefficients, the residual recomputed from them,
+    and which targets are admitted: those whose every exact coefficient
+    clears -psd_slack and whose residual is below tolerance.
     """
     exact = view.solve(targets.T, tol).T
     coeffs = np.clip(exact, 0.0, None)
     residuals = np.linalg.norm(coeffs @ view.coordinate_matrix.T - targets, axis=1)
     admitted = (exact.min(axis=1) >= -tol.psd_slack) & (residuals < tol.residual)
-    return [
-        ConeDecomposition(basis=view, coeffs=c, residual=float(r)) if ok else None
-        for c, r, ok in zip(coeffs, residuals, admitted)
-    ]
+    return coeffs, residuals, admitted
 
 
 def _expansions(
     targets: np.ndarray, view: OperatorBasis, tol: ToleranceConfig
-) -> tuple[ConeDecomposition, ...]:
+) -> Decompositions:
     """The exact coefficients of (n, d**2) target coordinates over a family.
 
     One multi-RHS square solve; the coefficients are kept unclipped, so a
@@ -198,10 +220,7 @@ def _expansions(
     """
     coeffs = view.solve(targets.T, tol).T
     residuals = np.linalg.norm(coeffs @ view.coordinate_matrix.T - targets, axis=1)
-    return tuple(
-        ConeDecomposition(basis=view, coeffs=c, residual=float(r))
-        for c, r in zip(coeffs, residuals)
-    )
+    return _decompositions(coeffs, residuals)
 
 
 def cone_membership(
@@ -220,7 +239,10 @@ def cone_membership(
     view = _family_view(basis)
     if h.dim != view.dim:
         raise DimensionMismatchError(f"operator dim {h.dim} vs basis dim {view.dim}")
-    return _solve_memberships(real_coordinates(h)[np.newaxis], view, tol)[0]
+    coeffs, residuals, admitted = _solve_memberships(real_coordinates(h)[np.newaxis], view, tol)
+    if not admitted[0]:
+        return None
+    return ConeDecomposition(basis=view, coeffs=coeffs[0], residual=float(residuals[0]))
 
 
 def interior_point_Edelta(
@@ -258,14 +280,16 @@ def interior_point_Edelta(
 class SpanCertificate:
     """d**2 effects in both cones, with membership proofs and a rank claim.
 
-    Witness k is E_delta + (steps[k]/2) D_k (`_step_witnesses`), steps[k]
-    = sigma_k s_k its signed step; `steps` is None when the witnesses came
-    from a file that stored them.  memberships[k] holds the decomposition
-    of witnesses[k] over the augmented family first and over the MIC-POM
-    second: the admitted, clipped coefficients of the construction, or
-    the exact ones a reader solves for when the file stores none.
-    `radius` is min |steps|, the smallest step s_k; the verifier never
-    reads it.  The witnesses were checked as effects at `tol`.
+    Witness k, witness_stack[k], is E_delta + (steps[k]/2) D_k
+    (`_step_witnesses`), steps[k] = sigma_k s_k its signed step; `steps` is
+    None when the witnesses came from a file that stored them.
+    `decompositions` holds the coefficients of the witnesses over the
+    augmented family first and over the MIC-POM second: the admitted,
+    clipped coefficients of the construction, or the exact ones a reader
+    solves for when the file stores none.  `witnesses` and `memberships`
+    view the same data per witness.  `radius` is min |steps|, the smallest
+    step s_k; the verifier never reads it.  The witnesses were checked as
+    effects at `tol`.
     """
 
     augmented: AugmentedBasis
@@ -275,10 +299,27 @@ class SpanCertificate:
     radius: float
     e_delta: Effect
     steps: np.ndarray | None
-    witnesses: tuple[Effect, ...]
-    memberships: tuple[tuple[ConeDecomposition, ConeDecomposition], ...]
+    witness_stack: np.ndarray
+    decompositions: tuple[Decompositions, Decompositions]
     rank: int
     tol: ToleranceConfig
+
+    @cached_property
+    def witnesses(self) -> tuple[Effect, ...]:
+        return tuple(map(_checked_effect, _operator_views(self.witness_stack)))
+
+    @cached_property
+    def memberships(self) -> tuple[tuple[ConeDecomposition, ConeDecomposition], ...]:
+        """Per witness, its decomposition over the augmented family and over the MIC-POM."""
+        sides = [
+            [
+                ConeDecomposition(basis=view, coeffs=c, residual=float(r))
+                for c, r in zip(dec.coeffs, dec.residuals)
+            ]
+            for view, dec in zip((self.augmented.basis_view, self.mic.basis_view),
+                                 self.decompositions)
+        ]
+        return tuple(zip(*sides))
 
 
 def _step_witnesses(e_delta: np.ndarray, steps: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -298,24 +339,21 @@ def _admit_witnesses(
     aug_view: OperatorBasis,
     mic_view: OperatorBasis,
     tol: ToleranceConfig,
-) -> list[tuple[Effect, ConeDecomposition, ConeDecomposition]]:
+) -> tuple[int, tuple[Decompositions, Decompositions]]:
     """The longest prefix of a validated candidate stack inside both cones.
 
     One batched effect check and one solve per cone decide the whole
     stack; the prefix ends at the first candidate that is not an effect
-    or that either solve rejects.  Admitted operators are wrapped as
-    effects without a second check.
+    or that either solve rejects.  Returns the prefix length and the
+    prefix's clipped coefficients over each family.
     """
     coords = stacked_coordinates(candidates)
-    checks = effect_checks(candidates, tol)
-    by_aug = _solve_memberships(coords, aug_view, tol)
-    by_mic = _solve_memberships(coords, mic_view, tol)
-    admitted = []
-    for op, check, mem_a, mem_m in zip(_operator_views(candidates), checks, by_aug, by_mic):
-        if not check.ok or mem_a is None or mem_m is None:
-            break
-        admitted.append((_checked_effect(op), mem_a, mem_m))
-    return admitted
+    ok = np.array([check.ok for check in effect_checks(candidates, tol)])
+    solved = [_solve_memberships(coords, view, tol) for view in (aug_view, mic_view)]
+    for _, _, admitted in solved:
+        ok &= admitted
+    n = len(ok) if ok.all() else int(np.argmin(ok))
+    return n, tuple(_decompositions(c[:n], r[:n]) for c, r, _ in solved)
 
 
 def intersection_span_certificate(
@@ -383,11 +421,11 @@ def intersection_span_certificate(
     signed = steps * signs
     signed.setflags(write=False)
     candidates = _step_witnesses(e_delta.mat, signed, tol)
-    admitted = _admit_witnesses(candidates, aug_view, mic_view, tol)
+    admitted, decompositions = _admit_witnesses(candidates, aug_view, mic_view, tol)
     rank = coordinate_rank(stacked_coordinates(candidates)).rank(tol)
-    if len(admitted) < d * d or rank < d * d:
+    if admitted < d * d or rank < d * d:
         raise CertificateError(
-            f"stage orthonormal-shift: {len(admitted)} of {d * d} witnesses admitted, "
+            f"stage orthonormal-shift: {admitted} of {d * d} witnesses admitted, "
             f"rank {rank} of {d * d}"
         )
     return SpanCertificate(
@@ -398,8 +436,8 @@ def intersection_span_certificate(
         radius=float(steps.min()),
         e_delta=e_delta,
         steps=signed,
-        witnesses=tuple(w for w, _, _ in admitted),
-        memberships=tuple((a, m) for _, a, m in admitted),
+        witness_stack=candidates,
+        decompositions=decompositions,
         rank=d * d,
         tol=tol,
     )
@@ -441,12 +479,13 @@ def verify_certificate(
     if np.linalg.norm(cert.mic.pom.stack.sum(axis=0) - np.eye(d)) > tol.residual:
         failures.append("mic-pom-sum")
 
-    if len(cert.witnesses) != d * d or len(cert.memberships) != d * d:
+    witnesses = cert.witness_stack
+    decomposed = min(len(dec.coeffs) for dec in cert.decompositions)
+    if len(witnesses) != d * d or decomposed != d * d:
         failures.append("witness-count")
     rank, max_res, min_coeff = 0, 0.0, 0.0
-    n = min(len(cert.witnesses), len(cert.memberships))
-    if cert.witnesses:
-        witnesses = np.stack([w.mat for w in cert.witnesses])
+    n = min(len(witnesses), decomposed)
+    if len(witnesses):
         coords = stacked_coordinates(witnesses)
         rank = coordinate_rank(coords).rank(tol)
     if n:
@@ -456,10 +495,10 @@ def verify_certificate(
         else:
             effect_ok = np.array([check.ok for check in effect_checks(witnesses[:n], tol)])
         per_family = []
-        for side, (label, family) in enumerate(
-            (("augmented", cert.augmented.stack), ("mic", cert.mic.pom.stack))
+        for label, family, dec in zip(
+            ("augmented", "mic"), (cert.augmented.stack, cert.mic.pom.stack), cert.decompositions
         ):
-            coeffs = np.stack([mems[side].coeffs for mems in cert.memberships[:n]])
+            coeffs = dec.coeffs[:n]
             residuals = np.linalg.norm(coeffs @ stacked_coordinates(family) - targets, axis=1)
             per_family.append((label, coeffs.min(axis=1), residuals))
         for k in range(n):
@@ -484,7 +523,7 @@ def verify_certificate(
         rank=rank,
         max_membership_residual=max_res,
         min_coefficient=min_coeff,
-        witness_count=len(cert.witnesses),
+        witness_count=len(witnesses),
     )
 
 
@@ -495,8 +534,9 @@ def verify_certificate(
 def certificate_to_jsonable(cert: SpanCertificate) -> dict:
     """Wire form: the families, the scalars and one signed step per direction.
 
-    The augmented elements, the witnesses and their decompositions are
-    left out, since `certificate_from_jsonable` derives them.  Only a
+    The MIC-POM is stored as one row of exact coordinates per effect.  The
+    augmented elements, the witnesses and their decompositions are left
+    out, since `certificate_from_jsonable` derives them.  Only a
     certificate without steps, read from an older file, stores its
     witnesses.
     """
@@ -512,7 +552,7 @@ def certificate_to_jsonable(cert: SpanCertificate) -> dict:
         "e_delta": operator_to_jsonable(cert.e_delta.op),
     }
     if cert.steps is None:
-        obj["witnesses"] = operators_to_jsonable(np.stack([e.mat for e in cert.witnesses]))
+        obj["witnesses"] = operators_to_jsonable(cert.witness_stack)
     else:
         obj["steps"] = cert.steps.tolist()
     return obj
@@ -530,6 +570,22 @@ def _steps_from_jsonable(items, d: int) -> np.ndarray:
     return steps
 
 
+def _stored_decompositions(items, n: int) -> tuple[Decompositions, Decompositions]:
+    """The decompositions a file stores, per witness, as one array per family."""
+    sides = {"augmented": ([], []), "mic": ([], [])}
+    for item in items:
+        for side, (coeffs, residuals) in sides.items():
+            row = np.array(item[side]["coeffs"], dtype=np.float64)
+            residuals.append(float(item[side]["residual"]))
+            if row.shape != (n,):
+                raise ValueError(f"expected {n} coefficients, got shape {row.shape}")
+            coeffs.append(row)
+    return tuple(
+        _decompositions(np.stack(coeffs) if coeffs else np.empty((0, n)), residuals)
+        for coeffs, residuals in sides.values()
+    )
+
+
 def certificate_from_jsonable(
     obj: dict, tol: ToleranceConfig | None = None
 ) -> SpanCertificate:
@@ -539,22 +595,23 @@ def certificate_from_jsonable(
     construction would: the augmented elements from the vector family
     (checked orthonormal) at the stored scale c, the witnesses from the
     signed steps by `_step_witnesses`, and each witness's decompositions
-    by one solve per cone, unclipped.  Either way the witnesses are checked
-    as effects at `tol`, which the certificate then carries, and
-    `verify_certificate` judges the rest.  With `tol` None the tolerances
-    stored in the file are used, so the file can loosen these checks: a
-    verifier of an untrusted file passes its own (as `certify-cone
-    --verify` does), and `verify_certificate` at other tolerances repeats
-    the witness checks.  Structural problems (missing keys, malformed
-    operators or steps) raise ValueError; semantic invariant violations
-    surface as `CertificateError` so callers can report a failed
-    verification verdict rather than a parse error.
+    by one solve per cone, unclipped.  The MIC-POM is read from its rows
+    or, in older files, from its effects, and checked the same way.
+    Either way the witnesses are checked as effects at `tol`, which the
+    certificate then carries, and `verify_certificate` judges the rest.
+    With `tol` None the tolerances stored in the file are used, so the
+    file can loosen these checks: a verifier of an untrusted file passes
+    its own (as `certify-cone --verify` does), and `verify_certificate` at
+    other tolerances repeats the witness checks.  Structural problems
+    (missing keys, malformed operators, MIC rows or steps) raise
+    ValueError; semantic invariant violations surface as
+    `CertificateError` so callers can report a failed verification verdict
+    rather than a parse error.
     """
     try:
         if tol is None:
             tol = tolerance_from_jsonable(obj["tolerances"])
         augmented = augmented_basis_from_jsonable(obj["augmented"], tol)
-        mic_obj = obj["mic"]
         e_delta_obj = obj["e_delta"]
         if "witnesses" in obj:
             witness_objs, steps = list(obj["witnesses"]), None
@@ -565,44 +622,30 @@ def certificate_from_jsonable(
         delta = float(obj["delta"])
         radius = float(obj["radius"])
         rank = int(obj["rank"])
+        pom = pom_from_jsonable(obj["mic"], tol)
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed certificate JSON: {exc}") from exc
-    except NotOrthonormalError as exc:
+    except (NotOrthonormalError, NotAnEffectError, PomIdentityError) as exc:
         raise CertificateError(f"certificate content fails its invariants: {exc}") from exc
 
+    d = augmented.dim
     try:
-        mic = MicPom(pom_from_jsonable(mic_obj, tol), tol)
+        mic = MicPom(pom, tol)
         e_delta = Effect(operator_from_jsonable(e_delta_obj), tol)
         if witness_objs is not None:
-            stack = operators_from_jsonable(witness_objs) if witness_objs else ()
-        elif e_delta.dim != augmented.dim:
-            raise DimensionMismatchError(
-                f"E_delta dim {e_delta.dim} vs augmented dim {augmented.dim}"
-            )
+            stack = (operators_from_jsonable(witness_objs) if witness_objs
+                     else np.empty((0, d, d), dtype=np.complex128))
+        elif e_delta.dim != d:
+            raise DimensionMismatchError(f"E_delta dim {e_delta.dim} vs augmented dim {d}")
         else:
             stack = _step_witnesses(e_delta.mat, steps, tol)
-        witnesses = effects_of(_operator_views(stack), tol) if len(stack) else ()
-        aug_view = augmented.basis_view
-        mic_view = mic.basis_view
+        _require_effects(stack, tol)
+        views = (augmented.basis_view, mic.basis_view)  # certifies the augmented family
         if membership_objs is not None:
-            memberships = tuple(
-                tuple(
-                    ConeDecomposition(
-                        basis=view,
-                        coeffs=np.array(item[side]["coeffs"], dtype=np.float64),
-                        residual=float(item[side]["residual"]),
-                    )
-                    for side, view in (("augmented", aug_view), ("mic", mic_view))
-                )
-                for item in membership_objs
-            )
-        elif witnesses:
-            coords = stacked_coordinates(stack)
-            memberships = tuple(
-                zip(_expansions(coords, aug_view, tol), _expansions(coords, mic_view, tol))
-            )
+            decompositions = _stored_decompositions(membership_objs, d * d)
         else:
-            memberships = ()
+            coords = stacked_coordinates(stack)
+            decompositions = tuple(_expansions(coords, view, tol) for view in views)
     except (NotAnEffectError, ValueError) as exc:
         raise CertificateError(f"certificate content fails its invariants: {exc}") from exc
 
@@ -614,8 +657,8 @@ def certificate_from_jsonable(
         radius=radius,
         e_delta=e_delta,
         steps=steps,
-        witnesses=witnesses,
-        memberships=memberships,
+        witness_stack=stack,
+        decompositions=decompositions,
         rank=rank,
         tol=tol,
     )

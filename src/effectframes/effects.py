@@ -42,7 +42,8 @@ from .operators import (
     eig_hermitian,
     hermitian_stack,
     operators_from_jsonable,
-    operators_to_jsonable,
+    operators_from_rows,
+    operators_to_rows,
 )
 
 __all__ = [
@@ -61,6 +62,7 @@ __all__ = [
     "is_effect",
     "max_scale",
     "pom_from_jsonable",
+    "pom_stack_from_jsonable",
     "pom_to_jsonable",
     "psd_sqrt",
     "random_density",
@@ -168,13 +170,22 @@ def effects_of(ops, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Effect, ...]:
     leaves [0, 1].
     """
     ops = tuple(ops)
-    for k, check in enumerate(effect_checks(np.stack([op.mat for op in ops]), tol)):
+    _require_effects(np.stack([op.mat for op in ops]), tol)
+    return tuple(map(_checked_effect, ops))
+
+
+def _require_effects(mats: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+    """Check an (n, d, d) Hermitian stack as effects with one `effect_checks`.
+
+    Raises `NotAnEffectError` naming the first element whose spectrum
+    leaves [0, 1].
+    """
+    for k, check in enumerate(effect_checks(mats, tol)):
         if not check.ok:
             raise NotAnEffectError(
                 f"element {k} is not an effect: "
                 f"eigenvalue {check.witness!r} lies outside [0, 1]"
             )
-    return tuple(map(_checked_effect, ops))
 
 
 def _checked_effect(op: HermitianOperator) -> Effect:
@@ -438,11 +449,11 @@ def random_mic_pom(d: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL) -> Mic
         raise ValueError("dimension must be at least 2")
     rng = np.random.default_rng(seed)
     eye = np.eye(d, dtype=np.complex128)
-    vecs = np.empty((d * d, d), dtype=np.complex128)
     failure = None
     for _ in range(_MIC_POM_ATTEMPTS):
-        for k in range(d * d):
-            vecs[k] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        # Vector k: d real parts, then d imaginary parts, vector after vector.
+        g = rng.standard_normal((d * d, 2, d))
+        vecs = g[:, 0] + 1j * g[:, 1]
         mats = vecs[:, :, np.newaxis] * vecs[:, np.newaxis, :].conj()
         top = float(eig_hermitian(HermitianOperator(mats.sum(axis=0)))[0][0])
         mats *= 0.5 / top
@@ -472,11 +483,33 @@ def verification_effects(d: int, seed: int, count: int = 200) -> tuple[Effect, .
 # ---------------------------------------------------------------------------
 
 def pom_to_jsonable(p: POM) -> dict:
-    """Wire format ``{"dim": d, "effects": [operator-json, ...]}``."""
-    return {"dim": p.dim, "effects": operators_to_jsonable(p.stack)}
+    """Wire format ``{"dim": d, "rows": [[...], ...]}``.
+
+    One row of d**2 unscaled coordinates per effect (`operators_to_rows`):
+    half the numbers of the full matrices, each an exact matrix entry.
+    """
+    return {"dim": p.dim, "rows": operators_to_rows(p.stack)}
+
+
+def pom_stack_from_jsonable(obj: dict) -> np.ndarray:
+    """The validated (n, d, d) stack of a POM file, not yet checked as a POM.
+
+    Reads the ``rows`` of `pom_to_jsonable` or, as older files store the
+    effects, an ``effects`` list of operator objects.  Malformed JSON
+    raises `ValueError`, a list mixing dimensions `DimensionMismatchError`.
+    """
+    if not isinstance(obj, dict) or ("effects" not in obj and "rows" not in obj):
+        raise ValueError("POM JSON must carry 'rows' or an 'effects' list")
+    if "rows" in obj:
+        return operators_from_rows(obj["rows"], int(obj["dim"]))
+    return operators_from_jsonable(obj["effects"])
 
 
 def pom_from_jsonable(obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> POM:
-    if not isinstance(obj, dict) or "effects" not in obj:
-        raise ValueError("POM JSON must carry an 'effects' list")
-    return POM(effects_of(_operator_views(operators_from_jsonable(obj["effects"])), tol), tol)
+    """Parse either layout of a POM file and check the POM at `tol`.
+
+    Malformed JSON raises `ValueError` (`pom_stack_from_jsonable`); effects
+    that fail their check raise `NotAnEffectError`, and a sum away from the
+    identity `PomIdentityError`.
+    """
+    return POM(effects_of(_operator_views(pom_stack_from_jsonable(obj)), tol), tol)

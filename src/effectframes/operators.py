@@ -59,7 +59,9 @@ __all__ = [
     "operator_from_jsonable",
     "operator_to_jsonable",
     "operators_from_jsonable",
+    "operators_from_rows",
     "operators_to_jsonable",
+    "operators_to_rows",
     "orthonormal_operator_basis",
     "rank_one",
     "real_coordinates",
@@ -329,16 +331,15 @@ def stacked_coordinates(mats: np.ndarray) -> np.ndarray:
     Euclidean inner products of rows equal trace inner products of the
     matrices.
     """
+    diag, re, im = _triangle_parts(mats)
+    return np.concatenate([diag, math.sqrt(2.0) * re, math.sqrt(2.0) * im], axis=1)
+
+
+def _triangle_parts(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (n, d) diagonals and the real and imaginary (n, d(d-1)/2) strict upper triangles."""
     rows, cols = _strict_upper(mats.shape[-1])
     upper = mats[:, rows, cols]
-    return np.concatenate(
-        [
-            np.diagonal(mats, axis1=1, axis2=2).real,
-            math.sqrt(2.0) * upper.real,
-            math.sqrt(2.0) * upper.imag,
-        ],
-        axis=1,
-    )
+    return np.diagonal(mats, axis1=1, axis2=2).real, upper.real, upper.imag
 
 
 def real_coordinates(a: HermitianOperator) -> np.ndarray:
@@ -614,6 +615,40 @@ def operators_from_jsonable(items) -> np.ndarray:
             hermitian_stack(g[np.newaxis])
         raise DimensionMismatchError("operators of one family must share one dimension")
     return hermitian_stack(grids)
+
+
+def operators_to_rows(mats: np.ndarray) -> list[list[float]]:
+    """One row per element of an (n, d, d) Hermitian stack: its unscaled coordinates.
+
+    A row holds the diagonal, then the real parts and then the imaginary
+    parts of the strict upper triangle: `stacked_coordinates` without the
+    sqrt(2), so every number is an entry of the matrix, exactly.  The lower
+    triangle is the conjugate of the upper one and is not stored.
+    """
+    return np.concatenate(_triangle_parts(mats), axis=1).tolist()
+
+
+def operators_from_rows(rows, d: int) -> np.ndarray:
+    """Inverse of `operators_to_rows`: a validated (n, d, d) stack, n >= 1.
+
+    The rows must form an (n, d**2) grid of finite numbers; anything else
+    raises `ValueError`.
+    """
+    arr = np.asarray(rows)  # a ragged grid raises ValueError here
+    if d < 1 or arr.ndim != 2 or arr.shape[1] != d * d or not len(arr) or (
+        arr.dtype.kind not in "biuf"
+    ):
+        raise ValueError(f"rows must be a non-empty list of rows of {d * d} numbers")
+    arr = arr.astype(np.float64)
+    j, k = _strict_upper(d)
+    m = len(j)
+    mats = np.zeros((len(arr), d, d), dtype=np.complex128)
+    re, im = mats.real, mats.imag
+    re[:, np.arange(d), np.arange(d)] = arr[:, :d]
+    re[:, j, k] = re[:, k, j] = arr[:, d:d + m]
+    im[:, j, k] = arr[:, d + m:]
+    im[:, k, j] = -arr[:, d + m:]
+    return hermitian_stack(mats)
 
 
 def operator_to_jsonable(a: HermitianOperator) -> dict:

@@ -32,11 +32,13 @@ def full_layout(cert) -> dict:
 
     The augmented elements, the witnesses and both decompositions of every
     witness, as certificates were written before the compact layout, in
-    place of the signed steps.
+    place of the signed steps; the MIC-POM as a list of effects, as those
+    certificates stored it.
     """
     payload = certificate_to_jsonable(cert)
     payload.pop("steps", None)
     payload["augmented"] = augmented_basis_to_jsonable(cert.augmented)
+    payload["mic"] = {"dim": cert.mic.dim, "effects": operators_to_jsonable(cert.mic.pom.stack)}
     payload["witnesses"] = operators_to_jsonable(np.stack([e.mat for e in cert.witnesses]))
     payload["memberships"] = [
         {
@@ -46,3 +48,20 @@ def full_layout(cert) -> dict:
         for a, m in cert.memberships
     ]
     return payload
+
+
+def non_orthonormal_basis():
+    """An augmented basis grown from 0.98 times an orthonormal family.
+
+    Its elements are the completed projectors of the scaled vectors, scaled
+    by 1/Gamma of their own sum, so they match the family they store: only
+    the family's orthonormality is wrong.
+    """
+    from effectframes import AugmentedBasis, random_onb
+    from effectframes.augmented import _projector_stack, _scaled_family
+
+    onb = 0.98 * random_onb(3, 1)
+    projs = _projector_stack(onb)
+    gamma = float(np.linalg.eigvalsh(projs.sum(axis=0))[-1])
+    return AugmentedBasis(onb=onb, ops=_scaled_family(projs, 1.0 / gamma), c=1.0 / gamma,
+                          gamma=gamma)

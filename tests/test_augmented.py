@@ -260,3 +260,42 @@ def test_validate_sum_effect_witness_is_the_worst_eigenvalue(factor):
     assert not result.passed
     # The element sum has top eigenvalue 1, so the scaled sum's worst is `factor`.
     assert result.witness == pytest.approx(factor, abs=1e-12)
+
+
+def test_validate_rejects_non_orthonormal_vector_family():
+    from conftest import non_orthonormal_basis
+
+    basis = non_orthonormal_basis()
+    report = validate_augmented(basis)
+    assert set(report.conditions) == {
+        "scaled-projectors", "sum-effect", "rank-one", "linear-independence",
+    }
+    failing = [name for name, res in report.conditions.items() if not res.passed]
+    assert failing == ["scaled-projectors"]
+    gram = np.linalg.norm(basis.onb.conj().T @ basis.onb - np.eye(3))
+    assert report.conditions["scaled-projectors"].witness == pytest.approx(gram, rel=1e-12)
+    assert report.conditions["scaled-projectors"].witness == pytest.approx(6.859e-2, abs=1e-5)
+    assert "Gram deviation" in report.conditions["scaled-projectors"].detail
+
+
+def _reference_projector_stack(u):
+    """The completed projector family built one vector at a time."""
+    d = u.shape[0]
+    vecs = [u[:, j] for j in range(d)]
+    for j in range(d):
+        for k in range(j + 1, d):
+            vecs.append((u[:, j] + u[:, k]) / math.sqrt(2.0))
+            vecs.append((u[:, j] + 1j * u[:, k]) / math.sqrt(2.0))
+    vecs = np.array(vecs)
+    return vecs[:, :, np.newaxis] * vecs[:, np.newaxis, :].conj()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_projector_stack_matches_the_vector_loop(d):
+    from effectframes.augmented import _projector_stack
+    from effectframes.operators import hermitian_stack
+
+    for seed in range(5):
+        u = random_onb(d, seed)
+        reference = hermitian_stack(_reference_projector_stack(u))
+        assert _projector_stack(u).tobytes() == reference.tobytes()

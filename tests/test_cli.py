@@ -21,6 +21,7 @@ from effectframes import (
     identity,
     certificate_from_jsonable,
     operator_to_jsonable,
+    operators_to_jsonable,
     pom_to_jsonable,
     random_density,
     random_mic_pom,
@@ -209,6 +210,90 @@ def test_certify_cone_verify_non_numeric_step_is_exit_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "steps" in err and "Traceback" not in err
+
+
+def test_certify_cone_verifies_a_compact_file_with_mic_effects_unchanged(capsys, tmp_path):
+    # A compact file whose MIC-POM is stored as a list of effects, as
+    # written before the MIC rows, committed with the report its writer's
+    # reader gave.
+    name = "certificate_d3_compact"
+    assert "effects" in json.loads((FIXTURES / f"{name}.json").read_text())["mic"]
+    out = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys, "certify-cone", "--verify", str(FIXTURES / f"{name}.json"), "--out", str(out)
+    )
+    assert code == 0
+    assert out.read_bytes() == (FIXTURES / f"{name}.verify.json").read_bytes()
+
+
+@pytest.mark.parametrize("fault", ["short-row", "non-finite", "nested"])
+def test_certify_cone_verify_malformed_mic_rows_is_exit_2(capsys, tmp_path, fault):
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "certify-cone", "--dim", "2", "--seed", "1", "--out", str(cert_path))
+    payload = json.loads(cert_path.read_text())
+    rows = payload["mic"]["rows"]
+    if fault == "short-row":
+        rows[1] = rows[1][:-1]
+    elif fault == "non-finite":
+        rows[2][0] = float("nan")
+    else:
+        payload["mic"]["rows"] = [[[x] for x in row] for row in rows]
+    cert_path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "certify-cone", "--verify", str(cert_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fault", ["dropped-row", "merged-rows"])
+def test_certify_cone_verify_mic_rows_of_a_wrong_pom_fail(capsys, tmp_path, fault):
+    # Well-formed rows whose MIC-POM is wrong are a verdict, not invalid input.
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "certify-cone", "--dim", "2", "--seed", "1", "--out", str(cert_path))
+    payload = json.loads(cert_path.read_text())
+    rows = payload["mic"]["rows"]
+    if fault == "dropped-row":
+        del rows[0]  # the effects no longer sum to I
+    else:
+        rows[0] = [a + b for a, b in zip(rows[0], rows.pop(1))]  # a POM of 3 effects
+    cert_path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "certify-cone", "--verify", str(cert_path))
+    assert code == 1, err
+    report = json.loads(out)
+    assert report["verdict"] == "fail"
+    expected = "sum to identity" if fault == "dropped-row" else "4 effects"
+    assert any(expected in failure for failure in report["failures"]), report["failures"]
+
+
+def test_validate_reads_a_pom_as_rows_or_as_effects(capsys, tmp_path):
+    mic = random_mic_pom(3, 1)
+    reports = []
+    for layout in (pom_to_jsonable(mic.pom),
+                   {"dim": 3, "effects": operators_to_jsonable(mic.pom.stack)}):
+        path = tmp_path / "mic.json"
+        path.write_text(json.dumps(layout))
+        code, out, _ = run_cli(capsys, "validate", "--kind", "mic-pom", "--in", str(path))
+        assert code == 0
+        reports.append(out)
+    assert "rows" in pom_to_jsonable(mic.pom) and reports[0] == reports[1]
+
+
+def test_certify_cone_verify_fails_a_non_orthonormal_family_in_both_layouts(capsys, tmp_path):
+    from effectframes import certificate_to_jsonable, intersection_span_certificate
+
+    from conftest import non_orthonormal_basis
+
+    cert = intersection_span_certificate(non_orthonormal_basis(), random_mic_pom(3, 1 + 7919))
+    for layout, payload in (("compact", certificate_to_jsonable(cert)),
+                            ("full", full_layout(cert))):
+        cert_path = tmp_path / f"{layout}.json"
+        cert_path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "certify-cone", "--verify", str(cert_path))
+        assert code == 1, layout
+        report = json.loads(out)
+        assert report["verdict"] == "fail"
+        expected = "augmented-basis" if layout == "full" else "Gram deviation"
+        assert any(expected in failure for failure in report["failures"]), layout
+        assert "Traceback" not in err
 
 
 def test_certify_cone_needs_dim_and_seed(capsys):

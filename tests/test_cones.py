@@ -130,11 +130,11 @@ def test_membership_boundary_is_minus_psd_slack(monkeypatch):
     stack = cones.hermitian_stack(
         [_sic_point(x).mat for x in (0.5, -slack / 2, -2 * slack, 0.5)]
     )
-    admitted = cones._admit_witnesses(stack, view, view, DEFAULT_TOL)
-    assert len(admitted) == 2
-    for (op, mem_a, mem_m), first in zip(admitted, (0.5, 0.0)):
-        np.testing.assert_allclose(mem_a.coeffs, [first, 0.5, 0.5, 0.5], atol=1e-12)
-        np.testing.assert_array_equal(mem_m.coeffs, mem_a.coeffs)
+    admitted, (by_a, by_m) = cones._admit_witnesses(stack, view, view, DEFAULT_TOL)
+    assert admitted == 2 == len(by_a.coeffs) == len(by_m.coeffs)
+    for coeffs_a, coeffs_m, first in zip(by_a.coeffs, by_m.coeffs, (0.5, 0.0)):
+        np.testing.assert_allclose(coeffs_a, [first, 0.5, 0.5, 0.5], atol=1e-12)
+        np.testing.assert_array_equal(coeffs_m, coeffs_a)
 
 
 def test_import_does_not_load_scipy():
@@ -373,6 +373,12 @@ def _compact_rank(p):
     p["steps"] = [0.0] * len(p["steps"])
 
 
+def _compact_mic_sum(p):
+    # The MIC-POM rows scaled as `_tamper_mic_sum` scales the effects.
+    p["tolerances"]["residual"] = 1e-5
+    p["mic"]["rows"] = ((1.0 + 1e-7) * np.array(p["mic"]["rows"])).tolist()
+
+
 # The compact layout stores no decompositions: each is the exact solve of
 # its witness over the family, so its residual is rounding alone and
 # `witness-k-<cone>-residual` cannot arise.  Every other label does.
@@ -382,7 +388,7 @@ COMPACT_TAMPERINGS = {
     "witness-count": _compact_count,
     "witness-rank": _compact_rank,
     "augmented-basis": _tamper_augmented,
-    "mic-pom-sum": _tamper_mic_sum,
+    "mic-pom-sum": _compact_mic_sum,
 }
 
 
@@ -450,12 +456,12 @@ def test_stacked_admission_stops_at_first_failure_without_nnls(monkeypatch):
     monkeypatch.setattr(cones, "nnls", _refuse_nnls)
     for middle in (ket0, minus):
         stack = cones.hermitian_stack([e_delta.mat, middle.mat, e_delta.mat])
-        admitted = cones._admit_witnesses(stack, basis.basis_view, sic.basis_view, DEFAULT_TOL)
-        assert len(admitted) == 1
-        op, mem_a, mem_m = admitted[0]
-        np.testing.assert_array_equal(op.mat, e_delta.mat)
+        admitted, (by_a, by_m) = cones._admit_witnesses(
+            stack, basis.basis_view, sic.basis_view, DEFAULT_TOL
+        )
+        assert admitted == 1 == len(by_a.coeffs) == len(by_m.coeffs)
         single = cone_membership(e_delta.op, basis, DEFAULT_TOL)
-        np.testing.assert_allclose(mem_a.coeffs, single.coeffs, atol=1e-14)
+        np.testing.assert_allclose(by_a.coeffs[0], single.coeffs, atol=1e-14)
         assert cone_membership(middle, sic) is None or cone_membership(middle, basis) is None
 
 
@@ -625,3 +631,34 @@ def test_compact_payload_without_steps_is_malformed():
     del payload["steps"]
     with pytest.raises(ValueError, match="malformed certificate JSON"):
         certificate_from_jsonable(payload)
+
+
+# ---------------------------------------------------------------------------
+# The certificate as arrays, its MIC-POM as rows
+# ---------------------------------------------------------------------------
+
+def test_rebuilt_mic_pom_and_witnesses_are_the_built_ones():
+    for d in range(2, 6):
+        for seed in range(50):
+            cert = intersection_span_certificate(*_cli_pair(d, seed))
+            payload = json.loads(json.dumps(certificate_to_jsonable(cert)))
+            assert set(payload["mic"]) == {"dim", "rows"}
+            back = certificate_from_jsonable(payload)
+            assert back.mic.pom.stack.tobytes() == cert.mic.pom.stack.tobytes(), (d, seed)
+            assert back.witness_stack.tobytes() == cert.witness_stack.tobytes(), (d, seed)
+            for certificate in (cert, back):
+                for dec in certificate.decompositions:
+                    assert dec.coeffs.shape == (d * d, d * d)
+                    assert dec.coeffs.flags.c_contiguous and not dec.coeffs.flags.writeable
+
+
+def test_witnesses_and_memberships_view_the_arrays():
+    cert = intersection_span_certificate(*_cli_pair(3, 2))
+    assert all(isinstance(w, Effect) for w in cert.witnesses)
+    for k, (w, (mem_a, mem_m)) in enumerate(zip(cert.witnesses, cert.memberships)):
+        np.testing.assert_array_equal(w.mat, cert.witness_stack[k])
+        for mem, dec in zip((mem_a, mem_m), cert.decompositions):
+            np.testing.assert_array_equal(mem.coeffs, dec.coeffs[k])
+            assert mem.residual == dec.residuals[k]
+    assert cert.memberships[0][0].basis is cert.augmented.basis_view
+    assert cert.memberships[0][1].basis is cert.mic.basis_view

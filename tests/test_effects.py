@@ -25,6 +25,7 @@ from effectframes import (
     is_effect,
     max_scale,
     operator_to_jsonable,
+    operators_to_jsonable,
     pom_from_jsonable,
     pom_to_jsonable,
     psd_sqrt,
@@ -374,3 +375,51 @@ def test_batched_draw_reports_eigensolver_failure(monkeypatch):
         random_effect(3, 0)
     with pytest.raises(EigensolverError, match="eigendecomposition failed"):
         verification_effects(3, 98765, 7)
+
+
+def _reference_random_mic_pom(d, seed):
+    """`random_mic_pom`'s stack as drawn before: two calls per vector."""
+    rng = np.random.default_rng(seed)
+    eye = np.eye(d, dtype=np.complex128)
+    vecs = np.empty((d * d, d), dtype=np.complex128)
+    for _ in range(32):
+        for k in range(d * d):
+            vecs[k] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        mats = vecs[:, :, np.newaxis] * vecs[:, np.newaxis, :].conj()
+        mats *= 0.5 / float(eig_hermitian(HermitianOperator(mats.sum(axis=0)))[0][0])
+        deficit = (eye - mats.sum(axis=0)) / (d * d)
+        stack = hermitian_stack(mats + deficit)
+        w = np.linalg.eigvalsh(stack)
+        if w.min() >= -DEFAULT_TOL.psd_slack and w.max() <= 1.0 + DEFAULT_TOL.psd_slack:
+            return stack
+    return None
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_random_mic_pom_draws_as_before(d):
+    for seed in range(20):
+        assert random_mic_pom(d, seed).pom.stack.tobytes() == (
+            _reference_random_mic_pom(d, seed).tobytes()
+        ), seed
+
+
+def test_pom_json_reads_rows_and_effects_alike():
+    mic = random_mic_pom(3, 5)
+    rows = json.loads(json.dumps(pom_to_jsonable(mic.pom)))
+    effects = json.loads(json.dumps({"dim": 3, "effects": operators_to_jsonable(mic.pom.stack)}))
+    assert set(rows) == {"dim", "rows"} and set(effects) == {"dim", "effects"}
+    for blob in (rows, effects):
+        assert pom_from_jsonable(blob).stack.tobytes() == mic.pom.stack.tobytes()
+    assert len(json.dumps(rows)) < 0.6 * len(json.dumps(effects))
+
+
+def test_pom_json_rows_are_checked_as_effects():
+    mic = random_mic_pom(2, 5)
+    blob = pom_to_jsonable(mic.pom)
+    blob["rows"][0][0] = 1.5  # a diagonal entry above one
+    with pytest.raises(NotAnEffectError, match="element 0"):
+        pom_from_jsonable(blob)
+    blob = pom_to_jsonable(mic.pom)
+    blob["rows"][0][1] += 1e-3  # no longer sums to the identity
+    with pytest.raises(PomIdentityError):
+        pom_from_jsonable(blob)

@@ -531,3 +531,36 @@ def test_tolerance_codec_round_trip():
     assert tolerance_from_jsonable(json.loads(json.dumps(blob))) == tol
     with pytest.raises(KeyError):
         tolerance_from_jsonable({"psd_slack": 1e-9})
+
+
+def test_operator_rows_are_unscaled_coordinates_and_round_trip_bit_for_bit(rng):
+    from effectframes import operators_from_rows, operators_to_rows
+
+    for d in (1, 2, 3, 5):
+        family = hermitian_stack([random_hermitian(rng, d).mat for _ in range(7)])
+        rows = np.array(operators_to_rows(family))
+        assert rows.shape == (7, d * d)
+        coords = stacked_coordinates(family)
+        assert np.array_equal(rows[:, :d], coords[:, :d])
+        assert np.array_equal(math.sqrt(2.0) * rows[:, d:], coords[:, d:])
+        back = operators_from_rows(json.loads(json.dumps(rows.tolist())), d)
+        assert back.tobytes() == family.tobytes()
+        assert not back.flags.writeable
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.5, 0.5, 0.0]],              # short
+    [[0.5, 0.5, 0.0, 0.0, 1.0]],    # long
+    [[[0.5], [0.5], [0.0], [0.0]]],  # nested
+    [[0.5, 0.5, 0.0, 0.0], [0.5]],  # ragged
+    [["0.5", 0.5, 0.0, 0.0]],       # not a number
+    [[float("nan"), 0.5, 0.0, 0.0]],
+    [[float("inf"), 0.5, 0.0, 0.0]],
+    [],
+])
+def test_operator_rows_reject_malformed_input(rows):
+    from effectframes import operators_from_rows
+
+    with pytest.raises(ValueError):
+        operators_from_rows(rows, 2)
+
