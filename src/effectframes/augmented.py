@@ -7,9 +7,9 @@ The scaled family consists of rank-one effects whose first d members are
 c |e_j><e_j| with c = 1/Gamma in (0, 1), and whose total is an effect.
 Appending the deficit I - G/Gamma turns the family into a POM.
 
-The family is built and validated as one (d**2, d, d) stack, and
-`validate_augmented` checks its rank-one condition with one batched
-``eigvalsh``.
+The family is held as one (d**2, d, d) stack that `ops`, `elements` and
+`basis_view` view, and `validate_augmented` checks its rank-one condition
+with one batched ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .operators import (
     HermitianOperator,
     OperatorBasis,
     ToleranceConfig,
+    _operator_stack,
     _operator_views,
     _strict_upper,
     complex_from_jsonable,
@@ -38,7 +39,7 @@ from .operators import (
     operators_to_jsonable,
     stacked_coordinates,
 )
-from .effects import Effect, POM, _spectrum_checks, effects_of
+from .effects import Effect, POM, _checked_effect, _require_effects, _spectrum_checks
 
 __all__ = [
     "AugmentedBasis",
@@ -99,12 +100,12 @@ def _projector_stack(u: np.ndarray) -> np.ndarray:
     return hermitian_stack(vecs[:, :, np.newaxis] * vecs[:, np.newaxis, :].conj())
 
 
-def _scaled_family(projs: np.ndarray, c: float) -> tuple[HermitianOperator, ...]:
+def _scaled_family(projs: np.ndarray, c: float) -> np.ndarray:
     """A `_projector_stack`, every element scaled by c."""
-    return _operator_views(hermitian_stack(c * projs))
+    return hermitian_stack(c * projs)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class AugmentedBasis:
     """d**2 rank-one effects, the first d proportional to onb projectors.
 
@@ -115,7 +116,8 @@ class AugmentedBasis:
     Attributes
     ----------
     onb : complex d x d array whose columns are the orthonormal vectors
-    ops : the d**2 scaled rank-one operators B_j
+    stack : the d**2 scaled rank-one operators B_j, given as `ops`
+    ops : views of the B_j in `stack`
     c : common scale of the first d elements, in (0, 1) when valid
         (1/gamma when built by `augmented_basis_from_onb`)
     gamma : top eigenvalue of the projector sum G
@@ -124,45 +126,42 @@ class AugmentedBasis:
     """
 
     onb: np.ndarray
-    ops: tuple[HermitianOperator, ...]
+    stack: np.ndarray
     c: float
     gamma: float
-    tol: ToleranceConfig = DEFAULT_TOL
+    tol: ToleranceConfig
 
-    def __post_init__(self) -> None:
-        u = np.array(self.onb, dtype=np.complex128)
+    def __init__(self, onb, ops, c: float, gamma: float, tol: ToleranceConfig = DEFAULT_TOL):
+        u = np.array(onb, dtype=np.complex128)
         u.setflags(write=False)
-        object.__setattr__(self, "onb", u)
-        ops = tuple(self.ops)
-        object.__setattr__(self, "ops", ops)
+        stack = _operator_stack(ops)
         d = u.shape[0]
-        if len(ops) != d * d:
-            raise ValueError(f"expected {d * d} elements, got {len(ops)}")
-        if any(op.dim != d for op in ops):
-            raise ValueError("element dimensions disagree with the vector family")
+        if stack.shape != (d * d, d, d):
+            raise ValueError(
+                f"expected {d * d} elements of dimension {d}, got shape {stack.shape}"
+            )
+        self.__dict__.update(onb=u, stack=stack, c=c, gamma=gamma, tol=tol)  # past the frozen __setattr__
 
     @property
     def dim(self) -> int:
         return int(self.onb.shape[0])
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self.stack)
 
     @cached_property
-    def stack(self) -> np.ndarray:
-        """The operators as one read-only (d**2, d, d) array."""
-        mats = np.stack([op.mat for op in self.ops])
-        mats.setflags(write=False)
-        return mats
+    def ops(self) -> tuple[HermitianOperator, ...]:
+        return _operator_views(self.stack)
 
     @cached_property
     def elements(self) -> tuple[Effect, ...]:
         """The operators as validated effects."""
-        return effects_of(self.ops, self.tol)
+        _require_effects(self.stack, self.tol)
+        return tuple(map(_checked_effect, self.ops))
 
     @cached_property
     def basis_view(self) -> OperatorBasis:
-        return OperatorBasis(self.ops, self.tol)
+        return OperatorBasis(self.stack, self.tol)
 
     @cached_property
     def element_sum(self) -> HermitianOperator:
@@ -179,7 +178,7 @@ class AugmentedBasis:
 
     def as_pom(self) -> POM:
         """POM closure: the d**2 elements followed by the completion, checked at `tol`."""
-        return POM(self.elements + (Effect(self.completion, self.tol),), self.tol)
+        return POM(np.concatenate([self.stack, self.completion.mat[np.newaxis]]), self.tol)
 
 
 def augmented_basis_from_onb(onb, tol: ToleranceConfig = DEFAULT_TOL) -> AugmentedBasis:
@@ -221,8 +220,8 @@ def augmented_basis_from_jsonable(obj: dict, tol: ToleranceConfig = DEFAULT_TOL)
     """
     c = float(obj["c"])
     if "elements" in obj:
-        ops = _operator_views(operators_from_jsonable(obj["elements"]))
-        d = ops[0].dim
+        ops = operators_from_jsonable(obj["elements"])
+        d = ops.shape[-1]
         onb = complex_from_jsonable(obj["onb"], (d, d))
     else:
         if not math.isfinite(c):

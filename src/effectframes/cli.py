@@ -89,7 +89,7 @@ def _cmd_reconstruct(args) -> tuple[dict, bool]:
         GenerationRetryError,
         MicPom,
         NotADensityError,
-        pom_from_jsonable,
+        pom_stack_from_jsonable,
         random_density,
         random_mic_pom,
     )
@@ -110,7 +110,7 @@ def _cmd_reconstruct(args) -> tuple[dict, bool]:
             return _generation_failed(args, tol, failed_stage=f"stage state: {exc}")
         state_source = "generated"
     if args.mic:
-        mic = MicPom(pom_from_jsonable(_load_json(args.mic), tol), tol)
+        mic = MicPom(pom_stack_from_jsonable(_load_json(args.mic)), tol)
         mic_source = "file"
     else:
         try:
@@ -331,36 +331,9 @@ def _cmd_cauchy(args) -> tuple[dict, bool]:
     raise ValueError(f"unknown cauchy mode {args.mode!r}")
 
 
-def _validate_pom_like(mats, tol: ToleranceConfig, need_rank: bool) -> tuple[dict, str | None]:
-    import numpy as np
-
-    from .effects import effect_checks
-    from .operators import coordinate_rank, stacked_coordinates
-
-    d = mats.shape[-1]
-    details: dict = {"dim": d, "count": len(mats)}
-    if len(mats) < 2:
-        return details, "size"
-    for check in effect_checks(mats, tol):
-        if not check.ok:
-            details["offending_eigenvalue"] = check.witness
-            return details, "effect-spectrum"
-    dev = float(np.linalg.norm(mats.sum(axis=0) - np.eye(d)))
-    details["sum_deviation"] = dev
-    if dev > tol.residual:
-        return details, "sum-to-identity"
-    if need_rank:
-        if len(mats) != d * d:
-            return details, "element-count"
-        details["rank"] = coordinate_rank(stacked_coordinates(mats)).rank(tol)
-        if details["rank"] != d * d:
-            return details, "linear-independence"
-    return details, None
-
-
 def _cmd_validate(args) -> tuple[dict, bool]:
     from .augmented import augmented_basis_from_jsonable, validate_augmented
-    from .effects import pom_stack_from_jsonable
+    from .effects import check_pom, pom_stack_from_jsonable
     from .operators import DimensionMismatchError, operator_from_jsonable, tolerance_to_jsonable
 
     tol = _tolerances(args)
@@ -378,7 +351,7 @@ def _cmd_validate(args) -> tuple[dict, bool]:
             details = {"dim": int(items[0]["dim"]), "count": len(items)}
             violated = "dimension-mismatch"
         else:
-            details, violated = _validate_pom_like(mats, tol, need_rank=args.kind == "mic-pom")
+            details, violated = check_pom(mats, tol, mic=args.kind == "mic-pom")[:2]
     elif args.kind == "augmented":
         report = validate_augmented(augmented_basis_from_jsonable(payload, tol), tol)
         details = {

@@ -27,6 +27,7 @@ cone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -39,7 +40,6 @@ from .operators import (
     HermitianOperator,
     OperatorBasis,
     ToleranceConfig,
-    _operator_views,
     coordinate_rank,
     eig_hermitian,
     hermitian_stack,
@@ -58,13 +58,12 @@ from .operators import (
 from .effects import (
     Effect,
     MicPom,
-    NotAnEffectError,
-    PomIdentityError,
     _checked_effect,
+    _effect_views,
     _require_effects,
     effect_checks,
     is_effect,
-    pom_from_jsonable,
+    pom_stack_from_jsonable,
     pom_to_jsonable,
 )
 from .augmented import (
@@ -151,18 +150,6 @@ def cone_decompose_spectral(
     return basis, ConeDecomposition(basis=basis.basis_view, coeffs=coeffs, residual=residual)
 
 
-def _family_view(family) -> OperatorBasis:
-    """Coerce an operator family to its OperatorBasis coordinate view."""
-    if isinstance(family, OperatorBasis):
-        return family
-    view = getattr(family, "basis_view", None)
-    if isinstance(view, OperatorBasis):
-        return view
-    raise TypeError(
-        f"expected an operator family with a coordinate view, got {type(family).__name__}"
-    )
-
-
 def nnls(mat: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     """Nonnegative least squares, min ||mat x - target|| over x >= 0.
 
@@ -236,7 +223,7 @@ def cone_membership(
     and the residual of the clipped coefficients is below tol.residual.
     Returns None otherwise; absence is a value, not an error.
     """
-    view = _family_view(basis)
+    view = basis if isinstance(basis, OperatorBasis) else basis.basis_view
     if h.dim != view.dim:
         raise DimensionMismatchError(f"operator dim {h.dim} vs basis dim {view.dim}")
     coeffs, residuals, admitted = _solve_memberships(real_coordinates(h)[np.newaxis], view, tol)
@@ -257,8 +244,8 @@ def interior_point_Edelta(
     Raises `EpsilonTooLargeError` when the shifted operator stops being an
     effect; the caller is expected to halve epsilon and retry.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     d = basis.dim
     tail = basis.stack[d:].sum(axis=0)
     tnorm = float(np.linalg.norm(tail))
@@ -306,7 +293,7 @@ class SpanCertificate:
 
     @cached_property
     def witnesses(self) -> tuple[Effect, ...]:
-        return tuple(map(_checked_effect, _operator_views(self.witness_stack)))
+        return _effect_views(self.witness_stack)
 
     @cached_property
     def memberships(self) -> tuple[tuple[ConeDecomposition, ConeDecomposition], ...]:
@@ -476,7 +463,7 @@ def verify_certificate(
     if not validate_augmented(cert.augmented, tol).passed:
         failures.append("augmented-basis")
 
-    if np.linalg.norm(cert.mic.pom.stack.sum(axis=0) - np.eye(d)) > tol.residual:
+    if np.linalg.norm(cert.mic.stack.sum(axis=0) - np.eye(d)) > tol.residual:
         failures.append("mic-pom-sum")
 
     witnesses = cert.witness_stack
@@ -496,7 +483,7 @@ def verify_certificate(
             effect_ok = np.array([check.ok for check in effect_checks(witnesses[:n], tol)])
         per_family = []
         for label, family, dec in zip(
-            ("augmented", "mic"), (cert.augmented.stack, cert.mic.pom.stack), cert.decompositions
+            ("augmented", "mic"), (cert.augmented.stack, cert.mic.stack), cert.decompositions
         ):
             coeffs = dec.coeffs[:n]
             residuals = np.linalg.norm(coeffs @ stacked_coordinates(family) - targets, axis=1)
@@ -548,7 +535,7 @@ def certificate_to_jsonable(cert: SpanCertificate) -> dict:
         "rank": cert.rank,
         "tolerances": tolerance_to_jsonable(cert.tol),
         "augmented": augmented_basis_to_jsonable(cert.augmented, elements=False),
-        "mic": pom_to_jsonable(cert.mic.pom),
+        "mic": pom_to_jsonable(cert.mic),
         "e_delta": operator_to_jsonable(cert.e_delta.op),
     }
     if cert.steps is None:
@@ -602,51 +589,52 @@ def certificate_from_jsonable(
     With `tol` None the tolerances stored in the file are used, so the
     file can loosen these checks: a verifier of an untrusted file passes
     its own (as `certify-cone --verify` does), and `verify_certificate` at
-    other tolerances repeats the witness checks.  Structural problems
-    (missing keys, malformed operators, MIC rows or steps) raise
-    ValueError; semantic invariant violations surface as
-    `CertificateError` so callers can report a failed verification verdict
-    rather than a parse error.
+    other tolerances repeats the witness checks.  All blocks are parsed
+    before the MIC-POM, E_delta and witnesses are checked: structural
+    problems (missing keys, malformed or non-Hermitian blocks, a block of
+    another dimension) raise ValueError; a failed check, the vector
+    family's included, surfaces as `CertificateError` so callers can
+    report a failed verification verdict rather than a parse error.
     """
     try:
         if tol is None:
             tol = tolerance_from_jsonable(obj["tolerances"])
         augmented = augmented_basis_from_jsonable(obj["augmented"], tol)
-        e_delta_obj = obj["e_delta"]
+        d = augmented.dim
+        mic_stack = pom_stack_from_jsonable(obj["mic"])
+        e_delta_op = operator_from_jsonable(obj["e_delta"])
         if "witnesses" in obj:
             witness_objs, steps = list(obj["witnesses"]), None
+            stack = (operators_from_jsonable(witness_objs) if witness_objs
+                     else np.empty((0, d, d), dtype=np.complex128))
         else:
-            witness_objs, steps = None, _steps_from_jsonable(obj["steps"], augmented.dim)
-        membership_objs = list(obj["memberships"]) if "memberships" in obj else None
+            steps, stack = _steps_from_jsonable(obj["steps"], d), None
+        decompositions = (_stored_decompositions(obj["memberships"], d * d)
+                          if "memberships" in obj else None)
         epsilon = float(obj["epsilon"])
         delta = float(obj["delta"])
         radius = float(obj["radius"])
         rank = int(obj["rank"])
-        pom = pom_from_jsonable(obj["mic"], tol)
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed certificate JSON: {exc}") from exc
-    except (NotOrthonormalError, NotAnEffectError, PomIdentityError) as exc:
+    except NotOrthonormalError as exc:
         raise CertificateError(f"certificate content fails its invariants: {exc}") from exc
+    for name, dim in (("E_delta", e_delta_op.dim), ("MIC-POM", mic_stack.shape[-1]),
+                      ("witness", d if stack is None else stack.shape[-1])):
+        if dim != d:
+            raise DimensionMismatchError(f"{name} dim {dim} vs augmented dim {d}")
 
-    d = augmented.dim
     try:
-        mic = MicPom(pom, tol)
-        e_delta = Effect(operator_from_jsonable(e_delta_obj), tol)
-        if witness_objs is not None:
-            stack = (operators_from_jsonable(witness_objs) if witness_objs
-                     else np.empty((0, d, d), dtype=np.complex128))
-        elif e_delta.dim != d:
-            raise DimensionMismatchError(f"E_delta dim {e_delta.dim} vs augmented dim {d}")
-        else:
+        mic = MicPom(mic_stack, tol)
+        e_delta = Effect(e_delta_op, tol)
+        if steps is not None:
             stack = _step_witnesses(e_delta.mat, steps, tol)
         _require_effects(stack, tol)
         views = (augmented.basis_view, mic.basis_view)  # certifies the augmented family
-        if membership_objs is not None:
-            decompositions = _stored_decompositions(membership_objs, d * d)
-        else:
+        if decompositions is None:
             coords = stacked_coordinates(stack)
             decompositions = tuple(_expansions(coords, view, tol) for view in views)
-    except (NotAnEffectError, ValueError) as exc:
+    except ValueError as exc:
         raise CertificateError(f"certificate content fails its invariants: {exc}") from exc
 
     return SpanCertificate(

@@ -9,9 +9,10 @@ coexistence test, a closed-form qubit MIC-POM, and deterministic seeded
 generators for states, effects, orthonormal vector families, and MIC-POMs.
 
 Families of effects are checked as one stack: `effect_checks` decides a
-whole (n, d, d) stack with one batched ``eigvalsh``, `is_effect` is its
-one-element case, and POMs, MIC-POMs, their wire format and the seeded
-MIC-POM generator validate all their elements in that one pass.
+whole (n, d, d) stack with one batched ``eigvalsh``, and `is_effect` is its
+one-element case.  A POM stores the stack it was built from, its
+`effects` view it, and a MIC-POM's `basis_view` is an `OperatorBasis` on
+that same stack.  `check_pom` judges both, and ``validate`` reports it.
 
 Random effects are drawn the same way: `verification_effects` builds its
 whole set from one Gaussian draw, one batched ``eigh`` and one effect
@@ -36,14 +37,16 @@ from .operators import (
     OperatorBasis,
     SingularBasisError,
     ToleranceConfig,
-    _check_same_dim,
     _eigh,
+    _operator_stack,
     _operator_views,
+    coordinate_rank,
     eig_hermitian,
     hermitian_stack,
     operators_from_jsonable,
     operators_from_rows,
     operators_to_rows,
+    stacked_coordinates,
 )
 
 __all__ = [
@@ -55,7 +58,9 @@ __all__ = [
     "NotADensityError",
     "NotAnEffectError",
     "POM",
+    "PomCheck",
     "PomIdentityError",
+    "check_pom",
     "coexists",
     "effect_checks",
     "effects_of",
@@ -170,7 +175,7 @@ def effects_of(ops, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Effect, ...]:
     leaves [0, 1].
     """
     ops = tuple(ops)
-    _require_effects(np.stack([op.mat for op in ops]), tol)
+    _require_effects(_operator_stack(ops), tol)
     return tuple(map(_checked_effect, ops))
 
 
@@ -195,13 +200,17 @@ def _checked_effect(op: HermitianOperator) -> Effect:
     return e
 
 
+def _effect_views(mats: np.ndarray) -> tuple[Effect, ...]:
+    """Effects viewing the elements of a stack whose effect check has passed."""
+    return tuple(map(_checked_effect, _operator_views(mats)))
+
+
 def coexists(e1: Effect, e2: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when the sum of the two effects is again an effect.
 
     This is the exact condition under which both outcomes can occur in a
     single measurement.
     """
-    _check_same_dim(e1.op, e2.op)
     return is_effect(e1.op + e2.op, tol).ok
 
 
@@ -214,33 +223,81 @@ def max_scale(e: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     return 1.0 / top
 
 
-@dataclass(frozen=True, eq=False)
+class PomCheck(NamedTuple):
+    """`check_pom`'s report details, first violated condition and its error."""
+
+    details: dict
+    violated: str | None = None
+    error: ValueError | None = None
+    basis: OperatorBasis | None = None  # a passing MIC-POM's certified basis
+
+
+def check_pom(mats: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, mic: bool = False) -> PomCheck:
+    """Check an (n, d, d) Hermitian stack as a POM, or with `mic` as a MIC-POM.
+
+    In order: ``size`` (n >= 2), ``effect-spectrum``, ``sum-to-identity``
+    and, for a MIC-POM, ``element-count`` (n = d**2) and
+    ``linear-independence`` (the rank certificate of `OperatorBasis`).
+    """
+    n, d = len(mats), mats.shape[-1]
+    details: dict = {"dim": d, "count": n}
+    if n < 2:
+        return PomCheck(details, "size", ValueError("a POM needs at least two effects"))
+    try:
+        _require_effects(mats, tol)
+    except NotAnEffectError as exc:  # the witness is read again on this path only
+        details["offending_eigenvalue"] = next(c.witness for c in effect_checks(mats, tol) if not c)
+        return PomCheck(details, "effect-spectrum", exc)
+    dev = float(np.linalg.norm(mats.sum(axis=0) - np.eye(d)))
+    details["sum_deviation"] = dev
+    if dev > tol.residual:
+        return PomCheck(details, "sum-to-identity", PomIdentityError(
+            f"effects sum to identity only within {dev:.3e} (allowed {tol.residual:.1e})"
+        ))
+    if not mic:
+        return PomCheck(details)
+    if n != d * d:
+        return PomCheck(details, "element-count", ValueError(
+            f"a MIC-POM on dimension {d} needs exactly {d * d} effects, got {n}"
+        ))
+    try:
+        basis = OperatorBasis(mats, tol)
+    except SingularBasisError as exc:
+        details["rank"] = coordinate_rank(stacked_coordinates(mats)).rank(tol)
+        return PomCheck(details, "linear-independence", exc)
+    details["rank"] = basis.rank
+    return PomCheck(details, basis=basis)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class POM:
-    """Ordered family of at least two effects summing to the identity."""
+    """Ordered family of at least two effects summing to the identity.
 
-    effects: tuple[Effect, ...]
-    tol: InitVar[ToleranceConfig] = DEFAULT_TOL
+    Built from effects or a validated stack, it keeps that (n, d, d) `stack`
+    once `check_pom` passes at `tol`, and raises the violated error otherwise.
+    """
 
-    def __post_init__(self, tol: ToleranceConfig) -> None:
-        effects = tuple(self.effects)
-        object.__setattr__(self, "effects", effects)
-        if len(effects) < 2:
-            raise ValueError("a POM needs at least two effects")
-        for e in effects[1:]:
-            _check_same_dim(effects[0].op, e.op)
-        dev = float(np.linalg.norm(self.stack.sum(axis=0) - np.eye(self.dim)))
-        if dev > tol.residual:
-            raise PomIdentityError(
-                f"effects sum to identity only within {dev:.3e} "
-                f"(allowed {tol.residual:.1e})"
-            )
+    stack: np.ndarray
+
+    def __init__(self, effects, tol: ToleranceConfig = DEFAULT_TOL):
+        stack = _operator_stack(effects)
+        check = check_pom(stack, tol, mic=isinstance(self, MicPom))
+        if check.error is not None:
+            raise check.error
+        object.__setattr__(self, "stack", stack)
+        if check.basis is not None:
+            object.__setattr__(self, "basis_view", check.basis)
 
     @property
     def dim(self) -> int:
-        return self.effects[0].dim
+        return self.stack.shape[-1]
+
+    @cached_property
+    def effects(self) -> tuple[Effect, ...]:
+        return _effect_views(self.stack)
 
     def __len__(self) -> int:
-        return len(self.effects)
+        return len(self.stack)
 
     def __iter__(self):
         return iter(self.effects)
@@ -248,55 +305,22 @@ class POM:
     def __getitem__(self, j: int) -> Effect:
         return self.effects[j]
 
-    @cached_property
-    def stack(self) -> np.ndarray:
-        """The effects as one read-only (n, d, d) array."""
-        mats = np.stack([e.mat for e in self.effects])
-        mats.setflags(write=False)
-        return mats
-
     def total(self) -> HermitianOperator:
         return HermitianOperator(self.stack.sum(axis=0))
 
 
-@dataclass(frozen=True, eq=False)
-class MicPom:
+class MicPom(POM):
     """POM of exactly d**2 linearly independent effects.
 
-    The effects double as a basis of the Hermitian operators; the basis
-    view is validated (rank d**2) when the instance is created.
+    The effects double as a basis of the Hermitian operators: `basis_view`
+    is the `OperatorBasis` on the same stack.  `pom` is the instance itself.
     """
 
-    pom: POM
-    tol: InitVar[ToleranceConfig] = DEFAULT_TOL
-
-    def __post_init__(self, tol: ToleranceConfig) -> None:
-        d = self.pom.dim
-        if len(self.pom) != d * d:
-            raise ValueError(
-                f"a MIC-POM on dimension {d} needs exactly {d * d} effects, "
-                f"got {len(self.pom)}"
-            )
-        object.__setattr__(self, "_tol", tol)
-        self.basis_view  # force the rank certificate now, not lazily
-
-    @cached_property
-    def basis_view(self) -> OperatorBasis:
-        return OperatorBasis([e.op for e in self.pom], self._tol)
+    basis_view: OperatorBasis
 
     @property
-    def dim(self) -> int:
-        return self.pom.dim
-
-    @property
-    def effects(self) -> tuple[Effect, ...]:
-        return self.pom.effects
-
-    def __len__(self) -> int:
-        return len(self.pom)
-
-    def __iter__(self):
-        return iter(self.pom)
+    def pom(self) -> "MicPom":
+        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,13 +385,13 @@ def sic_mic_pom(d: int = 2, tol: ToleranceConfig = DEFAULT_TOL) -> MicPom:
     """
     if d != 2:
         raise ValueError(f"closed-form construction exists only for d = 2, got {d}")
-    effects = []
+    mats = []
     for s in _TETRAHEDRON:
         m = np.eye(2, dtype=np.complex128)
         for comp, pauli in zip(s, _PAULIS):
             m = m + comp * pauli
-        effects.append(Effect(HermitianOperator(m / 4.0), tol))
-    return MicPom(POM(tuple(effects), tol), tol)
+        mats.append(m / 4.0)
+    return MicPom(hermitian_stack(mats), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +430,8 @@ def random_density(d: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL) -> Den
 
 def _effects_from_rng(
     d: int, rng: np.random.Generator, count: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[Effect, ...]:
-    """`count` random effects drawn and checked as one stack.
+) -> np.ndarray:
+    """The (count, d, d) stack of `count` random effects, drawn and checked as one.
 
     Effect k is the Hermitian part of the k-th complex Gaussian matrix
     (real part drawn before imaginary part, matrix after matrix), its
@@ -422,14 +446,16 @@ def _effects_from_rng(
     scale = np.where(flat, 1.0, spread)
     mats = (h - low[:, np.newaxis, np.newaxis] * np.eye(d)) / scale[:, np.newaxis, np.newaxis]
     mats[flat] = np.eye(d) / 2.0
-    return effects_of(_operator_views(hermitian_stack(mats)), tol)
+    stack = hermitian_stack(mats)
+    _require_effects(stack, tol)
+    return stack
 
 
 def random_effect(d: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL) -> Effect:
     """Random Hermitian operator with spectrum affinely rescaled onto [0, 1]."""
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    return _effects_from_rng(d, np.random.default_rng(seed), 1, tol)[0]
+    return _effect_views(_effects_from_rng(d, np.random.default_rng(seed), 1, tol))[0]
 
 
 # Draws `random_mic_pom` makes on one random stream before it gives up.
@@ -459,8 +485,7 @@ def random_mic_pom(d: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL) -> Mic
         mats *= 0.5 / top
         deficit = (eye - mats.sum(axis=0)) / (d * d)
         try:
-            effects = effects_of(_operator_views(hermitian_stack(mats + deficit)), tol)
-            return MicPom(POM(effects, tol), tol)
+            return MicPom(hermitian_stack(mats + deficit), tol)
         except (NotAnEffectError, PomIdentityError, SingularBasisError) as exc:
             failure = exc
     raise GenerationRetryError(
@@ -475,6 +500,12 @@ def verification_effects(d: int, seed: int, count: int = 200) -> tuple[Effect, .
     The whole set is one draw: the same effects, bit for bit, as `count`
     one-element draws from the same random stream.
     """
+    return _effect_views(_verification_stack(d, seed, count))
+
+
+@lru_cache(maxsize=64)
+def _verification_stack(d: int, seed: int, count: int) -> np.ndarray:
+    """The (count, d, d) stack of `verification_effects`."""
     return _effects_from_rng(d, np.random.default_rng(seed), count)
 
 
@@ -508,8 +539,7 @@ def pom_stack_from_jsonable(obj: dict) -> np.ndarray:
 def pom_from_jsonable(obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> POM:
     """Parse either layout of a POM file and check the POM at `tol`.
 
-    Malformed JSON raises `ValueError` (`pom_stack_from_jsonable`); effects
-    that fail their check raise `NotAnEffectError`, and a sum away from the
-    identity `PomIdentityError`.
+    Malformed JSON raises `ValueError` (`pom_stack_from_jsonable`); a POM
+    that fails `check_pom` raises that condition's exception.
     """
-    return POM(effects_of(_operator_views(pom_stack_from_jsonable(obj)), tol), tol)
+    return POM(pom_stack_from_jsonable(obj), tol)

@@ -26,10 +26,8 @@ from .operators import (
     change_of_basis,
     eig_hermitian,
     expand,
-    hs_distance,
     hs_inner,
     identity,
-    _operator_views,
     operator_from_coordinates,
     operator_from_jsonable,
     operator_to_jsonable,
@@ -42,8 +40,11 @@ from .effects import (
     DensityOperator,
     Effect,
     MicPom,
+    _checked_effect,
+    _effect_views,
     _effects_from_rng,
-    effects_of,
+    _require_effects,
+    _verification_stack,
     max_scale,
     verification_effects,
 )
@@ -162,7 +163,7 @@ def coexisting_pair(
     S of I - E1: the pair (E1, S F S) satisfies E1 + S F S <= I by
     construction.  S comes from the spectrum of E1, 1 - lambda clipped at 0.
     """
-    e1, f = _effects_from_rng(d, rng, 2, tol)
+    e1, f = _effect_views(_effects_from_rng(d, rng, 2, tol))
     w, v = eig_hermitian(e1.op)
     s = (v * np.sqrt(np.clip(1.0 - w, 0.0, None))) @ v.conj().T
     return e1, Effect(HermitianOperator(s @ f.mat @ s), tol)
@@ -223,15 +224,15 @@ def frame_vector(
     already yields checked effects.
     """
     if isinstance(basis, OperatorBasis):
-        basis = effects_of(basis.elements, tol)  # the error names the element
+        _require_effects(basis.stack, tol)  # the error names the element
+        basis = map(_checked_effect, basis.elements)
     return np.array([f(e) for e in basis], dtype=np.float64)
 
 
 @lru_cache(maxsize=64)
 def _verification_coordinates(d: int) -> np.ndarray:
     """(TEST_EFFECT_COUNT, d**2) real coordinates of the reconstruction test set."""
-    effects = verification_effects(d, TEST_EFFECT_SEED, TEST_EFFECT_COUNT)
-    coords = stacked_coordinates(np.stack([e.mat for e in effects]))
+    coords = stacked_coordinates(_verification_stack(d, TEST_EFFECT_SEED, TEST_EFFECT_COUNT))
     coords.setflags(write=False)
     return coords
 
@@ -306,12 +307,10 @@ def consistency_DT(
         )
     if cert.augmented.dim != basis.dim or cert.mic.dim != mic.dim:
         raise CertificateError("certificate dimensions do not match the bases")
-    for ours, theirs in zip(basis.ops, cert.augmented.ops):
-        if hs_distance(ours, theirs) > tol.residual:
-            raise CertificateError("certificate binds a different augmented family")
-    for ours_e, theirs_e in zip(mic.effects, cert.mic.effects):
-        if hs_distance(ours_e.op, theirs_e.op) > tol.residual:
-            raise CertificateError("certificate binds a different MIC-POM")
+    for ours, theirs, name in ((basis, cert.augmented, "augmented family"),
+                               (mic, cert.mic, "MIC-POM")):
+        if np.linalg.norm(ours.stack - theirs.stack, axis=(1, 2)).max() > tol.residual:
+            raise CertificateError(f"certificate binds a different {name}")
     f_b = frame_vector(f, basis.elements, tol)
     f_m = frame_vector(f, mic, tol)
     cob = change_of_basis(basis.basis_view, mic.basis_view, tol)
@@ -341,8 +340,8 @@ def restriction_linearity_check(
     frame is linear along every such ray, so the reported maximum
     deviation is a direct detector for non-additive oracles.
     """
-    if not 0 <= j < len(basis.ops):
-        raise IndexError(f"element index {j} outside 0..{len(basis.ops) - 1}")
+    if not 0 <= j < len(basis):
+        raise IndexError(f"element index {j} outside 0..{len(basis) - 1}")
     if samples < 2:
         raise ValueError("need at least two grid points")
     element = basis.elements[j]
@@ -399,6 +398,6 @@ def frame_from_jsonable(obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> FrameF
             DensityOperator(operator_from_jsonable(obj["rho"]), tol)
         )
     if kind == "tabulated":
-        basis = OperatorBasis(_operator_views(operators_from_jsonable(obj["basis"])), tol)
+        basis = OperatorBasis(operators_from_jsonable(obj["basis"]), tol)
         return TabulatedFrame(basis=basis, values=np.array(obj["values"], dtype=np.float64))
     raise ValueError(f"unknown frame kind {kind!r}")

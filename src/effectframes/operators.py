@@ -6,12 +6,14 @@ provides the immutable operator value type, its cached eigendecomposition
 (LAPACK ``eigh``), operator bases of the full space, and the JSON wire
 formats for operators and tolerances.
 
-Operator families are held as one ``(n, d, d)`` complex stack.
+Operator families are held as one read-only ``(n, d, d)`` complex stack.
 `hermitian_stack` validates a whole family in one pass (finite entries,
 asymmetry relative to each element's largest entry, symmetrization) and
 the coordinate, recombination, rank and wire-format routines work on the
 stack; each single-operator function is the n = 1 case of its stacked
-version.
+version.  A family object stores the stack it was built from and its
+elements are views of it; `_operator_stack` is the one place a sequence
+of operators is stacked.
 
 Every linear solve of the package is `OperatorBasis.solve`, one square
 system against a basis's coordinate matrix or its transpose, and every
@@ -28,7 +30,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,8 +121,8 @@ class ToleranceConfig:
     def __post_init__(self) -> None:
         for name in ("eig_offdiag", "psd_slack", "residual", "rank_cutoff"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ValueError(f"tolerance {name!r} must be strictly positive, got {value!r}")
+            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+                raise ValueError(f"tolerance {name!r} must be finite and positive, got {value!r}")
         if self.psd_slack > self.residual:
             raise ValueError(
                 f"psd_slack ({self.psd_slack}) must not exceed residual ({self.residual})"
@@ -232,6 +234,23 @@ def _operator_views(mats: np.ndarray) -> tuple[HermitianOperator, ...]:
         object.__setattr__(op, "_eig_cache", None)
         views.append(op)
     return tuple(views)
+
+
+def _operator_stack(family) -> np.ndarray:
+    """The read-only (n, d, d) stack of an operator family.
+
+    A family's own `stack`, or a read-only stack as `hermitian_stack`
+    returns it, is taken as it is; any other array, or the matrices of a
+    sequence of same-dimension operators, is validated by `hermitian_stack`.
+    """
+    family = getattr(family, "stack", family)
+    if not isinstance(family, np.ndarray):
+        family = [op.mat for op in family]
+        if len({m.shape for m in family}) > 1:
+            raise DimensionMismatchError("operators of one family must share one dimension")
+    elif not family.flags.writeable and family.dtype == np.complex128 and family.ndim == 3:
+        return family
+    return hermitian_stack(family)
 
 
 def _check_same_dim(a: HermitianOperator, b: HermitianOperator) -> None:
@@ -393,54 +412,47 @@ def coordinate_rank(coords: np.ndarray) -> CoordinateRank:
 class OperatorBasis:
     """A basis of the real vector space of Hermitian operators on C^d.
 
-    Holds exactly d**2 linearly independent Hermitian operators, certified
-    at construction by `coordinate_rank` at the basis's tolerances.
+    Holds exactly d**2 linearly independent Hermitian operators as one
+    read-only (d**2, d, d) `stack`, certified at construction by
+    `coordinate_rank` at the basis's tolerances.
     """
 
-    __slots__ = ("_elements", "_tol", "__dict__")
+    __slots__ = ("_stack", "_tol", "__dict__")
 
-    def __init__(
-        self, elements: Iterable[HermitianOperator], tol: ToleranceConfig = DEFAULT_TOL
-    ):
-        elements = tuple(elements)
-        if not elements:
-            raise ValueError("basis needs at least one element")
-        d = elements[0].dim
-        if any(el.dim != d for el in elements):
-            raise DimensionMismatchError("basis elements must share one dimension")
-        if len(elements) != d * d:
-            raise ValueError(f"expected {d * d} elements for dim {d}, got {len(elements)}")
-        self._elements = elements
+    def __init__(self, elements, tol: ToleranceConfig = DEFAULT_TOL):
+        stack = _operator_stack(elements)
+        n, d = len(stack), stack.shape[-1]
+        if n != d * d:
+            raise ValueError(f"expected {d * d} elements for dim {d}, got {n}")
+        self._stack = stack
         self._tol = tol
-        if self.rank < d * d:
+        if self.rank < n:
             raise SingularBasisError(
-                f"basis is rank deficient: rank {self.rank} < {d * d} "
+                f"basis is rank deficient: rank {self.rank} < {n} "
                 f"(sigma_min/sigma_max = {self._coordinate_rank.ratio:.3e})"
             )
 
     @property
     def dim(self) -> int:
-        return self._elements[0].dim
+        return self._stack.shape[-1]
 
     @property
-    def elements(self) -> tuple[HermitianOperator, ...]:
-        return self._elements
-
-    def __len__(self) -> int:
-        return len(self._elements)
-
-    def __iter__(self):
-        return iter(self._elements)
-
-    def __getitem__(self, j: int) -> HermitianOperator:
-        return self._elements[j]
-
-    @cached_property
     def stack(self) -> np.ndarray:
         """The elements as one read-only (d**2, d, d) array."""
-        mats = np.stack([el.mat for el in self._elements])
-        mats.setflags(write=False)
-        return mats
+        return self._stack
+
+    @cached_property
+    def elements(self) -> tuple[HermitianOperator, ...]:
+        return _operator_views(self._stack)
+
+    def __len__(self) -> int:
+        return len(self._stack)
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def __getitem__(self, j: int) -> HermitianOperator:
+        return self.elements[j]
 
     @cached_property
     def coordinate_matrix(self) -> np.ndarray:
@@ -501,24 +513,18 @@ def orthonormal_operator_basis(d: int, tol: ToleranceConfig = DEFAULT_TOL) -> Op
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    ops: list[HermitianOperator] = []
-    eye = np.eye(d, dtype=np.complex128)
-    ops.append(HermitianOperator(eye / math.sqrt(d)))
+    mats = np.zeros((d * d, d, d), dtype=np.complex128)
+    mats[0] = np.eye(d, dtype=np.complex128) / math.sqrt(d)
     for level in range(1, d):
         diag = np.zeros(d, dtype=np.complex128)
         diag[:level] = 1.0
         diag[level] = -level
-        ops.append(HermitianOperator(np.diag(diag) / math.sqrt(level * (level + 1))))
-    for j in range(d):
-        for k in range(j + 1, d):
-            sym = np.zeros((d, d), dtype=np.complex128)
-            sym[j, k] = sym[k, j] = 1.0 / math.sqrt(2.0)
-            ops.append(HermitianOperator(sym))
-            antisym = np.zeros((d, d), dtype=np.complex128)
-            antisym[j, k] = -1j / math.sqrt(2.0)
-            antisym[k, j] = 1j / math.sqrt(2.0)
-            ops.append(HermitianOperator(antisym))
-    return OperatorBasis(ops, tol)
+        mats[level] = np.diag(diag) / math.sqrt(level * (level + 1))
+    j, k = _strict_upper(d)  # pair p gives elements d + 2p and d + 2p + 1
+    sym = d + 2 * np.arange(len(j))
+    mats[sym, j, k] = mats[sym, k, j] = 1.0 / math.sqrt(2.0)
+    mats[sym + 1, j, k], mats[sym + 1, k, j] = -1j / math.sqrt(2.0), 1j / math.sqrt(2.0)
+    return OperatorBasis(hermitian_stack(mats), tol)
 
 
 def expand(

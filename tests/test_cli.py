@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,17 @@ import pytest
 import effectframes
 
 from effectframes import (
+    POM,
     AdversarialSquareFrame,
     BornFrame,
     DensityOperator,
+    MicPom,
+    NotAnEffectError,
+    PomIdentityError,
+    SingularBasisError,
+    check_pom,
+    hermitian_stack,
+    operators_to_rows,
     frame_to_jsonable,
     grid_from_unit,
     grid_to_jsonable,
@@ -242,6 +251,92 @@ def test_certify_cone_verify_malformed_mic_rows_is_exit_2(capsys, tmp_path, faul
     code, out, err = run_cli(capsys, "certify-cone", "--verify", str(cert_path))
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "fault", ["e-delta-entry", "witness-entry", "coefficient", "mic-dimension"]
+)
+def test_certify_cone_verify_malformed_blocks_is_exit_2(capsys, tmp_path, fault):
+    # Every block is parsed before any is checked: a malformed one is invalid input.
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "certify-cone", "--dim", "2", "--seed", "1", "--out", str(cert_path))
+    if fault in ("e-delta-entry", "mic-dimension"):
+        payload = json.loads(cert_path.read_text())
+        if fault == "e-delta-entry":
+            payload["e_delta"]["entries"][0][0] = ["x", 0]
+        else:
+            payload["mic"] = pom_to_jsonable(random_mic_pom(3, 1))
+    else:
+        payload = _full_layout_file(cert_path)
+        if fault == "witness-entry":
+            payload["witnesses"][0]["entries"][0][0] = ["x", 0]
+        else:
+            payload["memberships"][0]["mic"]["coeffs"][0] = "x"
+    cert_path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "certify-cone", "--verify", str(cert_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reconstruct", "--dim", "2", "--seed", "0", "--tol-residual", "inf"),
+        ("certify-cone", "--dim", "2", "--seed", "0", "--tol-residual", "inf"),
+        ("augbasis", "--dim", "2", "--tol-residual", "inf"),
+        ("certify-cone", "--dim", "2", "--seed", "0", "--epsilon", "inf"),
+    ],
+    ids=["reconstruct", "certify-cone", "augbasis", "epsilon"],
+)
+def test_non_finite_tolerance_or_epsilon_is_exit_2_up_front(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numerical warning on the way
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "got inf" in err
+    assert "JSON" not in err and "Traceback" not in err
+
+
+# The exception POM and MicPom raise for each condition `validate` reports.
+POM_CHECK_ERRORS = {
+    "size": ValueError,
+    "effect-spectrum": NotAnEffectError,
+    "sum-to-identity": PomIdentityError,
+    "element-count": ValueError,
+    "linear-independence": SingularBasisError,
+}
+
+
+def _pom_check_cases():
+    eye, sic = np.eye(2), sic_mic_pom().stack
+    return {
+        "size": ("pom", [eye]),
+        "effect-spectrum": ("pom", [np.diag([1.2, 0.5]), np.diag([-0.2, 0.5])]),
+        "sum-to-identity": ("pom", [0.55 * eye, 0.55 * eye]),
+        "element-count": ("mic-pom", [sic[0], sic[1], eye - sic[0] - sic[1]]),
+        "linear-independence": ("mic-pom", [eye / 4] * 4),
+        None: ("mic-pom", list(sic)),
+    }
+
+
+@pytest.mark.parametrize("violated", list(_pom_check_cases()))
+def test_pom_constructors_and_validate_agree(capsys, tmp_path, violated):
+    kind, mats = _pom_check_cases()[violated]
+    stack = hermitian_stack(mats)
+    path = tmp_path / "pom.json"
+    path.write_text(json.dumps({"dim": 2, "rows": operators_to_rows(stack)}))
+    code, out, _ = run_cli(capsys, "validate", "--kind", kind, "--in", str(path))
+    report = json.loads(out)
+    assert report["violated"] == violated == check_pom(stack, mic=kind == "mic-pom").violated
+    family = MicPom if kind == "mic-pom" else POM
+    if violated is None:
+        assert code == 0 and report["verdict"] == "pass"
+        assert family(stack).stack is stack
+        return
+    assert code == 1
+    with pytest.raises(Exception) as err:
+        family(stack)
+    assert type(err.value) is POM_CHECK_ERRORS[violated]
 
 
 @pytest.mark.parametrize("fault", ["dropped-row", "merged-rows"])

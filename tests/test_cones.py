@@ -626,6 +626,21 @@ def test_malformed_steps_are_value_errors(steps):
         certificate_from_jsonable(payload)
 
 
+def test_non_finite_stored_tolerances_are_value_errors():
+    payload = certificate_to_jsonable(intersection_span_certificate(*_cli_pair(2, 1)))
+    payload["tolerances"]["residual"] = math.inf
+    text = json.dumps(payload)
+    assert "Infinity" in text
+    with pytest.raises(ValueError, match="'residual' must be finite and positive, got inf"):
+        certificate_from_jsonable(json.loads(text))
+
+
+@pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0])
+def test_interior_point_needs_a_finite_positive_epsilon(epsilon):
+    with pytest.raises(ValueError, match=f"epsilon must be finite and positive, got {epsilon!r}"):
+        interior_point_Edelta(augmented_basis_from_onb(EYE2), epsilon)
+
+
 def test_compact_payload_without_steps_is_malformed():
     payload = certificate_to_jsonable(intersection_span_certificate(*_cli_pair(2, 1)))
     del payload["steps"]

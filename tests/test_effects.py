@@ -352,14 +352,14 @@ class _Stream:
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_batched_flat_spectrum_is_half_identity(d):
     zeros = np.zeros(3 * 2 * d * d)
-    batched = np.stack([e.mat for e in _effects_from_rng(d, _Stream(zeros), 3)])
+    batched = _effects_from_rng(d, _Stream(zeros), 3)
     reference = _per_effect_reference(d, _Stream(zeros), 3)
     assert batched.tobytes() == reference.tobytes()
     assert np.array_equal(batched, np.broadcast_to(np.eye(d) / 2.0, (3, d, d)))
     # A flat element between two drawn ones: the mask replaces only that one.
     numbers = np.random.default_rng(d).standard_normal(3 * 2 * d * d)
     numbers[2 * d * d:4 * d * d] = 0.0
-    batched = np.stack([e.mat for e in _effects_from_rng(d, _Stream(numbers), 3)])
+    batched = _effects_from_rng(d, _Stream(numbers), 3)
     reference = _per_effect_reference(d, _Stream(numbers), 3)
     assert batched.tobytes() == reference.tobytes()
     assert np.array_equal(batched[1], np.eye(d) / 2.0)
@@ -423,3 +423,73 @@ def test_pom_json_rows_are_checked_as_effects():
     blob["rows"][0][1] += 1e-3  # no longer sums to the identity
     with pytest.raises(PomIdentityError):
         pom_from_jsonable(blob)
+
+
+# ---------------------------------------------------------------------------
+# Each family holds one array
+# ---------------------------------------------------------------------------
+
+def _mic_pom_views(mic):
+    return mic, mic.basis_view, mic.effects
+
+
+def _parsed_mic_pom(layout):
+    mic = random_mic_pom(3, 2)
+    if layout == "rows":
+        obj = pom_to_jsonable(mic)
+    else:
+        obj = {"dim": 3, "effects": operators_to_jsonable(mic.stack)}
+    pom = pom_from_jsonable(json.loads(json.dumps(obj)))
+    family = MicPom(pom)
+    assert family.stack is pom.stack
+    return _mic_pom_views(family)
+
+
+def _augmented(layout):
+    from effectframes import (
+        augmented_basis_from_jsonable,
+        augmented_basis_from_onb,
+        augmented_basis_to_jsonable,
+    )
+
+    basis = augmented_basis_from_onb(random_onb(3, 4))
+    if layout != "built":
+        obj = augmented_basis_to_jsonable(basis, elements=layout == "elements")
+        basis = augmented_basis_from_jsonable(json.loads(json.dumps(obj)))
+    return basis, basis.basis_view, basis.ops + tuple(e.op for e in basis.elements)
+
+
+def _tabulated_frame_basis():
+    from effectframes import (
+        TabulatedFrame,
+        frame_from_jsonable,
+        frame_to_jsonable,
+        orthonormal_operator_basis,
+    )
+
+    frame = TabulatedFrame(orthonormal_operator_basis(3), np.arange(9.0))
+    basis = frame_from_jsonable(json.loads(json.dumps(frame_to_jsonable(frame)))).basis
+    return basis, basis, basis.elements
+
+
+ONE_ARRAY_FAMILIES = {
+    "random_mic_pom": lambda: _mic_pom_views(random_mic_pom(3, 1)),
+    "sic_mic_pom": lambda: _mic_pom_views(sic_mic_pom()),
+    "pom_from_jsonable-rows": lambda: _parsed_mic_pom("rows"),
+    "pom_from_jsonable-effects": lambda: _parsed_mic_pom("effects"),
+    "augmented_basis_from_onb": lambda: _augmented("built"),
+    "augmented_basis_from_jsonable-elements": lambda: _augmented("elements"),
+    "augmented_basis_from_jsonable-compact": lambda: _augmented("compact"),
+    "frame_from_jsonable-tabulated": _tabulated_frame_basis,
+}
+
+
+@pytest.mark.parametrize("build", ONE_ARRAY_FAMILIES.values(), ids=ONE_ARRAY_FAMILIES.keys())
+def test_each_family_holds_one_array(build):
+    family, view, elements = build()
+    stack = family.stack
+    assert isinstance(stack, np.ndarray) and not stack.flags.writeable
+    assert view.stack is stack
+    assert len(elements) >= len(stack)
+    # Element objects are views of the stack, not copies of it.
+    assert all(np.shares_memory(el.mat, stack) for el in elements)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -522,6 +523,31 @@ def test_solves_and_singular_value_decompositions_live_in_operators():
             for path in sorted(package.glob("*.py"))
         }
         assert {name: n for name, n in counts.items() if n} == {"operators.py": 1}, call
+
+
+# `np.stack([` over the `.mat` of a family's elements: a re-stack of a family.
+_RESTACK = re.compile(r"np\.stack\(\[[^\]]*\.mat\b")
+
+
+def test_only_operators_stacks_element_matrices():
+    """A family keeps the stack it was built from; `operators._operator_stack`
+    is the one place that turns a sequence of operators into a stack."""
+    assert _RESTACK.search("mats = np.stack([el.mat for el in self._elements])")
+    assert _RESTACK.search("np.stack([\n    e.mat\n    for e in effects\n])")
+    package = Path(__file__).resolve().parents[1] / "src" / "effectframes"
+    hits = {
+        path.name: len(_RESTACK.findall(path.read_text(encoding="utf-8")))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert "operators.py" in hits
+    assert {name: n for name, n in hits.items() if n and name != "operators.py"} == {}
+
+
+@pytest.mark.parametrize("name", ["eig_offdiag", "psd_slack", "residual", "rank_cutoff"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1e-9])
+def test_tolerances_must_be_finite_and_positive(name, value):
+    with pytest.raises(ValueError, match=f"{name}.*got {value!r}"):
+        ToleranceConfig(**{name: value})
 
 
 def test_tolerance_codec_round_trip():
