@@ -11,26 +11,25 @@ augmented-basis cone and of a MIC-POM cone, harvests d**2 linearly
 independent common elements with no random choice.  The harvest is a
 re-checkable certificate, and its file stores only what a reader cannot
 derive: the MIC-POM as one row of exact coordinates per effect, one
-signed step per direction instead of the witnesses, and no
-decompositions.
+signed step per direction instead of the witnesses, and no coefficients.
 
 Cone membership is decided by the square solve of the family
 (`OperatorBasis.solve`): the expansion of a point over a full operator
 basis is unique, so its coefficients decide membership, and a fit is kept
 only when its recomputed residual is below tolerance.
 
-Witness families are (n, d, d) stacks and their coefficients over each
-cone (n, d**2) arrays: candidates are admitted, and a certificate
-re-verified, with one batched effect check and one solve or product per
-cone.
+A certificate is arrays: its witnesses an (n, d, d) stack and their
+coefficients over each cone an (n, d**2) array, the exact solve of the
+witnesses over the family (`_expansions`).  The construction and a reader
+of its file derive them with that one solve, so both hold the same bits,
+and both judge them as `verify_certificate` does, with one batched effect
+check and one product per cone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +58,6 @@ from .effects import (
     Effect,
     MicPom,
     _checked_effect,
-    _effect_views,
     _require_effects,
     effect_checks,
     is_effect,
@@ -79,7 +77,6 @@ __all__ = [
     "CertificateError",
     "CertificateReport",
     "ConeDecomposition",
-    "Decompositions",
     "EpsilonTooLargeError",
     "SpanCertificate",
     "certificate_from_jsonable",
@@ -162,52 +159,22 @@ def nnls(mat: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     return scipy_nnls(mat, target)
 
 
-class Decompositions(NamedTuple):
-    """The coefficients of n operators over one family, one row per operator.
-
-    `coeffs` is a read-only, C-contiguous (n, d**2) array and `residuals`
-    the (n,) distances between each operator and its recombination.
-    """
-
-    coeffs: np.ndarray
-    residuals: np.ndarray
-
-
-def _decompositions(coeffs: np.ndarray, residuals: np.ndarray) -> Decompositions:
+def _read_only(coeffs) -> np.ndarray:
+    """A read-only, C-contiguous float64 array of the coefficients."""
     coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-    residuals = np.asarray(residuals, dtype=np.float64)
     coeffs.setflags(write=False)
-    residuals.setflags(write=False)
-    return Decompositions(coeffs, residuals)
-
-
-def _solve_memberships(
-    targets: np.ndarray, view: OperatorBasis, tol: ToleranceConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decide the (n, d**2) target coordinates with one multi-RHS square solve.
-
-    Returns the clipped coefficients, the residual recomputed from them,
-    and which targets are admitted: those whose every exact coefficient
-    clears -psd_slack and whose residual is below tolerance.
-    """
-    exact = view.solve(targets.T, tol).T
-    coeffs = np.clip(exact, 0.0, None)
-    residuals = np.linalg.norm(coeffs @ view.coordinate_matrix.T - targets, axis=1)
-    admitted = (exact.min(axis=1) >= -tol.psd_slack) & (residuals < tol.residual)
-    return coeffs, residuals, admitted
+    return coeffs
 
 
 def _expansions(
     targets: np.ndarray, view: OperatorBasis, tol: ToleranceConfig
-) -> Decompositions:
+) -> np.ndarray:
     """The exact coefficients of (n, d**2) target coordinates over a family.
 
-    One multi-RHS square solve; the coefficients are kept unclipped, so a
-    negative one stays visible, and each residual is recomputed from them.
+    One multi-RHS square solve, read-only and unclipped, so a negative
+    coefficient stays visible.
     """
-    coeffs = view.solve(targets.T, tol).T
-    residuals = np.linalg.norm(coeffs @ view.coordinate_matrix.T - targets, axis=1)
-    return _decompositions(coeffs, residuals)
+    return _read_only(view.solve(targets.T, tol).T)
 
 
 def cone_membership(
@@ -226,8 +193,11 @@ def cone_membership(
     view = basis if isinstance(basis, OperatorBasis) else basis.basis_view
     if h.dim != view.dim:
         raise DimensionMismatchError(f"operator dim {h.dim} vs basis dim {view.dim}")
-    coeffs, residuals, admitted = _solve_memberships(real_coordinates(h)[np.newaxis], view, tol)
-    if not admitted[0]:
+    target = real_coordinates(h)[np.newaxis]
+    exact = view.solve(target.T, tol).T
+    coeffs = np.clip(exact, 0.0, None)
+    residuals = np.linalg.norm(coeffs @ view.coordinate_matrix.T - target, axis=1)
+    if not (exact.min() >= -tol.psd_slack and residuals[0] < tol.residual):
         return None
     return ConeDecomposition(basis=view, coeffs=coeffs[0], residual=float(residuals[0]))
 
@@ -270,13 +240,13 @@ class SpanCertificate:
     Witness k, witness_stack[k], is E_delta + (steps[k]/2) D_k
     (`_step_witnesses`), steps[k] = sigma_k s_k its signed step; `steps` is
     None when the witnesses came from a file that stored them.
-    `decompositions` holds the coefficients of the witnesses over the
-    augmented family first and over the MIC-POM second: the admitted,
-    clipped coefficients of the construction, or the exact ones a reader
-    solves for when the file stores none.  `witnesses` and `memberships`
-    view the same data per witness.  `radius` is min |steps|, the smallest
-    step s_k; the verifier never reads it.  The witnesses were checked as
-    effects at `tol`.
+    `coefficients` holds one read-only, C-contiguous (n, d**2) array per
+    cone, the augmented family first and the MIC-POM second: row k is
+    witness k's exact, unclipped expansion over that family, solved the
+    same way by the construction and by a reader of a compact file, or
+    read from a file that stores it.  `radius` is min |steps|, the
+    smallest step s_k; the verifier never reads it.  The witnesses were
+    checked as effects at `tol`.
     """
 
     augmented: AugmentedBasis
@@ -287,26 +257,9 @@ class SpanCertificate:
     e_delta: Effect
     steps: np.ndarray | None
     witness_stack: np.ndarray
-    decompositions: tuple[Decompositions, Decompositions]
+    coefficients: tuple[np.ndarray, np.ndarray]
     rank: int
     tol: ToleranceConfig
-
-    @cached_property
-    def witnesses(self) -> tuple[Effect, ...]:
-        return _effect_views(self.witness_stack)
-
-    @cached_property
-    def memberships(self) -> tuple[tuple[ConeDecomposition, ConeDecomposition], ...]:
-        """Per witness, its decomposition over the augmented family and over the MIC-POM."""
-        sides = [
-            [
-                ConeDecomposition(basis=view, coeffs=c, residual=float(r))
-                for c, r in zip(dec.coeffs, dec.residuals)
-            ]
-            for view, dec in zip((self.augmented.basis_view, self.mic.basis_view),
-                                 self.decompositions)
-        ]
-        return tuple(zip(*sides))
 
 
 def _step_witnesses(e_delta: np.ndarray, steps: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -326,21 +279,26 @@ def _admit_witnesses(
     aug_view: OperatorBasis,
     mic_view: OperatorBasis,
     tol: ToleranceConfig,
-) -> tuple[int, tuple[Decompositions, Decompositions]]:
+) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
     """The longest prefix of a validated candidate stack inside both cones.
 
-    One batched effect check and one solve per cone decide the whole
-    stack; the prefix ends at the first candidate that is not an effect
-    or that either solve rejects.  Returns the prefix length and the
-    prefix's clipped coefficients over each family.
+    One batched effect check and the exact solve per cone (`_expansions`,
+    as a reader derives the coefficients) decide the whole stack, judged as
+    `verify_certificate` judges a witness: the prefix ends at the first
+    candidate that is not an effect, has a coefficient below -psd_slack,
+    or whose recomputed residual exceeds tol.residual in either cone.
+    Returns the prefix length and the prefix's coefficients over each
+    family.
     """
     coords = stacked_coordinates(candidates)
     ok = np.array([check.ok for check in effect_checks(candidates, tol)])
-    solved = [_solve_memberships(coords, view, tol) for view in (aug_view, mic_view)]
-    for _, _, admitted in solved:
-        ok &= admitted
+    views = (aug_view, mic_view)
+    solved = tuple(_expansions(coords, view, tol) for view in views)
+    for coeffs, view in zip(solved, views):
+        residuals = np.linalg.norm(coeffs @ view.coordinate_matrix.T - coords, axis=1)
+        ok &= (coeffs.min(axis=1) >= -tol.psd_slack) & (residuals <= tol.residual)
     n = len(ok) if ok.all() else int(np.argmin(ok))
-    return n, tuple(_decompositions(c[:n], r[:n]) for c, r, _ in solved)
+    return n, tuple(coeffs[:n] for coeffs in solved)
 
 
 def intersection_span_certificate(
@@ -408,7 +366,7 @@ def intersection_span_certificate(
     signed = steps * signs
     signed.setflags(write=False)
     candidates = _step_witnesses(e_delta.mat, signed, tol)
-    admitted, decompositions = _admit_witnesses(candidates, aug_view, mic_view, tol)
+    admitted, coefficients = _admit_witnesses(candidates, aug_view, mic_view, tol)
     rank = coordinate_rank(stacked_coordinates(candidates)).rank(tol)
     if admitted < d * d or rank < d * d:
         raise CertificateError(
@@ -424,7 +382,7 @@ def intersection_span_certificate(
         e_delta=e_delta,
         steps=signed,
         witness_stack=candidates,
-        decompositions=decompositions,
+        coefficients=coefficients,
         rank=d * d,
         tol=tol,
     )
@@ -447,8 +405,8 @@ def verify_certificate(
 
     Recomputes what the certificate claims: the augmented family satisfies
     its defining conditions, the MIC-POM is intact, every witness is an
-    effect whose decompositions (stored in the file, or solved for when it
-    was read) recombine to it with nonnegative coefficients, and the
+    effect whose coefficients (stored in the file, or solved for) recombine
+    to it over each family with nonnegative coefficients, and the
     witness family has full rank.  Residuals are recomputed, never
     trusted: each is the distance between a witness and the combination of
     the certificate's own family with the certificate's coefficients,
@@ -467,7 +425,7 @@ def verify_certificate(
         failures.append("mic-pom-sum")
 
     witnesses = cert.witness_stack
-    decomposed = min(len(dec.coeffs) for dec in cert.decompositions)
+    decomposed = min(len(coeffs) for coeffs in cert.coefficients)
     if len(witnesses) != d * d or decomposed != d * d:
         failures.append("witness-count")
     rank, max_res, min_coeff = 0, 0.0, 0.0
@@ -482,10 +440,10 @@ def verify_certificate(
         else:
             effect_ok = np.array([check.ok for check in effect_checks(witnesses[:n], tol)])
         per_family = []
-        for label, family, dec in zip(
-            ("augmented", "mic"), (cert.augmented.stack, cert.mic.stack), cert.decompositions
+        for label, family, coeffs in zip(
+            ("augmented", "mic"), (cert.augmented.stack, cert.mic.stack), cert.coefficients
         ):
-            coeffs = dec.coeffs[:n]
+            coeffs = coeffs[:n]
             residuals = np.linalg.norm(coeffs @ stacked_coordinates(family) - targets, axis=1)
             per_family.append((label, coeffs.min(axis=1), residuals))
         for k in range(n):
@@ -522,7 +480,7 @@ def certificate_to_jsonable(cert: SpanCertificate) -> dict:
     """Wire form: the families, the scalars and one signed step per direction.
 
     The MIC-POM is stored as one row of exact coordinates per effect.  The
-    augmented elements, the witnesses and their decompositions are left
+    augmented elements, the witnesses and their coefficients are left
     out, since `certificate_from_jsonable` derives them.  Only a
     certificate without steps, read from an older file, stores its
     witnesses.
@@ -557,20 +515,22 @@ def _steps_from_jsonable(items, d: int) -> np.ndarray:
     return steps
 
 
-def _stored_decompositions(items, n: int) -> tuple[Decompositions, Decompositions]:
-    """The decompositions a file stores, per witness, as one array per family."""
-    sides = {"augmented": ([], []), "mic": ([], [])}
+def _stored_coefficients(items, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients a full-layout file stores per witness, one array per family.
+
+    Each stored residual must be a number, and is then dropped:
+    `verify_certificate` recomputes it and never trusts the file's.
+    """
+    sides = {"augmented": [], "mic": []}
     for item in items:
-        for side, (coeffs, residuals) in sides.items():
+        for side, rows in sides.items():
             row = np.array(item[side]["coeffs"], dtype=np.float64)
-            residuals.append(float(item[side]["residual"]))
+            float(item[side]["residual"])
             if row.shape != (n,):
                 raise ValueError(f"expected {n} coefficients, got shape {row.shape}")
-            coeffs.append(row)
-    return tuple(
-        _decompositions(np.stack(coeffs) if coeffs else np.empty((0, n)), residuals)
-        for coeffs, residuals in sides.values()
-    )
+            rows.append(row)
+    return tuple(_read_only(np.stack(rows) if rows else np.empty((0, n)))
+                 for rows in sides.values())
 
 
 def certificate_from_jsonable(
@@ -581,9 +541,9 @@ def certificate_from_jsonable(
     A block the file stores is read; an absent one is derived, as the
     construction would: the augmented elements from the vector family
     (checked orthonormal) at the stored scale c, the witnesses from the
-    signed steps by `_step_witnesses`, and each witness's decompositions
-    by one solve per cone, unclipped.  The MIC-POM is read from its rows
-    or, in older files, from its effects, and checked the same way.
+    signed steps by `_step_witnesses`, and each witness's coefficients by
+    `_expansions`, the construction's own solve.  The MIC-POM is read from
+    its rows or, in older files, from its effects, and checked the same way.
     Either way the witnesses are checked as effects at `tol`, which the
     certificate then carries, and `verify_certificate` judges the rest.
     With `tol` None the tolerances stored in the file are used, so the
@@ -609,8 +569,8 @@ def certificate_from_jsonable(
                      else np.empty((0, d, d), dtype=np.complex128))
         else:
             steps, stack = _steps_from_jsonable(obj["steps"], d), None
-        decompositions = (_stored_decompositions(obj["memberships"], d * d)
-                          if "memberships" in obj else None)
+        coefficients = (_stored_coefficients(obj["memberships"], d * d)
+                        if "memberships" in obj else None)
         epsilon = float(obj["epsilon"])
         delta = float(obj["delta"])
         radius = float(obj["radius"])
@@ -631,9 +591,9 @@ def certificate_from_jsonable(
             stack = _step_witnesses(e_delta.mat, steps, tol)
         _require_effects(stack, tol)
         views = (augmented.basis_view, mic.basis_view)  # certifies the augmented family
-        if decompositions is None:
+        if coefficients is None:
             coords = stacked_coordinates(stack)
-            decompositions = tuple(_expansions(coords, view, tol) for view in views)
+            coefficients = tuple(_expansions(coords, view, tol) for view in views)
     except ValueError as exc:
         raise CertificateError(f"certificate content fails its invariants: {exc}") from exc
 
@@ -646,7 +606,7 @@ def certificate_from_jsonable(
         e_delta=e_delta,
         steps=steps,
         witness_stack=stack,
-        decompositions=decompositions,
+        coefficients=coefficients,
         rank=rank,
         tol=tol,
     )

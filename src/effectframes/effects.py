@@ -63,7 +63,6 @@ __all__ = [
     "check_pom",
     "coexists",
     "effect_checks",
-    "effects_of",
     "is_effect",
     "max_scale",
     "pom_from_jsonable",
@@ -166,17 +165,6 @@ class Effect:
 
     def __repr__(self) -> str:
         return f"Effect(dim={self.dim})"
-
-
-def effects_of(ops, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Effect, ...]:
-    """Wrap a family of same-dimension operators as effects, checked as one stack.
-
-    Raises `NotAnEffectError` naming the first element whose spectrum
-    leaves [0, 1].
-    """
-    ops = tuple(ops)
-    _require_effects(_operator_stack(ops), tol)
-    return tuple(map(_checked_effect, ops))
 
 
 def _require_effects(mats: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> None:
@@ -305,22 +293,15 @@ class POM:
     def __getitem__(self, j: int) -> Effect:
         return self.effects[j]
 
-    def total(self) -> HermitianOperator:
-        return HermitianOperator(self.stack.sum(axis=0))
-
 
 class MicPom(POM):
     """POM of exactly d**2 linearly independent effects.
 
     The effects double as a basis of the Hermitian operators: `basis_view`
-    is the `OperatorBasis` on the same stack.  `pom` is the instance itself.
+    is the `OperatorBasis` on the same stack.
     """
 
     basis_view: OperatorBasis
-
-    @property
-    def pom(self) -> "MicPom":
-        return self
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,6 @@ from .operators import (
     HermitianOperator,
     OperatorBasis,
     ToleranceConfig,
-    change_of_basis,
     eig_hermitian,
     expand,
     hs_inner,
@@ -295,8 +294,10 @@ def consistency_DT(
 
     With D the change of basis from the augmented family to the MIC-POM,
     an additive frame must satisfy D^-T f_B = f_M; the returned number is
-    the norm of the difference.  The certificate must verify and must bind
-    exactly the two families passed in.
+    the norm of the difference, with D^-T f_B = M_M^T (M_B^T)^-1 f_B (M the
+    coordinate matrices) taken as one solve and one product.  The
+    certificate must verify and must bind exactly the two families passed
+    in.
     """
     from .cones import CertificateError, verify_certificate
 
@@ -313,8 +314,10 @@ def consistency_DT(
             raise CertificateError(f"certificate binds a different {name}")
     f_b = frame_vector(f, basis.elements, tol)
     f_m = frame_vector(f, mic, tol)
-    cob = change_of_basis(basis.basis_view, mic.basis_view, tol)
-    return float(np.linalg.norm(cob.inverse_transpose @ f_b - f_m))
+    transported = mic.basis_view.coordinate_matrix.T @ basis.basis_view.solve(
+        f_b, tol, transpose=True
+    )
+    return float(np.linalg.norm(transported - f_m))
 
 
 @dataclass(frozen=True, eq=False)

@@ -101,10 +101,6 @@ class ToleranceConfig:
 
     Attributes
     ----------
-    eig_offdiag : float
-        Not used by the eigensolver.  Kept, validated and serialized so
-        that the tolerance JSON of certificates and CLI reports keeps its
-        shape and older certificates still load.
     psd_slack : float
         Magnitude of negative eigenvalues tolerated in positivity checks.
     residual : float
@@ -113,13 +109,12 @@ class ToleranceConfig:
         Singular values below ``rank_cutoff * sigma_max`` count as zero.
     """
 
-    eig_offdiag: float = 1e-13
     psd_slack: float = 1e-9
     residual: float = 1e-8
     rank_cutoff: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("eig_offdiag", "psd_slack", "residual", "rank_cutoff"):
+        for name in ("psd_slack", "residual", "rank_cutoff"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and 0 < value < math.inf):
                 raise ValueError(f"tolerance {name!r} must be finite and positive, got {value!r}")
@@ -671,11 +666,17 @@ def operator_from_jsonable(obj: dict) -> HermitianOperator:
     return _operator_views(operators_from_jsonable([obj]))[0]
 
 
+# The wire format keeps the retired eigensolver tolerance `eig_offdiag`, first
+# and always at this value, so reports and certificates keep their bytes.
+_EIG_OFFDIAG = 1e-13
+
+
 def tolerance_to_jsonable(tol: ToleranceConfig) -> dict:
-    """Wire format of a tolerance configuration: one number per field."""
-    return dataclasses.asdict(tol)
+    """Wire format of a tolerance configuration: `eig_offdiag`, then one number per field."""
+    return {"eig_offdiag": _EIG_OFFDIAG, **dataclasses.asdict(tol)}
 
 
 def tolerance_from_jsonable(obj: dict) -> ToleranceConfig:
+    """Inverse of `tolerance_to_jsonable`; the `eig_offdiag` key is ignored."""
     fields = dataclasses.fields(ToleranceConfig)
     return ToleranceConfig(**{f.name: float(obj[f.name]) for f in fields})

@@ -3,7 +3,7 @@ import pytest
 
 from effectframes import HermitianOperator, certificate_to_jsonable
 from effectframes.augmented import augmented_basis_to_jsonable
-from effectframes.operators import operators_to_jsonable
+from effectframes.operators import operators_to_jsonable, stacked_coordinates
 
 # Filled by the acceptance tests; echoed after the run so the one-line
 # verdicts survive pytest's output capture.
@@ -33,21 +33,29 @@ def full_layout(cert) -> dict:
     The augmented elements, the witnesses and both decompositions of every
     witness, as certificates were written before the compact layout, in
     place of the signed steps; the MIC-POM as a list of effects, as those
-    certificates stored it.
+    certificates stored it.  Each stored residual is recomputed from the
+    certificate's arrays.
     """
     payload = certificate_to_jsonable(cert)
     payload.pop("steps", None)
     payload["augmented"] = augmented_basis_to_jsonable(cert.augmented)
-    payload["mic"] = {"dim": cert.mic.dim, "effects": operators_to_jsonable(cert.mic.pom.stack)}
-    payload["witnesses"] = operators_to_jsonable(np.stack([e.mat for e in cert.witnesses]))
-    payload["memberships"] = [
-        {
-            "augmented": {"coeffs": a.coeffs.tolist(), "residual": a.residual},
-            "mic": {"coeffs": m.coeffs.tolist(), "residual": m.residual},
-        }
-        for a, m in cert.memberships
+    payload["mic"] = {"dim": cert.mic.dim, "effects": operators_to_jsonable(cert.mic.stack)}
+    payload["witnesses"] = operators_to_jsonable(cert.witness_stack)
+    sides = [
+        [{"coeffs": c.tolist(), "residual": float(r)} for c, r in zip(coeffs, residuals)]
+        for coeffs, residuals in zip(cert.coefficients, witness_residuals(cert))
     ]
+    payload["memberships"] = [{"augmented": a, "mic": m} for a, m in zip(*sides)]
     return payload
+
+
+def witness_residuals(cert) -> tuple:
+    """Per family, each witness's distance from the combination of its coefficients."""
+    targets = stacked_coordinates(cert.witness_stack)
+    return tuple(
+        np.linalg.norm(coeffs @ stacked_coordinates(family) - targets, axis=1)
+        for coeffs, family in zip(cert.coefficients, (cert.augmented.stack, cert.mic.stack))
+    )
 
 
 def non_orthonormal_basis():

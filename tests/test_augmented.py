@@ -169,7 +169,7 @@ def test_completion_makes_a_pom():
         basis = augmented_basis_from_onb(random_onb(d, seed))
         pom = basis.as_pom()
         assert len(pom.effects) == d * d + 1
-        assert hs_distance(pom.total(), identity(d)) < 1e-10
+        assert hs_distance(HermitianOperator(pom.stack.sum(axis=0)), identity(d)) < 1e-10
 
 
 def test_completion_is_checked_as_an_effect_only_by_as_pom():

@@ -254,7 +254,7 @@ def test_certify_cone_verify_malformed_mic_rows_is_exit_2(capsys, tmp_path, faul
 
 
 @pytest.mark.parametrize(
-    "fault", ["e-delta-entry", "witness-entry", "coefficient", "mic-dimension"]
+    "fault", ["e-delta-entry", "witness-entry", "coefficient", "residual", "mic-dimension"]
 )
 def test_certify_cone_verify_malformed_blocks_is_exit_2(capsys, tmp_path, fault):
     # Every block is parsed before any is checked: a malformed one is invalid input.
@@ -270,8 +270,10 @@ def test_certify_cone_verify_malformed_blocks_is_exit_2(capsys, tmp_path, fault)
         payload = _full_layout_file(cert_path)
         if fault == "witness-entry":
             payload["witnesses"][0]["entries"][0][0] = ["x", 0]
-        else:
+        elif fault == "coefficient":
             payload["memberships"][0]["mic"]["coeffs"][0] = "x"
+        else:  # a stored residual is never trusted, but must still be a number
+            payload["memberships"][0]["augmented"]["residual"] = "x"
     cert_path.write_text(json.dumps(payload))
     code, out, err = run_cli(capsys, "certify-cone", "--verify", str(cert_path))
     assert (code, out) == (2, "")
@@ -362,14 +364,14 @@ def test_certify_cone_verify_mic_rows_of_a_wrong_pom_fail(capsys, tmp_path, faul
 def test_validate_reads_a_pom_as_rows_or_as_effects(capsys, tmp_path):
     mic = random_mic_pom(3, 1)
     reports = []
-    for layout in (pom_to_jsonable(mic.pom),
-                   {"dim": 3, "effects": operators_to_jsonable(mic.pom.stack)}):
+    for layout in (pom_to_jsonable(mic),
+                   {"dim": 3, "effects": operators_to_jsonable(mic.stack)}):
         path = tmp_path / "mic.json"
         path.write_text(json.dumps(layout))
         code, out, _ = run_cli(capsys, "validate", "--kind", "mic-pom", "--in", str(path))
         assert code == 0
         reports.append(out)
-    assert "rows" in pom_to_jsonable(mic.pom) and reports[0] == reports[1]
+    assert "rows" in pom_to_jsonable(mic) and reports[0] == reports[1]
 
 
 def test_certify_cone_verify_fails_a_non_orthonormal_family_in_both_layouts(capsys, tmp_path):
@@ -522,7 +524,7 @@ def test_validate_non_effect_element(capsys, tmp_path):
 
 def test_validate_sic_as_mic_pom(capsys, tmp_path):
     path = tmp_path / "sic.json"
-    path.write_text(json.dumps(pom_to_jsonable(sic_mic_pom().pom)))
+    path.write_text(json.dumps(pom_to_jsonable(sic_mic_pom())))
     code, out, _ = run_cli(capsys, "validate", "--kind", "mic-pom", "--in", str(path))
     assert code == 0
     report = json.loads(out)
@@ -1049,7 +1051,7 @@ def test_reconstruct_files_failing_caller_tolerance_are_exit_2(capsys, tmp_path)
     )
     assert (code, out) == (2, "") and err.startswith("error: trace")
     mic = tmp_path / "mic.json"
-    mic.write_text(json.dumps(pom_to_jsonable(random_mic_pom(3, 1000004).pom)))
+    mic.write_text(json.dumps(pom_to_jsonable(random_mic_pom(3, 1000004))))
     code, out, err = run_cli(
         capsys, "reconstruct", "--dim", "3", "--seed", "1", "--mic", str(mic),
         "--tol-residual", "1e-17",

@@ -32,12 +32,13 @@ from effectframes import (
     random_onb,
     rank_one,
     real_coordinates,
+    recombine,
     sic_mic_pom,
     validate_augmented,
     verify_certificate,
 )
 
-from conftest import full_layout
+from conftest import full_layout, witness_residuals
 
 GAMMA2 = 2.0 + 1.0 / math.sqrt(2.0)
 EYE2 = np.eye(2, dtype=complex)
@@ -130,9 +131,11 @@ def test_membership_boundary_is_minus_psd_slack(monkeypatch):
     stack = cones.hermitian_stack(
         [_sic_point(x).mat for x in (0.5, -slack / 2, -2 * slack, 0.5)]
     )
+    # Admitted coefficients are stored exact, as a reader solves them: the
+    # second candidate keeps its -slack/2.
     admitted, (by_a, by_m) = cones._admit_witnesses(stack, view, view, DEFAULT_TOL)
-    assert admitted == 2 == len(by_a.coeffs) == len(by_m.coeffs)
-    for coeffs_a, coeffs_m, first in zip(by_a.coeffs, by_m.coeffs, (0.5, 0.0)):
+    assert admitted == 2 == len(by_a) == len(by_m)
+    for coeffs_a, coeffs_m, first in zip(by_a, by_m, (0.5, -slack / 2)):
         np.testing.assert_allclose(coeffs_a, [first, 0.5, 0.5, 0.5], atol=1e-12)
         np.testing.assert_array_equal(coeffs_m, coeffs_a)
 
@@ -188,8 +191,8 @@ def test_certificate_d2_canonical():
     basis = augmented_basis_from_onb(EYE2)
     cert = intersection_span_certificate(basis, sic_mic_pom())
     assert cert.rank == 4
-    assert len(cert.witnesses) == 4
-    assert all(is_effect(w.op).ok for w in cert.witnesses)
+    assert len(cert.witness_stack) == 4
+    assert all(is_effect(HermitianOperator(w)).ok for w in cert.witness_stack)
     report = verify_certificate(cert)
     assert report.passed, report.failures
     assert report.max_membership_residual < DEFAULT_TOL.residual
@@ -206,11 +209,10 @@ def test_certificate_d3_seeded():
 def test_certificate_membership_coefficients_nonnegative():
     basis = augmented_basis_from_onb(EYE2)
     cert = intersection_span_certificate(basis, sic_mic_pom())
-    for mem_a, mem_m in cert.memberships:
-        assert np.all(mem_a.coeffs >= -DEFAULT_TOL.psd_slack)
-        assert np.all(mem_m.coeffs >= -DEFAULT_TOL.psd_slack)
-        assert mem_a.residual < DEFAULT_TOL.residual
-        assert mem_m.residual < DEFAULT_TOL.residual
+    for coeffs, residuals in zip(cert.coefficients, witness_residuals(cert)):
+        assert coeffs.shape == (4, 4)
+        assert np.all(coeffs >= -DEFAULT_TOL.psd_slack)
+        assert np.all(residuals < DEFAULT_TOL.residual)
 
 
 def test_certificate_serialization_round_trip():
@@ -274,22 +276,23 @@ def _reference_failures(cert, tol):
     total = sum(e.mat for e in cert.mic.effects)
     if np.linalg.norm(total - np.eye(d)) > tol.residual:
         failures.append("mic-pom-sum")
-    if len(cert.witnesses) != d * d or len(cert.memberships) != d * d:
+    if len(cert.witness_stack) != d * d or min(map(len, cert.coefficients)) != d * d:
         failures.append("witness-count")
-    for k, (witness, mems) in enumerate(zip(cert.witnesses, cert.memberships)):
-        w = np.linalg.eigvalsh(witness.mat)
+    families = (cert.augmented.stack, cert.mic.stack)
+    for k, (witness, *rows) in enumerate(zip(cert.witness_stack, *cert.coefficients)):
+        w = np.linalg.eigvalsh(witness)
         if w[0] < -tol.psd_slack or w[-1] > 1.0 + tol.psd_slack:
             failures.append(f"witness-{k}-effect")
             continue
-        for label, mem in zip(("augmented", "mic"), mems):
-            if float(np.min(mem.coeffs)) < -tol.psd_slack:
+        for label, row, family in zip(("augmented", "mic"), rows, families):
+            if float(np.min(row)) < -tol.psd_slack:
                 failures.append(f"witness-{k}-{label}-negative-coefficient")
             acc = np.zeros((d, d), dtype=complex)
-            for cj, el in zip(mem.coeffs, mem.basis):
-                acc += cj * el.mat
-            if np.linalg.norm(acc - witness.mat) > tol.residual:
+            for cj, el in zip(row, family):
+                acc += cj * el
+            if np.linalg.norm(acc - witness) > tol.residual:
                 failures.append(f"witness-{k}-{label}-residual")
-    coords = np.array([real_coordinates(w.op) for w in cert.witnesses])
+    coords = np.array([real_coordinates(HermitianOperator(w)) for w in cert.witness_stack])
     if np.linalg.matrix_rank(coords, tol=tol.rank_cutoff * np.linalg.norm(coords, 2)) != d * d:
         failures.append("witness-rank")
     return failures
@@ -349,7 +352,7 @@ def test_verify_matches_per_witness_reference(d, seed, label):
     report = verify_certificate(back, DEFAULT_TOL)
     assert label in report.failures
     assert list(report.failures) == _reference_failures(back, DEFAULT_TOL)
-    assert report.witness_count == len(back.witnesses)
+    assert report.witness_count == len(back.witness_stack)
 
 
 def _compact_effect(p):
@@ -404,7 +407,7 @@ def test_verify_compact_matches_per_witness_reference(d, seed, label):
     report = verify_certificate(back, DEFAULT_TOL)
     assert label in report.failures
     assert list(report.failures) == _reference_failures(back, DEFAULT_TOL)
-    assert report.witness_count == len(back.witnesses)
+    assert report.witness_count == len(back.witness_stack)
     assert report.max_membership_residual < 1e-12
 
 
@@ -437,11 +440,12 @@ def test_verify_reports_margins_like_reference():
     cert = intersection_span_certificate(basis, random_mic_pom(3, 3))
     report = verify_certificate(cert)
     assert report.passed and report.rank == 9
-    lows = [float(np.min(m.coeffs)) for pair in cert.memberships for m in pair]
+    lows = [float(np.min(row)) for coeffs in cert.coefficients for row in coeffs]
     residuals = [
-        hs_distance(m.recombine(), w.op)
-        for w, pair in zip(cert.witnesses, cert.memberships)
-        for m in pair
+        hs_distance(recombine(row, view), HermitianOperator(w))
+        for view, coeffs in zip((cert.augmented.basis_view, cert.mic.basis_view),
+                                cert.coefficients)
+        for w, row in zip(cert.witness_stack, coeffs)
     ]
     assert report.min_coefficient == min(lows)
     assert report.max_membership_residual == pytest.approx(max(residuals), abs=1e-14)
@@ -459,9 +463,9 @@ def test_stacked_admission_stops_at_first_failure_without_nnls(monkeypatch):
         admitted, (by_a, by_m) = cones._admit_witnesses(
             stack, basis.basis_view, sic.basis_view, DEFAULT_TOL
         )
-        assert admitted == 1 == len(by_a.coeffs) == len(by_m.coeffs)
+        assert admitted == 1 == len(by_a) == len(by_m)
         single = cone_membership(e_delta.op, basis, DEFAULT_TOL)
-        np.testing.assert_allclose(by_a.coeffs[0], single.coeffs, atol=1e-14)
+        np.testing.assert_allclose(by_a[0], single.coeffs, atol=1e-14)
         assert cone_membership(middle, sic) is None or cone_membership(middle, basis) is None
 
 
@@ -478,7 +482,7 @@ def test_certificate_scan_has_no_failure():
     for d in range(2, 6):
         for seed in range(50):
             cert = intersection_span_certificate(*_cli_pair(d, seed))
-            assert cert.rank == d * d and len(cert.witnesses) == d * d, (d, seed)
+            assert cert.rank == d * d and len(cert.witness_stack) == d * d, (d, seed)
 
 
 @pytest.mark.parametrize("d, seed", [(2, 3), (3, 1), (4, 449), (5, 356)])
@@ -493,11 +497,11 @@ def test_certificate_steps_are_signed_capped_and_reach_a_face(d, seed):
         return float(np.real(np.trace(a @ b)))
 
     steps = []
-    for k, (w, mems) in enumerate(zip(cert.witnesses, cert.memberships)):
-        for mem in mems:
-            assert np.all(mem.coeffs >= 0.0)
-        shift = inner(w.mat - e, directions[k])  # sigma_k * s_k / 2
-        np.testing.assert_allclose(w.mat - e, shift * directions[k], atol=1e-15)
+    for k, (w, *rows) in enumerate(zip(cert.witness_stack, *cert.coefficients)):
+        for row in rows:
+            assert np.all(row >= 0.0)
+        shift = inner(w - e, directions[k])  # sigma_k * s_k / 2
+        np.testing.assert_allclose(w - e, shift * directions[k], atol=1e-15)
         sigma = -1.0 if inner(e, directions[k]) < 0.0 else 1.0
         assert np.sign(shift) == sigma, k
         step = 2.0 * abs(shift)
@@ -519,8 +523,8 @@ def test_certificate_is_deterministic():
     basis, mic = _cli_pair(3, 2)
     first = intersection_span_certificate(basis, mic)
     second = intersection_span_certificate(basis, mic)
-    for a, b in zip(first.witnesses, second.witnesses):
-        np.testing.assert_array_equal(a.mat, b.mat)
+    for a, b in zip(first.witness_stack, second.witness_stack):
+        np.testing.assert_array_equal(a, b)
     assert first.radius == second.radius
 
 
@@ -547,7 +551,7 @@ def test_certificate_checks_each_witness_as_an_effect_once(monkeypatch):
     # One check per interior point tried (epsilon starts at 1/(4d)), then the witnesses.
     tried = round(math.log2(1.0 / (4 * 3) / cert.epsilon)) + 1
     assert shapes == [(1, 3, 3)] * tried + [(9, 3, 3)]
-    assert all(isinstance(w, Effect) for w in cert.witnesses)
+    assert cert.witness_stack.shape == (9, 3, 3) and not cert.witness_stack.flags.writeable
 
     shapes.clear()
     interior_point_Edelta(basis, cert.epsilon)
@@ -566,9 +570,9 @@ def test_compact_layout_derives_the_built_certificate(tmp_path):
             cert = intersection_span_certificate(*_cli_pair(d, seed))
             compact = certificate_to_jsonable(cert)
             back = certificate_from_jsonable(json.loads(json.dumps(compact)))
-            assert len(back.witnesses) == d * d
-            for built, derived in zip(cert.witnesses, back.witnesses):
-                assert derived.mat.tobytes() == built.mat.tobytes(), (d, seed)
+            assert len(back.witness_stack) == d * d
+            for built, derived in zip(cert.witness_stack, back.witness_stack):
+                assert derived.tobytes() == built.tobytes(), (d, seed)
             assert back.augmented.stack.tobytes() == cert.augmented.stack.tobytes()
             reports = []
             for name, payload in (("compact", compact), ("full", full_layout(cert))):
@@ -659,21 +663,12 @@ def test_rebuilt_mic_pom_and_witnesses_are_the_built_ones():
             payload = json.loads(json.dumps(certificate_to_jsonable(cert)))
             assert set(payload["mic"]) == {"dim", "rows"}
             back = certificate_from_jsonable(payload)
-            assert back.mic.pom.stack.tobytes() == cert.mic.pom.stack.tobytes(), (d, seed)
+            assert back.mic.stack.tobytes() == cert.mic.stack.tobytes(), (d, seed)
             assert back.witness_stack.tobytes() == cert.witness_stack.tobytes(), (d, seed)
+            for built, derived in zip(cert.coefficients, back.coefficients):
+                assert derived.tobytes() == built.tobytes(), (d, seed)
+            assert verify_certificate(back) == verify_certificate(cert), (d, seed)
             for certificate in (cert, back):
-                for dec in certificate.decompositions:
-                    assert dec.coeffs.shape == (d * d, d * d)
-                    assert dec.coeffs.flags.c_contiguous and not dec.coeffs.flags.writeable
-
-
-def test_witnesses_and_memberships_view_the_arrays():
-    cert = intersection_span_certificate(*_cli_pair(3, 2))
-    assert all(isinstance(w, Effect) for w in cert.witnesses)
-    for k, (w, (mem_a, mem_m)) in enumerate(zip(cert.witnesses, cert.memberships)):
-        np.testing.assert_array_equal(w.mat, cert.witness_stack[k])
-        for mem, dec in zip((mem_a, mem_m), cert.decompositions):
-            np.testing.assert_array_equal(mem.coeffs, dec.coeffs[k])
-            assert mem.residual == dec.residuals[k]
-    assert cert.memberships[0][0].basis is cert.augmented.basis_view
-    assert cert.memberships[0][1].basis is cert.mic.basis_view
+                for coeffs in certificate.coefficients:
+                    assert coeffs.shape == (d * d, d * d)
+                    assert coeffs.flags.c_contiguous and not coeffs.flags.writeable

@@ -17,7 +17,6 @@ from effectframes import (
     EigensolverError,
     coexists,
     effect_checks,
-    effects_of,
     eig_hermitian,
     hermitian_stack,
     hs_distance,
@@ -152,11 +151,11 @@ def test_pom_needs_two_effects():
 
 def test_sic_sums_to_identity():
     sic = sic_mic_pom()
-    assert hs_distance(sic.pom.total(), identity(2)) < 1e-14
+    assert hs_distance(HermitianOperator(sic.stack.sum(axis=0)), identity(2)) < 1e-14
 
 
 def test_sic_element_spectra():
-    for e in sic_mic_pom().pom.effects:
+    for e in sic_mic_pom().effects:
         w, _ = eig_hermitian(e.op)
         assert w[0] == pytest.approx(0.5, abs=1e-12)
         assert w[1] == pytest.approx(0.0, abs=1e-12)
@@ -208,14 +207,14 @@ def test_random_onb_is_orthonormal():
 
 def test_random_mic_pom_d3_seed7():
     mic = random_mic_pom(3, 7)
-    assert len(mic.pom.effects) == 9
-    assert hs_distance(mic.pom.total(), identity(3)) < 1e-10
+    assert len(mic.effects) == 9
+    assert hs_distance(HermitianOperator(mic.stack.sum(axis=0)), identity(3)) < 1e-10
 
 
 def test_random_mic_pom_deterministic():
     m1 = random_mic_pom(3, 7)
     m2 = random_mic_pom(3, 7)
-    for a, b in zip(m1.pom.effects, m2.pom.effects):
+    for a, b in zip(m1.effects, m2.effects):
         assert np.array_equal(a.mat, b.mat)
 
 
@@ -232,9 +231,9 @@ def test_mic_pom_needs_d_squared_elements():
     sic = sic_mic_pom()
     three = POM(
         (
-            sic.pom.effects[0],
-            sic.pom.effects[1],
-            Effect(identity(2) - sic.pom.effects[0].op - sic.pom.effects[1].op),
+            sic.effects[0],
+            sic.effects[1],
+            Effect(identity(2) - sic.effects[0].op - sic.effects[1].op),
         )
     )
     with pytest.raises(ValueError):
@@ -256,10 +255,10 @@ def test_psd_sqrt_squares_back(rng):
 
 def test_pom_json_round_trip():
     sic = sic_mic_pom()
-    blob = json.dumps(pom_to_jsonable(sic.pom), sort_keys=True)
+    blob = json.dumps(pom_to_jsonable(sic), sort_keys=True)
     back = pom_from_jsonable(json.loads(blob))
     assert len(back.effects) == 4
-    for a, b in zip(sic.pom.effects, back.effects):
+    for a, b in zip(sic.effects, back.effects):
         assert hs_distance(a.op, b.op) < 1e-15
 
 
@@ -294,12 +293,10 @@ def test_effect_checks_match_per_operator_reference(d):
             assert check.witness == pytest.approx(witness, abs=1e-12)
 
 
-def test_effects_of_checks_whole_family():
+def test_pom_names_its_first_non_effect_element():
     ops = [identity(2) * 0.5, identity(2) * 0.25, identity(2) * 1.5]
-    assert all(isinstance(e, Effect) for e in effects_of(ops[:2]))
-    assert effects_of(ops[:2])[1].op is ops[1]
     with pytest.raises(NotAnEffectError, match="element 2"):
-        effects_of(ops)
+        POM(ops)
 
 
 def test_pom_json_rejects_mixed_dimensions():
@@ -398,28 +395,28 @@ def _reference_random_mic_pom(d, seed):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_random_mic_pom_draws_as_before(d):
     for seed in range(20):
-        assert random_mic_pom(d, seed).pom.stack.tobytes() == (
+        assert random_mic_pom(d, seed).stack.tobytes() == (
             _reference_random_mic_pom(d, seed).tobytes()
         ), seed
 
 
 def test_pom_json_reads_rows_and_effects_alike():
     mic = random_mic_pom(3, 5)
-    rows = json.loads(json.dumps(pom_to_jsonable(mic.pom)))
-    effects = json.loads(json.dumps({"dim": 3, "effects": operators_to_jsonable(mic.pom.stack)}))
+    rows = json.loads(json.dumps(pom_to_jsonable(mic)))
+    effects = json.loads(json.dumps({"dim": 3, "effects": operators_to_jsonable(mic.stack)}))
     assert set(rows) == {"dim", "rows"} and set(effects) == {"dim", "effects"}
     for blob in (rows, effects):
-        assert pom_from_jsonable(blob).stack.tobytes() == mic.pom.stack.tobytes()
+        assert pom_from_jsonable(blob).stack.tobytes() == mic.stack.tobytes()
     assert len(json.dumps(rows)) < 0.6 * len(json.dumps(effects))
 
 
 def test_pom_json_rows_are_checked_as_effects():
     mic = random_mic_pom(2, 5)
-    blob = pom_to_jsonable(mic.pom)
+    blob = pom_to_jsonable(mic)
     blob["rows"][0][0] = 1.5  # a diagonal entry above one
     with pytest.raises(NotAnEffectError, match="element 0"):
         pom_from_jsonable(blob)
-    blob = pom_to_jsonable(mic.pom)
+    blob = pom_to_jsonable(mic)
     blob["rows"][0][1] += 1e-3  # no longer sums to the identity
     with pytest.raises(PomIdentityError):
         pom_from_jsonable(blob)

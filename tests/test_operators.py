@@ -336,7 +336,7 @@ def test_tolerance_config_validation():
         ToleranceConfig(psd_slack=1e-6, residual=1e-8)
     custom = ToleranceConfig(residual=1e-6)
     assert custom.residual == 1e-6
-    assert custom.eig_offdiag == DEFAULT_TOL.eig_offdiag
+    assert custom.psd_slack == DEFAULT_TOL.psd_slack
 
 
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2**32 - 1))
@@ -543,7 +543,7 @@ def test_only_operators_stacks_element_matrices():
     assert {name: n for name, n in hits.items() if n and name != "operators.py"} == {}
 
 
-@pytest.mark.parametrize("name", ["eig_offdiag", "psd_slack", "residual", "rank_cutoff"])
+@pytest.mark.parametrize("name", ["psd_slack", "residual", "rank_cutoff"])
 @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1e-9])
 def test_tolerances_must_be_finite_and_positive(name, value):
     with pytest.raises(ValueError, match=f"{name}.*got {value!r}"):
@@ -554,7 +554,9 @@ def test_tolerance_codec_round_trip():
     tol = ToleranceConfig(psd_slack=1e-10, residual=1e-7)
     blob = tolerance_to_jsonable(tol)
     assert list(blob) == ["eig_offdiag", "psd_slack", "residual", "rank_cutoff"]
+    assert blob["eig_offdiag"] == 1e-13
     assert tolerance_from_jsonable(json.loads(json.dumps(blob))) == tol
+    assert tolerance_from_jsonable({**blob, "eig_offdiag": math.nan}) == tol
     with pytest.raises(KeyError):
         tolerance_from_jsonable({"psd_slack": 1e-9})
 
