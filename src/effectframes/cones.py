@@ -21,9 +21,9 @@ only when its recomputed residual is below tolerance.
 A certificate is arrays: its witnesses an (n, d, d) stack and their
 coefficients over each cone an (n, d**2) array, the exact solve of the
 witnesses over the family (`_expansions`).  The construction and a reader
-of its file derive them with that one solve, so both hold the same bits,
-and both judge them as `verify_certificate` does, with one batched effect
-check and one product per cone.
+of its file derive them with that one solve, so both hold the same bits.
+One function, `_cone_fits`, judges membership from such arrays for the
+epsilon search, the admission of the witnesses and `verify_certificate`.
 """
 
 from __future__ import annotations
@@ -274,31 +274,22 @@ def _step_witnesses(e_delta: np.ndarray, steps: np.ndarray, tol: ToleranceConfig
     return hermitian_stack(e_delta + (steps / 2.0)[:, np.newaxis, np.newaxis] * directions)
 
 
-def _admit_witnesses(
-    candidates: np.ndarray,
-    aug_view: OperatorBasis,
-    mic_view: OperatorBasis,
-    tol: ToleranceConfig,
-) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
-    """The longest prefix of a validated candidate stack inside both cones.
+def _cone_fits(coords: np.ndarray, coefficients, family_rows, tol: ToleranceConfig):
+    """The one membership rule: judge n points in each cone from their coefficients.
 
-    One batched effect check and the exact solve per cone (`_expansions`,
-    as a reader derives the coefficients) decide the whole stack, judged as
-    `verify_certificate` judges a witness: the prefix ends at the first
-    candidate that is not an effect, has a coefficient below -psd_slack,
-    or whose recomputed residual exceeds tol.residual in either cone.
-    Returns the prefix length and the prefix's coefficients over each
-    family.
+    `coords` holds the points' (n, d**2) coordinates, `coefficients` one
+    (n, m) array per family and `family_rows` each family's (m, d**2)
+    coordinate rows.  A point is in a cone when its lowest coefficient is
+    at least -psd_slack and the residual of its coefficients, recombined
+    over the family, is at most tol.residual.  Returns whether each point
+    is in every cone, then one row per family of the lowest coefficients,
+    the residuals, and the points failing each of the two tests.
     """
-    coords = stacked_coordinates(candidates)
-    ok = np.array([check.ok for check in effect_checks(candidates, tol)])
-    views = (aug_view, mic_view)
-    solved = tuple(_expansions(coords, view, tol) for view in views)
-    for coeffs, view in zip(solved, views):
-        residuals = np.linalg.norm(coeffs @ view.coordinate_matrix.T - coords, axis=1)
-        ok &= (coeffs.min(axis=1) >= -tol.psd_slack) & (residuals <= tol.residual)
-    n = len(ok) if ok.all() else int(np.argmin(ok))
-    return n, tuple(coeffs[:n] for coeffs in solved)
+    lows = np.array([coeffs.min(axis=1) for coeffs in coefficients])
+    residuals = np.array([np.linalg.norm(coeffs @ rows - coords, axis=1)
+                          for coeffs, rows in zip(coefficients, family_rows)])
+    negative, off = ~(lows >= -tol.psd_slack), ~(residuals <= tol.residual)
+    return ~(negative | off).any(axis=0), lows, residuals, negative, off
 
 
 def intersection_span_certificate(
@@ -310,64 +301,65 @@ def intersection_span_certificate(
     """Harvest d**2 linearly independent effects common to both cones.
 
     Halves epsilon until E_delta has every coefficient above psd_slack in
-    both cones, then shifts it once along each element D_k of the
-    orthonormal operator basis: witness k is E_delta + (s_k/2) sigma_k D_k,
-    sigma_k the sign of <E_delta, D_k> (0 read as +1), s_k the largest step
-    keeping every coefficient of both cones nonnegative (one multi-RHS
-    solve per cone), capped at min(lambda_min, 1 - lambda_max) of E_delta
-    since ||D_k||_op <= 1.  By the matrix determinant lemma the family's
-    determinant is det(Q diag(s sigma/2)) (1 + sum_k 2<E_delta, D_k>/(sigma_k
-    s_k)), and the signs make every term positive.  The witnesses are
-    re-verified in both cones and must reach rank d**2; otherwise
-    `CertificateError` names the failing stage.
+    both cones (a halving that reaches 0 ends the search), then shifts it
+    once along each element D_k of the orthonormal operator basis: witness
+    k is E_delta + (s_k/2) sigma_k D_k, sigma_k the sign of <E_delta, D_k>
+    (0 read as +1), s_k the largest step keeping every coefficient of both
+    cones nonnegative (one multi-RHS solve per cone), capped at
+    min(lambda_min, 1 - lambda_max) of E_delta since ||D_k||_op <= 1.  By
+    the matrix determinant lemma the family's determinant is
+    det(Q diag(s sigma/2)) (1 + sum_k 2<E_delta, D_k>/(sigma_k s_k)), and
+    the signs make every term positive.  The witnesses are re-verified in
+    both cones and must reach rank d**2; otherwise `CertificateError` names
+    the failing stage.
     """
     d = basis.dim
     if mic.dim != d:
         raise DimensionMismatchError(f"basis dim {d} vs MIC-POM dim {mic.dim}")
-    eps = float(epsilon) if epsilon is not None else 1.0 / (4 * d)
-    aug_view = basis.basis_view
-    mic_view = mic.basis_view
+    first = float(epsilon) if epsilon is not None else 1.0 / (4 * d)
+    if not 0 < first < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {first!r}")
+    views = (basis.basis_view, mic.basis_view)
+    rows = tuple(view.coordinate_matrix.T for view in views)
 
-    e_delta = None
-    delta = 0.0
-    mem_a = mem_m = None
-    for _ in range(60):
+    # Halvings that underflow to 0 are skipped, so they end the search.
+    for eps in filter(None, (first / 2.0**k for k in range(60))):
         try:
             e_delta, delta = interior_point_Edelta(basis, eps, tol)
         except EpsilonTooLargeError:
-            eps /= 2.0
             continue
-        mem_a = cone_membership(e_delta.op, aug_view, tol)
-        mem_m = cone_membership(e_delta.op, mic_view, tol)
-        if (
-            mem_a is not None
-            and mem_m is not None
-            and float(np.min(mem_a.coeffs)) > tol.psd_slack
-            and float(np.min(mem_m.coeffs)) > tol.psd_slack
-        ):
+        centre = real_coordinates(e_delta.op)[np.newaxis]
+        interior = tuple(_expansions(centre, view, tol) for view in views)
+        inside, lows, *_ = _cone_fits(centre, interior, rows, tol)
+        if inside[0] and lows.min() > tol.psd_slack:
             break
-        eps /= 2.0
     else:
         raise CertificateError(
             "stage interior-point: no epsilon yields an interior point of both cones"
         )
 
     q = orthonormal_operator_basis(d, tol).coordinate_matrix
-    signs = np.where(q.T @ real_coordinates(e_delta.op) < 0.0, -1.0, 1.0)
+    signs = np.where(q.T @ centre[0] < 0.0, -1.0, 1.0)
     lam = np.linalg.eigvalsh(e_delta.mat)
     cap = min(float(lam[0]), 1.0 - float(lam[-1]))
     # rates[k]: the fastest fall of any coefficient, relative to its value,
     # per unit step along sigma_k D_k; s_k = 1 / rates[k] reaches a face.
     rates = np.zeros(d * d)
-    for mem in (mem_a, mem_m):
-        slopes = mem.basis.solve(q, tol) * signs
-        rates = np.maximum(rates, np.max(-slopes / mem.coeffs[:, np.newaxis], axis=0))
+    for view, coeffs in zip(views, interior):
+        slopes = view.solve(q, tol) * signs
+        rates = np.maximum(rates, np.max(-slopes / coeffs[0][:, np.newaxis], axis=0))
     steps = cap / np.maximum(1.0, cap * rates)
     signed = steps * signs
     signed.setflags(write=False)
+    # The longest prefix of candidates that are effects inside both cones,
+    # judged as `verify_certificate` judges a witness.
     candidates = _step_witnesses(e_delta.mat, signed, tol)
-    admitted, coefficients = _admit_witnesses(candidates, aug_view, mic_view, tol)
-    rank = coordinate_rank(stacked_coordinates(candidates)).rank(tol)
+    coords = stacked_coordinates(candidates)
+    solved = tuple(_expansions(coords, view, tol) for view in views)
+    ok, *_ = _cone_fits(coords, solved, rows, tol)
+    ok &= [check.ok for check in effect_checks(candidates, tol)]
+    admitted = len(ok) if ok.all() else int(np.argmin(ok))
+    rank = coordinate_rank(coords).rank(tol)
     if admitted < d * d or rank < d * d:
         raise CertificateError(
             f"stage orthonormal-shift: {admitted} of {d * d} witnesses admitted, "
@@ -382,7 +374,7 @@ def intersection_span_certificate(
         e_delta=e_delta,
         steps=signed,
         witness_stack=candidates,
-        coefficients=coefficients,
+        coefficients=solved,
         rank=d * d,
         tol=tol,
     )
@@ -434,30 +426,31 @@ def verify_certificate(
         coords = stacked_coordinates(witnesses)
         rank = coordinate_rank(coords).rank(tol)
     if n:
-        targets = coords[:n]
         if cert.tol == tol:
             effect_ok = np.ones(n, dtype=bool)
         else:
             effect_ok = np.array([check.ok for check in effect_checks(witnesses[:n], tol)])
-        per_family = []
-        for label, family, coeffs in zip(
-            ("augmented", "mic"), (cert.augmented.stack, cert.mic.stack), cert.coefficients
-        ):
-            coeffs = coeffs[:n]
-            residuals = np.linalg.norm(coeffs @ stacked_coordinates(family) - targets, axis=1)
-            per_family.append((label, coeffs.min(axis=1), residuals))
+        # A family's rows come from its certified view when one is built.
+        # None is built here, so a family that fails its rank check is judged.
+        rows = []
+        for family in (cert.augmented, cert.mic):
+            view = family.__dict__.get("basis_view")
+            rows.append(stacked_coordinates(family.stack) if view is None
+                        else view.coordinate_matrix.T)
+        _, lows, residuals, negative, off = _cone_fits(
+            coords[:n], [coeffs[:n] for coeffs in cert.coefficients], rows, tol)
         for k in range(n):
             if not effect_ok[k]:
                 failures.append(f"witness-{k}-effect")
                 continue
-            for label, lows, residuals in per_family:
-                if not lows[k] >= -tol.psd_slack:
+            for f, label in enumerate(("augmented", "mic")):
+                if negative[f, k]:
                     failures.append(f"witness-{k}-{label}-negative-coefficient")
-                if not residuals[k] <= tol.residual:
+                if off[f, k]:
                     failures.append(f"witness-{k}-{label}-residual")
         if effect_ok.any():
-            min_coeff = min(float(np.min(lows[effect_ok])) for _, lows, _ in per_family)
-            max_res = max(float(np.max(res[effect_ok])) for _, _, res in per_family)
+            min_coeff = float(np.min(lows[:, effect_ok]))
+            max_res = float(np.max(residuals[:, effect_ok]))
 
     if rank != d * d:
         failures.append("witness-rank")

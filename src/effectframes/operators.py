@@ -56,7 +56,6 @@ __all__ = [
     "hermitian_stack",
     "hs_inner",
     "identity",
-    "numerical_rank",
     "operator_from_coordinates",
     "operator_from_jsonable",
     "operator_to_jsonable",
@@ -167,14 +166,13 @@ class HermitianOperator:
     whose asymmetry exceeds `HERMITICITY_ATOL` is rejected, the rest symmetrized.
     """
 
-    __slots__ = ("_mat", "_eig_cache")
+    __slots__ = ("_mat",)
 
     def __init__(self, entries):
         mat = np.asarray(entries, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
         object.__setattr__(self, "_mat", hermitian_stack(mat[np.newaxis])[0])
-        object.__setattr__(self, "_eig_cache", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianOperator is immutable")
@@ -226,7 +224,6 @@ def _operator_views(mats: np.ndarray) -> tuple[HermitianOperator, ...]:
     for mat in mats:
         op = object.__new__(HermitianOperator)
         object.__setattr__(op, "_mat", mat)
-        object.__setattr__(op, "_eig_cache", None)
         views.append(op)
     return tuple(views)
 
@@ -296,19 +293,15 @@ def eig_hermitian(a: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
         Eigenvalues as a real array sorted in descending order and the
         matching orthonormal eigenvectors as columns of a complex matrix,
         so that ``V diag(w) V^dagger`` reconstructs the input.  Both arrays
-        are read-only and cached on the operator.
+        are read-only and computed afresh on each call.
 
     Raises `EigensolverError` when LAPACK reports no convergence.
     """
-    cache = a._eig_cache
-    if cache is not None:
-        return cache
     w, vecs = _eigh(a.mat)
     w = w[::-1].copy()
     vecs = vecs[:, ::-1].copy()
     w.setflags(write=False)
     vecs.setflags(write=False)
-    object.__setattr__(a, "_eig_cache", (w, vecs))
     return w, vecs
 
 
@@ -374,14 +367,6 @@ def operator_from_coordinates(coords: np.ndarray) -> HermitianOperator:
     return HermitianOperator(mat)
 
 
-def numerical_rank(singular_values: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Number of singular values (descending) above ``rank_cutoff * sigma_max``."""
-    s = singular_values
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_cutoff * s[0]))
-
-
 class CoordinateRank(NamedTuple):
     """Singular values of a family's coordinate matrix, descending and read-only."""
 
@@ -394,7 +379,11 @@ class CoordinateRank(NamedTuple):
         return float(s[-1] / s[0]) if s.size and s[0] > 0 else 0.0
 
     def rank(self, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-        return numerical_rank(self.singular_values, tol)
+        """Number of singular values above ``rank_cutoff * sigma_max``."""
+        s = self.singular_values
+        if s.size == 0 or s[0] <= 0.0:
+            return 0
+        return int(np.count_nonzero(s > tol.rank_cutoff * s[0]))
 
 
 def coordinate_rank(coords: np.ndarray) -> CoordinateRank:

@@ -299,6 +299,24 @@ def test_non_finite_tolerance_or_epsilon_is_exit_2_up_front(capsys, argv):
     assert "JSON" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("epsilon", ["1e-310", "1e-318", "5e-324"])
+def test_epsilon_halved_to_zero_is_a_failed_interior_point_stage(capsys, epsilon):
+    code, out, err = run_cli(capsys, "certify-cone", "--dim", "2", "--seed", "0",
+                             "--epsilon", epsilon)
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "fail"
+    assert report["failed_stage"].startswith("stage interior-point:")
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-1", "nan"])  # inf: the test above
+def test_non_positive_or_non_finite_epsilon_is_exit_2(capsys, epsilon):
+    code, out, err = run_cli(capsys, "certify-cone", "--dim", "2", "--seed", "0",
+                             "--epsilon", epsilon)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: epsilon must be finite and positive, got ")
+
+
 # The exception POM and MicPom raise for each condition `validate` reports.
 POM_CHECK_ERRORS = {
     "size": ValueError,

@@ -116,6 +116,15 @@ def _sic_point(first: float) -> HermitianOperator:
     return HermitianOperator(0.5 * EYE2 + (first - 0.5) * sic.effects[0].mat)
 
 
+def _judge_stack(stack, views):
+    """`cones._cone_fits` on a candidate stack with the builder's exact coefficients."""
+    coords = cones.stacked_coordinates(stack)
+    solved = tuple(cones._expansions(coords, view, DEFAULT_TOL) for view in views)
+    rows = [view.coordinate_matrix.T for view in views]
+    inside, *_ = cones._cone_fits(coords, solved, rows, DEFAULT_TOL)
+    return inside, solved
+
+
 def test_membership_boundary_is_minus_psd_slack(monkeypatch):
     monkeypatch.setattr(cones, "nnls", _refuse_nnls)
     sic = sic_mic_pom()
@@ -125,17 +134,18 @@ def test_membership_boundary_is_minus_psd_slack(monkeypatch):
     np.testing.assert_allclose(inside.coeffs, [0.0, 0.5, 0.5, 0.5], atol=1e-12)
     assert inside.residual < DEFAULT_TOL.residual
     assert cone_membership(_sic_point(-2 * slack), sic) is None
-    # The admission of a witness stack draws the same line and stops at
-    # the first candidate outside it.
+    # The rule that admits a witness stack draws the same line, and the
+    # builder stops at the first candidate outside it.
     view = sic.basis_view
     stack = cones.hermitian_stack(
         [_sic_point(x).mat for x in (0.5, -slack / 2, -2 * slack, 0.5)]
     )
+    inside, (by_a, by_m) = _judge_stack(stack, (view, view))
+    admitted = int(np.argmin(inside))
+    assert admitted == 2 and inside.tolist() == [True, True, False, True]
     # Admitted coefficients are stored exact, as a reader solves them: the
     # second candidate keeps its -slack/2.
-    admitted, (by_a, by_m) = cones._admit_witnesses(stack, view, view, DEFAULT_TOL)
-    assert admitted == 2 == len(by_a) == len(by_m)
-    for coeffs_a, coeffs_m, first in zip(by_a, by_m, (0.5, -slack / 2)):
+    for coeffs_a, coeffs_m, first in zip(by_a[:admitted], by_m[:admitted], (0.5, -slack / 2)):
         np.testing.assert_allclose(coeffs_a, [first, 0.5, 0.5, 0.5], atol=1e-12)
         np.testing.assert_array_equal(coeffs_m, coeffs_a)
 
@@ -460,13 +470,89 @@ def test_stacked_admission_stops_at_first_failure_without_nnls(monkeypatch):
     monkeypatch.setattr(cones, "nnls", _refuse_nnls)
     for middle in (ket0, minus):
         stack = cones.hermitian_stack([e_delta.mat, middle.mat, e_delta.mat])
-        admitted, (by_a, by_m) = cones._admit_witnesses(
-            stack, basis.basis_view, sic.basis_view, DEFAULT_TOL
-        )
-        assert admitted == 1 == len(by_a) == len(by_m)
+        inside, (by_a, by_m) = _judge_stack(stack, (basis.basis_view, sic.basis_view))
+        assert int(np.argmin(inside)) == 1 and inside.tolist() == [True, False, True]
         single = cone_membership(e_delta.op, basis, DEFAULT_TOL)
         np.testing.assert_allclose(by_a[0], single.coeffs, atol=1e-14)
         assert cone_membership(middle, sic) is None or cone_membership(middle, basis) is None
+
+
+def test_builder_admission_and_verify_agree_on_a_mixed_stack(monkeypatch):
+    import dataclasses
+    import itertools
+    import re
+
+    from effectframes.operators import ToleranceConfig, eig_hermitian
+
+    sic = sic_mic_pom()
+    # The augmented basis of the first SIC effect's eigenvectors holds every
+    # point `_sic_point` in its cone, so only the MIC-POM cone can reject one.
+    basis = augmented_basis_from_onb(eig_hermitian(sic.effects[0].op)[1])
+    built = intersection_span_certificate(basis, sic)
+    views = (basis.basis_view, sic.basis_view)
+    candidates = {
+        None: built.witness_stack[0],
+        "effect": 1.25 * EYE2,  # in both cones, not an effect
+        "mic-negative-coefficient": _sic_point(-2 * DEFAULT_TOL.psd_slack).mat,
+        "mic-residual": built.witness_stack[3],  # its MIC-POM row is spoofed below
+    }
+    solve = cones._expansions
+    loose = ToleranceConfig(psd_slack=0.5, residual=0.5)  # so verify checks effects again
+    for order in itertools.permutations(candidates):
+        stack = cones.hermitian_stack([candidates[label] for label in order])
+        spoofed_row = order.index("mic-residual")
+
+        def spoofing(targets, view, tol):
+            coeffs = solve(targets, view, tol)
+            if view is sic.basis_view and len(targets) == len(stack):
+                coeffs = coeffs.copy()
+                coeffs[spoofed_row, 0] += 1e-6
+            return coeffs
+
+        monkeypatch.setattr(cones, "_expansions", spoofing)
+        monkeypatch.setattr(cones, "_step_witnesses", lambda *args: stack)
+        first_bad = 1 if order[0] is None else 0
+        with pytest.raises(CertificateError, match=f"orthonormal-shift: {first_bad} of 4 "):
+            intersection_span_certificate(basis, sic)
+
+        coords = cones.stacked_coordinates(stack)
+        coefficients = tuple(spoofing(coords, view, DEFAULT_TOL) for view in views)
+        cert = dataclasses.replace(
+            built, witness_stack=stack, coefficients=coefficients, tol=loose
+        )
+        report = verify_certificate(cert, DEFAULT_TOL)
+        flagged = [f for f in report.failures if re.match(r"witness-\d", f)]
+        assert flagged == [f"witness-{k}-{label}" for k, label in enumerate(order) if label]
+        assert flagged[0].startswith(f"witness-{first_bad}-")
+
+
+def test_verify_of_a_compact_file_computes_coordinates_once(tmp_path, monkeypatch):
+    from effectframes import augmented
+    from effectframes.cli import main
+
+    path = tmp_path / "cert.json"
+    assert main(["certify-cone", "--dim", "3", "--seed", "1", "--out", str(path)]) == 0
+    calls = []
+    counting = []
+    numpy_coords = cones.stacked_coordinates
+    checker = cones.verify_certificate
+
+    def counting_coords(mats):
+        calls.append(mats.shape)
+        return numpy_coords(mats)
+
+    def counting_verify(cert, tol):
+        before = len(calls)
+        report = checker(cert, tol)
+        counting.append(calls[before:])
+        return report
+
+    for module in (cones, augmented):
+        monkeypatch.setattr(module, "stacked_coordinates", counting_coords)
+    monkeypatch.setattr(cones, "verify_certificate", counting_verify)
+    assert main(["certify-cone", "--verify", str(path)]) == 0
+    # Only the witnesses: both families lend the rows of their certified views.
+    assert counting == [[(9, 3, 3)]]
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +729,13 @@ def test_non_finite_stored_tolerances_are_value_errors():
 def test_interior_point_needs_a_finite_positive_epsilon(epsilon):
     with pytest.raises(ValueError, match=f"epsilon must be finite and positive, got {epsilon!r}"):
         interior_point_Edelta(augmented_basis_from_onb(EYE2), epsilon)
+
+
+def test_epsilon_halved_to_zero_ends_the_interior_point_search():
+    with pytest.raises(CertificateError, match="stage interior-point"):
+        intersection_span_certificate(*_cli_pair(2, 0), epsilon=1e-310)
+    with pytest.raises(ValueError, match="epsilon must be finite and positive, got 0.0"):
+        intersection_span_certificate(*_cli_pair(2, 0), epsilon=0.0)
 
 
 def test_compact_payload_without_steps_is_malformed():

@@ -26,7 +26,6 @@ from effectframes import (
     hs_distance,
     hs_inner,
     identity,
-    numerical_rank,
     operator_from_coordinates,
     operator_from_jsonable,
     operator_to_jsonable,
@@ -171,11 +170,9 @@ def test_eig_reports_lapack_failure(monkeypatch):
         eig_hermitian(identity(2))
 
 
-def test_eig_cache_returns_same_arrays():
-    op = identity(3)
-    w1, v1 = eig_hermitian(op)
-    w2, v2 = eig_hermitian(op)
-    assert w1 is w2 and v1 is v2
+def test_eig_hermitian_returns_read_only_arrays():
+    w, v = eig_hermitian(identity(3))
+    assert not w.flags.writeable and not v.flags.writeable
 
 
 def test_operator_arithmetic():
@@ -473,10 +470,11 @@ def test_recombine_matches_loop(rng):
 
 
 def test_numerical_rank():
-    assert numerical_rank(np.array([3.0, 1.0, 1e-9]), DEFAULT_TOL) == 2
-    assert numerical_rank(np.array([3.0, 1.0, 1e-9]), ToleranceConfig(rank_cutoff=1e-12)) == 3
-    assert numerical_rank(np.zeros(3), DEFAULT_TOL) == 0
-    assert numerical_rank(np.array([]), DEFAULT_TOL) == 0
+    s = np.array([3.0, 1.0, 1e-9])
+    assert CoordinateRank(s).rank(DEFAULT_TOL) == 2
+    assert CoordinateRank(s).rank(ToleranceConfig(rank_cutoff=1e-12)) == 3
+    assert CoordinateRank(np.zeros(3)).rank(DEFAULT_TOL) == 0
+    assert CoordinateRank(np.array([])).rank(DEFAULT_TOL) == 0
 
 
 def test_coordinate_rank_reports_rank_and_conditioning():
