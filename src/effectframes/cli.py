@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 import time
 from functools import lru_cache
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 # Only the exact half is imported with the CLI.  The numerical modules load
@@ -56,14 +57,25 @@ def _load_json(path: str) -> dict:
 
 
 def _emit(report: dict, args) -> None:
-    """Write the report as strict JSON; a non-finite number raises ValueError."""
+    """Write the report as strict JSON; a non-finite number raises ValueError.
+
+    An existing `--out` file is rewritten in place: opened without
+    truncation, written, then cut to the written length, which is much
+    cheaper than truncating it to zero first on a file system that discards
+    freed blocks.  Only a regular file is cut, so `--out /dev/null` works.
+    Neither way of writing is atomic: a reader, or a crash, during the
+    write can see a file that is partly the old report.
+    """
     if getattr(args, "pretty", False):
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     else:
         text = json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False)
     out = getattr(args, "out", None)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write((text + "\n").encode("utf-8"))
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     else:
         print(text)
 

@@ -299,7 +299,7 @@ def test_non_finite_tolerance_or_epsilon_is_exit_2_up_front(capsys, argv):
     assert "JSON" not in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("epsilon", ["1e-310", "1e-318", "5e-324"])
+@pytest.mark.parametrize("epsilon", ["1e-310", "1e-318", "5e-324", "1e-12"])
 def test_epsilon_halved_to_zero_is_a_failed_interior_point_stage(capsys, epsilon):
     code, out, err = run_cli(capsys, "certify-cone", "--dim", "2", "--seed", "0",
                              "--epsilon", epsilon)
@@ -702,6 +702,43 @@ def test_out_file_writing(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["verdict"] == "pass"
+
+
+def test_out_rewrite_leaves_exactly_the_new_report(capsys, tmp_path):
+    # A longer report first, then a shorter one: the old tail must not survive.
+    reused, fresh = tmp_path / "reused.json", tmp_path / "fresh.json"
+    for path, d in ((reused, "5"), (reused, "2"), (fresh, "2")):
+        code, out, _ = run_cli(capsys, "certify-cone", "--dim", d, "--seed", "1",
+                               "--out", str(path))
+        assert (code, out) == (0, "")
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert json.loads(reused.read_text())["dim"] == 2
+
+
+def test_out_to_dev_null_passes(capsys):
+    code, out, err = run_cli(capsys, "augbasis", "--dim", "2", "--out", os.devnull)
+    assert (code, out) == (0, "")
+    assert not err.startswith("error:")
+
+
+def test_out_to_a_directory_is_exit_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "augbasis", "--dim", "2", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_out_creates_a_file_with_the_mode_open_gives(capsys, tmp_path):
+    previous = os.umask(0o027)
+    try:
+        with open(tmp_path / "by_open.json", "w"):
+            pass
+        code, _, _ = run_cli(capsys, "augbasis", "--dim", "2", "--out",
+                             str(tmp_path / "by_cli.json"))
+    finally:
+        os.umask(previous)
+    assert code == 0
+    mode = (tmp_path / "by_open.json").stat().st_mode
+    assert (tmp_path / "by_cli.json").stat().st_mode == mode == 0o100640
 
 
 def test_shared_parser_gives_same_output_as_fresh_parser(capsys, tmp_path):

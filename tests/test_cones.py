@@ -38,6 +38,8 @@ from effectframes import (
     verify_certificate,
 )
 
+from effectframes.operators import orthonormal_operator_basis
+
 from conftest import full_layout, witness_residuals
 
 GAMMA2 = 2.0 + 1.0 / math.sqrt(2.0)
@@ -634,9 +636,9 @@ def test_certificate_checks_each_witness_as_an_effect_once(monkeypatch):
     monkeypatch.setattr(cones, "effect_checks", counting_checks)
     monkeypatch.setattr(effects, "effect_checks", counting_checks)
     cert = intersection_span_certificate(basis, mic)
-    # One check per interior point tried (epsilon starts at 1/(4d)), then the witnesses.
-    tried = round(math.log2(1.0 / (4 * 3) / cert.epsilon)) + 1
-    assert shapes == [(1, 3, 3)] * tried + [(9, 3, 3)]
+    # The predicted search checks one interior point directly, then the witnesses.
+    assert cert.epsilon < 1.0 / (4 * 3)
+    assert shapes == [(1, 3, 3), (9, 3, 3)]
     assert cert.witness_stack.shape == (9, 3, 3) and not cert.witness_stack.flags.writeable
 
     shapes.clear()
@@ -736,6 +738,65 @@ def test_epsilon_halved_to_zero_ends_the_interior_point_search():
         intersection_span_certificate(*_cli_pair(2, 0), epsilon=1e-310)
     with pytest.raises(ValueError, match="epsilon must be finite and positive, got 0.0"):
         intersection_span_certificate(*_cli_pair(2, 0), epsilon=0.0)
+
+
+def test_search_ends_once_delta_is_within_psd_slack(monkeypatch):
+    # E_delta's coefficients on the tail elements are delta, so no halving
+    # with delta <= psd_slack is interior: none is checked.
+    tried = []
+    checked = cones.interior_point_Edelta
+    monkeypatch.setattr(cones, "interior_point_Edelta",
+                        lambda *args: tried.append(args) or checked(*args))
+    with pytest.raises(CertificateError, match="stage interior-point"):
+        intersection_span_certificate(*_cli_pair(3, 1), epsilon=1e-12)
+    assert tried == []
+
+
+def _reference_search(basis, mic, tol=DEFAULT_TOL):
+    """epsilon, delta and the signed steps, with every halving checked directly.
+
+    Each halving tried gets the effect check and one solve per cone, and
+    the step slopes come from a separate solve over Q.
+    """
+    d = basis.dim
+    views = (basis.basis_view, mic.basis_view)
+    rows = tuple(view.coordinate_matrix.T for view in views)
+    for k in range(60):
+        eps = 1.0 / (4 * d) / 2.0**k
+        try:
+            e_delta, delta = interior_point_Edelta(basis, eps, tol)
+        except EpsilonTooLargeError:
+            continue
+        centre = real_coordinates(e_delta.op)[np.newaxis]
+        interior = [view.solve(centre.T, tol).T for view in views]
+        inside, lows, *_ = cones._cone_fits(centre, interior, rows, tol)
+        if inside[0] and lows.min() > tol.psd_slack:
+            break
+    q = orthonormal_operator_basis(d, tol).coordinate_matrix
+    signs = np.where(q.T @ centre[0] < 0.0, -1.0, 1.0)
+    lam = np.linalg.eigvalsh(e_delta.mat)
+    cap = min(float(lam[0]), 1.0 - float(lam[-1]))
+    rates = np.zeros(d * d)
+    for view, coeffs in zip(views, interior):
+        slopes = view.solve(q, tol) * signs
+        rates = np.maximum(rates, np.max(-slopes / coeffs[0][:, np.newaxis], axis=0))
+    return eps, delta, cap / np.maximum(1.0, cap * rates) * signs
+
+
+def test_predicted_search_picks_the_reference_halving(monkeypatch):
+    checks = []
+    checked = cones.interior_point_Edelta
+    monkeypatch.setattr(cones, "interior_point_Edelta",
+                        lambda *args: checks.append(args) or checked(*args))
+    for d in range(2, 6):
+        for seed in range(50):
+            basis, mic = _cli_pair(d, seed)
+            checks.clear()
+            cert = intersection_span_certificate(basis, mic)
+            assert len(checks) == 1, (d, seed)
+            eps, delta, steps = _reference_search(basis, mic)
+            assert (cert.epsilon, cert.delta) == (eps, delta), (d, seed)
+            assert cert.steps.tobytes() == steps.tobytes(), (d, seed)
 
 
 def test_compact_payload_without_steps_is_malformed():
