@@ -162,9 +162,6 @@ class QSqrt2:
         p, q = self.p, self.q
         return _surd_sign(p.numerator * q.denominator, q.numerator * p.denominator)
 
-    def is_zero(self) -> bool:
-        return self.p == 0 and self.q == 0
-
     def __lt__(self, other: "QSqrt2") -> bool:
         return (self - other).sign() < 0
 
@@ -550,24 +547,25 @@ def _point_witness(x_str: str, x_approx: float, value: Fraction) -> dict:
     }
 
 
+# Refutation tests of a value s against a bound r_s, shared by both models.
+# On a grid, s is a table value and r_s the bound itself.  In the quadratic
+# field, s = A p + B q and r_s = C from `_value_test`: f(z) - r has the sign
+# of s - r_s, and |f(z)| > r iff |s| > r_s.
+_REFUTES = {
+    "bounded_above": lambda s, r_s: s > r_s,
+    "bounded_below": lambda s, r_s: s < r_s,
+    "continuous_at_zero": lambda s, r_s: abs(s) > r_s,
+}
+
+
 def _check_grid_condition(
     g: GridAdditiveFunction, which: str, bound, eps
 ) -> ConditionReport:
     searched = f"all {g.n + 1} grid points of [0, {fraction_str(g.a)}]"
-    if which == "bounded_above":
-        b = as_fraction(bound)
+    if which in ("bounded_above", "bounded_below"):
+        refutes, b = _REFUTES[which], as_fraction(bound)
         for k in range(g.n + 1):
-            if g.values[k] > b:
-                return ConditionReport(
-                    which, False,
-                    _point_witness(fraction_str(g.point(k)), float(g.point(k)), g.values[k]),
-                    searched,
-                )
-        return ConditionReport(which, True, None, searched)
-    if which == "bounded_below":
-        c = as_fraction(bound)
-        for k in range(g.n + 1):
-            if g.values[k] < c:
+            if refutes(g.values[k], b):
                 return ConditionReport(
                     which, False,
                     _point_witness(fraction_str(g.point(k)), float(g.point(k)), g.values[k]),
@@ -605,15 +603,6 @@ def _check_grid_condition(
                 )
         return ConditionReport(which, True, None, searched)
     raise ValueError(f"unknown condition {which!r}")
-
-
-# Refutation tests on s = A p + B q against r_s = C from `_value_test`:
-# f(z) - r has the sign of s - r_s, and |f(z)| > r iff |s| > r_s.
-_REFUTES = {
-    "bounded_above": lambda s, r_s: s > r_s,
-    "bounded_below": lambda s, r_s: s < r_s,
-    "continuous_at_zero": lambda s, r_s: abs(s) > r_s,
-}
 
 
 def _check_qsqrt2_condition(

@@ -81,15 +81,16 @@ def _emit(report: dict, args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (report, ok)
+# Subcommand handlers: each returns (report, ok); `main` adds the report's
+# subcommand and its verdict, "pass" exactly when ok.
 # ---------------------------------------------------------------------------
 
 def _generation_failed(args, tol: ToleranceConfig, **named) -> tuple[dict, bool]:
     """The fail report of a generated object that fails a check at `tol`."""
     from .operators import tolerance_to_jsonable
 
-    body = {"subcommand": args.command, "dim": getattr(args, "dim", None), "seed": args.seed,
-            **named, "tolerances": tolerance_to_jsonable(tol), "verdict": "fail"}
+    body = {"dim": getattr(args, "dim", None), "seed": args.seed,
+            **named, "tolerances": tolerance_to_jsonable(tol)}
     return body, False
 
 
@@ -138,7 +139,6 @@ def _cmd_reconstruct(args) -> tuple[dict, bool]:
     report = reconstruct_density(BornFrame(rho), mic, tol)
     distance = float(np.linalg.norm(report.rho_hat.mat - rho.mat))
     body = {
-        "subcommand": "reconstruct",
         "dim": d,
         "seed": args.seed,
         "state_source": state_source,
@@ -150,7 +150,6 @@ def _cmd_reconstruct(args) -> tuple[dict, bool]:
         "rho_hat": operator_to_jsonable(report.rho_hat),
         "test_effects": {"count": TEST_EFFECT_COUNT, "seed": TEST_EFFECT_SEED},
         "tolerances": tolerance_to_jsonable(tol),
-        "verdict": "pass" if report.verdict else "fail",
     }
     return body, report.verdict
 
@@ -174,9 +173,7 @@ def _cmd_certify_cone(args) -> tuple[dict, bool]:
             cert = certificate_from_jsonable(_load_json(args.verify), tol)
             report = verify_certificate(cert, tol)
             body = {
-                "subcommand": "certify-cone",
                 "mode": "verify",
-                "verdict": "pass" if report.passed else "fail",
                 "rank": report.rank,
                 "failures": list(report.failures),
                 "max_membership_residual": report.max_membership_residual,
@@ -187,9 +184,7 @@ def _cmd_certify_cone(args) -> tuple[dict, bool]:
             return body, report.passed
         except CertificateError as exc:
             body = {
-                "subcommand": "certify-cone",
                 "mode": "verify",
-                "verdict": "fail",
                 "failures": [str(exc)],
                 "tolerances": tolerance_to_jsonable(tol),
             }
@@ -208,8 +203,7 @@ def _cmd_certify_cone(args) -> tuple[dict, bool]:
         return _generation_failed(args, tol, mode="generate", failed_stage=stage)
     except CertificateError as exc:
         return _generation_failed(args, tol, mode="generate", failed_stage=str(exc))
-    body = {"subcommand": "certify-cone", "mode": "generate", "seed": args.seed,
-            "verdict": "pass"}
+    body = {"mode": "generate", "seed": args.seed}
     body.update(certificate_to_jsonable(cert))
     return body, True
 
@@ -238,7 +232,6 @@ def _cmd_augbasis(args) -> tuple[dict, bool]:
         return _generation_failed(args, tol, violated="onb-orthonormal", detail=str(exc))
     report = validate_augmented(basis, tol)
     body = {
-        "subcommand": "augbasis",
         "dim": d,
         "seed": args.seed,
         **augmented_basis_to_jsonable(basis),
@@ -249,7 +242,6 @@ def _cmd_augbasis(args) -> tuple[dict, bool]:
             for name, res in report.conditions.items()
         },
         "tolerances": tolerance_to_jsonable(tol),
-        "verdict": "pass" if report.passed else "fail",
     }
     return body, report.passed
 
@@ -275,7 +267,6 @@ def _cmd_verify_frame(args) -> tuple[dict, bool]:
     else:
         violated = None
     body = {
-        "subcommand": "verify-frame",
         "kind": frame.kind,
         "dim": frame.dim,
         "trials": args.trials,
@@ -284,7 +275,6 @@ def _cmd_verify_frame(args) -> tuple[dict, bool]:
         "identity_deviation": report.identity_deviation,
         "violated": violated,
         "tolerances": tolerance_to_jsonable(tol),
-        "verdict": "pass" if report.passed else "fail",
     }
     return body, report.passed
 
@@ -294,7 +284,6 @@ def _cmd_cauchy(args) -> tuple[dict, bool]:
         grid = grid_from_unit(as_fraction(args.a), args.n, as_fraction(args.v))
         result = check_linear(grid)
         body = {
-            "subcommand": "cauchy",
             "mode": "grid",
             "a": fraction_str(grid.a),
             "n": grid.n,
@@ -302,7 +291,6 @@ def _cmd_cauchy(args) -> tuple[dict, bool]:
             "is_linear": result.is_linear,
             "slope": fraction_str(result.slope),
             "f_a": fraction_str(grid.values[grid.n]),
-            "verdict": "pass" if result.is_linear else "fail",
         }
         return body, result.is_linear
     if args.mode == "witness":
@@ -311,7 +299,6 @@ def _cmd_cauchy(args) -> tuple[dict, bool]:
             model, as_fraction(args.bound), as_fraction(args.interval)
         )
         body = {
-            "subcommand": "cauchy",
             "mode": "witness",
             "alpha": fraction_str(model.alpha),
             "beta": fraction_str(model.beta),
@@ -322,7 +309,6 @@ def _cmd_cauchy(args) -> tuple[dict, bool]:
             "x_approx": result.x.approx(),
             "value": fraction_str(result.value),
             "steps": result.steps,
-            "verdict": "pass",
         }
         return body, True
     if args.mode == "extend":
@@ -331,13 +317,11 @@ def _cmd_cauchy(args) -> tuple[dict, bool]:
         x = as_fraction(args.x)
         n_used = args.n if args.n is not None else view.minimal_modulus(abs(x))
         body = {
-            "subcommand": "cauchy",
             "mode": "extend",
             "x": fraction_str(x),
             "n_used": n_used,
             "f_plus": fraction_str(view.f_plus(x, args.n)) if x >= 0 else None,
             "f_real": fraction_str(view.f_real(x, args.n)),
-            "verdict": "pass",
         }
         return body, True
     raise ValueError(f"unknown cauchy mode {args.mode!r}")
@@ -375,12 +359,10 @@ def _cmd_validate(args) -> tuple[dict, bool]:
     else:
         raise ValueError(f"unknown kind {args.kind!r}")
     body = {
-        "subcommand": "validate",
         "kind": args.kind,
         "violated": violated,
         "details": details,
         "tolerances": tolerance_to_jsonable(tol),
-        "verdict": "pass" if violated is None else "fail",
     }
     return body, violated is None
 
@@ -482,6 +464,8 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         report, ok = args.handler(args)
+        report["subcommand"] = args.command
+        report["verdict"] = "pass" if ok else "fail"
         _emit(report, args)
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -68,7 +68,6 @@ __all__ = [
     "pom_from_jsonable",
     "pom_stack_from_jsonable",
     "pom_to_jsonable",
-    "psd_sqrt",
     "random_density",
     "random_effect",
     "random_mic_pom",
@@ -326,19 +325,6 @@ class DensityOperator:
     @property
     def mat(self) -> np.ndarray:
         return self.op.mat
-
-
-def psd_sqrt(h: HermitianOperator, tol: ToleranceConfig = DEFAULT_TOL) -> HermitianOperator:
-    """Positive square root of a positive semidefinite operator.
-
-    Eigenvalues in [-psd_slack, 0) are clamped to zero; anything more
-    negative is rejected.
-    """
-    w, v = eig_hermitian(h)
-    if float(w[-1]) < -tol.psd_slack:
-        raise ValueError(f"operator is not positive (eigenvalue {float(w[-1]):.3e})")
-    roots = np.sqrt(np.clip(w, 0.0, None))
-    return HermitianOperator((v * roots) @ v.conj().T)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 The d x d complex Hermitian matrices form a real vector space of dimension
 d**2 carrying the trace inner product ``<A, B> = Tr(AB)``.  This module
-provides the immutable operator value type, its cached eigendecomposition
-(LAPACK ``eigh``), operator bases of the full space, and the JSON wire
-formats for operators and tolerances.
+provides the immutable operator value type, its eigendecomposition
+(LAPACK ``eigh``, computed afresh on each call), operator bases of the full
+space, and the JSON wire formats for operators and tolerances.
 
 Operator families are held as one read-only ``(n, d, d)`` complex stack.
 `hermitian_stack` validates a whole family in one pass (finite entries,
@@ -70,7 +70,6 @@ __all__ = [
     "stacked_coordinates",
     "tolerance_from_jsonable",
     "tolerance_to_jsonable",
-    "zero",
 ]
 
 # Maximum relative asymmetry tolerated when reading an operator from the
@@ -252,10 +251,6 @@ def _check_same_dim(a: HermitianOperator, b: HermitianOperator) -> None:
 
 def identity(d: int) -> HermitianOperator:
     return HermitianOperator(np.eye(d, dtype=np.complex128))
-
-
-def zero(d: int) -> HermitianOperator:
-    return HermitianOperator(np.zeros((d, d), dtype=np.complex128))
 
 
 def rank_one(vec) -> HermitianOperator:

@@ -181,7 +181,6 @@ def test_qsqrt2_exact_comparisons():
     assert QSqrt2(F(3), F(-2)).sign() > 0       # 3 > 2 sqrt(2)
     assert QSqrt2(F(-3), F(2)).sign() < 0
     assert QSqrt2(F(1), F(-1)).sign() < 0       # 1 < sqrt(2)
-    assert QSqrt2(F(0), F(0)).is_zero()
     assert QSqrt2(F(1), F(1)) > QSqrt2(F(2), F(0))   # 1 + sqrt(2) > 2
 
 

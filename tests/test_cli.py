@@ -903,6 +903,79 @@ def test_certify_cone_verify_ignores_tolerances_in_the_file(capsys, tmp_path):
     assert report["tolerances"] == defaults
 
 
+# -- one report envelope: subcommand and verdict --------------------------------
+
+def _frame_file(tmp_path, frame) -> str:
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(frame_to_jsonable(frame)))
+    return str(path)
+
+
+def _pom_file(tmp_path, effects) -> str:
+    path = tmp_path / "pom.json"
+    path.write_text(json.dumps({"dim": 2, "effects": [operator_to_jsonable(e) for e in effects]}))
+    return str(path)
+
+
+def _verify_argv(tmp_path, tampered: bool) -> list:
+    cert_path = tmp_path / "cert.json"
+    assert main(["certify-cone", "--dim", "2", "--seed", "2", "--out", str(cert_path)]) == 0
+    if tampered:
+        payload = _full_layout_file(cert_path)
+        payload["memberships"][0]["augmented"]["coeffs"] = [0.0] * 4
+        cert_path.write_text(json.dumps(payload))
+    return ["certify-cone", "--verify", str(cert_path)]
+
+
+# One pass case per subcommand and, where the subcommand can fail, one exit-1
+# case: argv from tmp_path, and the expected exit code.
+_ENVELOPE_CASES = {
+    "reconstruct-pass": (lambda tmp: ["reconstruct", "--dim", "2", "--seed", "1"], 0),
+    "reconstruct-fail": (
+        lambda tmp: ["reconstruct", "--dim", "2", "--seed", "1", "--tol-residual", "1e-16"], 1
+    ),
+    "certify-cone-pass": (lambda tmp: ["certify-cone", "--dim", "2", "--seed", "1"], 0),
+    "certify-cone-fail": (
+        lambda tmp: ["certify-cone", "--dim", "2", "--seed", "0", "--epsilon", "1e-300"], 1
+    ),
+    "certify-cone-verify-pass": (lambda tmp: _verify_argv(tmp, tampered=False), 0),
+    "certify-cone-verify-fail": (lambda tmp: _verify_argv(tmp, tampered=True), 1),
+    "augbasis-pass": (lambda tmp: ["augbasis", "--dim", "2"], 0),
+    "augbasis-fail": (
+        lambda tmp: ["augbasis", "--dim", "2", "--seed", "22", "--tol-residual", "2e-16"], 1
+    ),
+    "verify-frame-pass": (
+        lambda tmp: ["verify-frame", "--frame",
+                     _frame_file(tmp, BornFrame(random_density(2, 3))), "--trials", "20"], 0
+    ),
+    "verify-frame-fail": (
+        lambda tmp: ["verify-frame", "--frame",
+                     _frame_file(tmp, AdversarialSquareFrame(DensityOperator(identity(2) * 0.5)))],
+        1,
+    ),
+    "cauchy-grid-pass": (lambda tmp: ["cauchy", "grid", "--a", "1/1", "--n", "4", "--v", "1/8"], 0),
+    "validate-pass": (
+        lambda tmp: ["validate", "--kind", "pom", "--in", _pom_file(tmp, [identity(2) * 0.5] * 2)],
+        0,
+    ),
+    "validate-fail": (
+        lambda tmp: ["validate", "--kind", "pom", "--in", _pom_file(tmp, [identity(2) * 0.55] * 2)],
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_ENVELOPE_CASES))
+def test_verdict_is_pass_exactly_on_exit_0(capsys, tmp_path, case):
+    make_argv, expected = _ENVELOPE_CASES[case]
+    argv = make_argv(tmp_path)
+    code, out, _ = run_cli(capsys, *argv)
+    report = json.loads(out)
+    assert code == expected
+    assert (report["verdict"] == "pass") == (code == 0)
+    assert report["subcommand"] == argv[0]
+
+
 # -- numpy is loaded on first numerical use ----------------------------------
 
 def _python(code: str) -> str:

@@ -27,7 +27,6 @@ from effectframes import (
     operators_to_jsonable,
     pom_from_jsonable,
     pom_to_jsonable,
-    psd_sqrt,
     random_density,
     random_effect,
     random_mic_pom,
@@ -245,12 +244,6 @@ def test_density_operator_validation():
         DensityOperator(identity(2))
     with pytest.raises(ValueError):
         DensityOperator(HermitianOperator(np.diag([1.5, -0.5]).astype(complex)))
-
-
-def test_psd_sqrt_squares_back(rng):
-    rho = random_density(3, 11)
-    s = psd_sqrt(rho.op)
-    assert hs_distance(HermitianOperator(s.mat @ s.mat), rho.op) < 1e-10
 
 
 def test_pom_json_round_trip():

@@ -38,7 +38,6 @@ from effectframes import (
     stacked_coordinates,
     tolerance_from_jsonable,
     tolerance_to_jsonable,
-    zero,
 )
 from conftest import random_hermitian
 
@@ -189,7 +188,6 @@ def test_operator_arithmetic():
 
 
 def test_zero_and_trace():
-    assert zero(3).trace() == pytest.approx(0.0)
     assert identity(3).trace() == pytest.approx(3.0)
 
 
@@ -521,6 +519,18 @@ def test_solves_and_singular_value_decompositions_live_in_operators():
             for path in sorted(package.glob("*.py"))
         }
         assert {name: n for name, n in counts.items() if n} == {"operators.py": 1}, call
+
+
+def test_report_envelope_is_written_in_cli_main_only():
+    """`main` alone writes a report's subcommand and verdict, so the verdict
+    and the exit code come from one `ok`."""
+    source = (Path(__file__).resolve().parents[1] / "src" / "effectframes" / "cli.py").read_text(
+        encoding="utf-8"
+    )
+    main_source = source[source.index("\ndef main("):]
+    for key in ('"verdict"', '"subcommand"'):
+        assert source.count(key) == 1, key
+        assert main_source.count(key) == 1, key
 
 
 # `np.stack([` over the `.mat` of a family's elements: a re-stack of a family.
