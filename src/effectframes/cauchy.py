@@ -85,8 +85,13 @@ def fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _approx(x: Fraction) -> float:
+    """Correctly rounded float value, for display only; never used in
+    decisions, and never raises (beyond the float range it is +-inf)."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _surd_sign(p: int, q: int) -> int:
@@ -175,8 +180,7 @@ class QSqrt2:
         return (self - other).sign() >= 0
 
     def approx(self) -> float:
-        """Correctly rounded float value, for display only; never used in
-        decisions, and never raises (beyond the float range it is +-inf).
+        """Correctly rounded float value, as `_approx` gives it.
 
         With p and q of opposite signs p + q*sqrt(2) cancels; it equals
         (p**2 - 2 q**2) / (p - q*sqrt(2)), whose denominator does not.  The
@@ -187,10 +191,7 @@ class QSqrt2:
             value = (p * p - 2 * q * q) / (p - q * _SQRT2_APPROX)
         else:
             value = p + q * _SQRT2_APPROX
-        try:
-            return float(value)
-        except OverflowError:
-            return math.inf if value > 0 else -math.inf
+        return _approx(value)
 
     def __str__(self) -> str:
         return f"{fraction_str(self.p)} + {fraction_str(self.q)}*sqrt(2)"
@@ -305,10 +306,9 @@ def check_linear(g: GridAdditiveFunction) -> LinearityResult:
 class QSqrt2Additive:
     """f(p + q sqrt(2)) = alpha p + beta q, additive for any alpha, beta.
 
-    Linearity would force beta = alpha*sqrt(2); over the rationals the
-    exact proxy beta**2 == 2*alpha**2 (with matching signs) admits only
-    alpha = beta = 0, so every other parameter choice is a genuinely
-    non-linear additive function.
+    Linearity would force beta = alpha*sqrt(2), which over the rationals
+    holds only at alpha = beta = 0, so every other parameter choice is a
+    genuinely non-linear additive function.
     """
 
     alpha: Fraction
@@ -323,9 +323,7 @@ class QSqrt2Additive:
 
     @property
     def is_linear(self) -> bool:
-        squares_match = self.beta * self.beta == 2 * self.alpha * self.alpha
-        signs_match = _sign(self.beta) == _sign(self.alpha)
-        return squares_match and signs_match
+        return self.alpha == 0 and self.beta == 0
 
 
 class WitnessResult(NamedTuple):
@@ -543,7 +541,7 @@ def _point_witness(x_str: str, x_approx: float, value: Fraction) -> dict:
         "x": x_str,
         "x_approx": x_approx,
         "value": fraction_str(value),
-        "value_approx": float(value),
+        "value_approx": _approx(value),
     }
 
 
@@ -568,7 +566,7 @@ def _check_grid_condition(
             if refutes(g.values[k], b):
                 return ConditionReport(
                     which, False,
-                    _point_witness(fraction_str(g.point(k)), float(g.point(k)), g.values[k]),
+                    _point_witness(fraction_str(g.point(k)), _approx(g.point(k)), g.values[k]),
                     searched,
                 )
         return ConditionReport(which, True, None, searched)
@@ -577,7 +575,7 @@ def _check_grid_condition(
         if abs(g.values[1]) > e:
             return ConditionReport(
                 which, False,
-                _point_witness(fraction_str(g.step), float(g.step), g.values[1]),
+                _point_witness(fraction_str(g.step), _approx(g.step), g.values[1]),
                 searched + " (no grid radius keeps |f| within eps)",
             )
         m = 1

@@ -43,7 +43,7 @@ _CONE_MIC_SEED_OFFSET = 7919
 def _tolerances(args) -> ToleranceConfig:
     from .operators import DEFAULT_TOL, ToleranceConfig
 
-    residual = getattr(args, "tol_residual", None)
+    residual = args.tol_residual
     if residual is None:
         return DEFAULT_TOL
     # psd_slack may not exceed the residual: a smaller positive X lowers it too.
@@ -82,21 +82,16 @@ def _emit(report: dict, args) -> None:
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (report, ok); `main` adds the report's
-# subcommand and its verdict, "pass" exactly when ok.
+# subcommand and its verdict, "pass" exactly when ok.  A numerical handler
+# also gets the run's tolerances from `main`, which reports them.
 # ---------------------------------------------------------------------------
 
-def _generation_failed(args, tol: ToleranceConfig, **named) -> tuple[dict, bool]:
-    """The fail report of a generated object that fails a check at `tol`."""
-    from .operators import tolerance_to_jsonable
-
-    body = {"dim": getattr(args, "dim", None), "seed": args.seed,
-            **named, "tolerances": tolerance_to_jsonable(tol)}
-    return body, False
+def _generation_failed(args, **named) -> tuple[dict, bool]:
+    """The fail report of a generated object that fails a check at the run's tolerances."""
+    return {"dim": getattr(args, "dim", None), "seed": args.seed, **named}, False
 
 
-def _cmd_reconstruct(args) -> tuple[dict, bool]:
-    import numpy as np
-
+def _cmd_reconstruct(args, tol: ToleranceConfig) -> tuple[dict, bool]:
     from .effects import (
         DensityOperator,
         GenerationRetryError,
@@ -107,9 +102,8 @@ def _cmd_reconstruct(args) -> tuple[dict, bool]:
         random_mic_pom,
     )
     from .frames import TEST_EFFECT_COUNT, TEST_EFFECT_SEED, BornFrame, reconstruct_density
-    from .operators import operator_from_jsonable, operator_to_jsonable, tolerance_to_jsonable
+    from .operators import hs_distance, operator_from_jsonable, operator_to_jsonable
 
-    tol = _tolerances(args)
     d = args.dim
     # An object the library generated that fails its own check at the
     # caller's tolerances is a verdict; a file that fails is invalid input.
@@ -120,7 +114,7 @@ def _cmd_reconstruct(args) -> tuple[dict, bool]:
         try:
             rho = random_density(d, args.seed, tol)
         except NotADensityError as exc:
-            return _generation_failed(args, tol, failed_stage=f"stage state: {exc}")
+            return _generation_failed(args, failed_stage=f"stage state: {exc}")
         state_source = "generated"
     if args.mic:
         mic = MicPom(pom_stack_from_jsonable(_load_json(args.mic)), tol)
@@ -132,12 +126,12 @@ def _cmd_reconstruct(args) -> tuple[dict, bool]:
             if exc.__cause__ is None:  # no failed check to report: the search gave up
                 raise
             stage = f"stage mic-pom: {exc}; last attempt: {exc.__cause__}"
-            return _generation_failed(args, tol, failed_stage=stage)
+            return _generation_failed(args, failed_stage=stage)
         mic_source = "generated"
     if rho.dim != d or mic.dim != d:
         raise ValueError("state or MIC-POM dimension disagrees with --dim")
     report = reconstruct_density(BornFrame(rho), mic, tol)
-    distance = float(np.linalg.norm(report.rho_hat.mat - rho.mat))
+    distance = hs_distance(report.rho_hat, rho.op)
     body = {
         "dim": d,
         "seed": args.seed,
@@ -149,12 +143,11 @@ def _cmd_reconstruct(args) -> tuple[dict, bool]:
         "state_distance": distance,
         "rho_hat": operator_to_jsonable(report.rho_hat),
         "test_effects": {"count": TEST_EFFECT_COUNT, "seed": TEST_EFFECT_SEED},
-        "tolerances": tolerance_to_jsonable(tol),
     }
     return body, report.verdict
 
 
-def _cmd_certify_cone(args) -> tuple[dict, bool]:
+def _cmd_certify_cone(args, tol: ToleranceConfig) -> tuple[dict, bool]:
     from .augmented import NotOrthonormalError, augmented_basis_from_onb
     from .cones import (
         CertificateError,
@@ -164,10 +157,12 @@ def _cmd_certify_cone(args) -> tuple[dict, bool]:
         verify_certificate,
     )
     from .effects import random_mic_pom, random_onb
-    from .operators import tolerance_to_jsonable
 
-    tol = _tolerances(args)
     if args.verify:
+        given = [f"--{name}" for name in ("dim", "seed", "epsilon")
+                 if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"--verify takes no generation options, got {', '.join(given)}")
         # Judged by the caller's tolerances, never by those in the file.
         try:
             cert = certificate_from_jsonable(_load_json(args.verify), tol)
@@ -179,16 +174,10 @@ def _cmd_certify_cone(args) -> tuple[dict, bool]:
                 "max_membership_residual": report.max_membership_residual,
                 "min_coefficient": report.min_coefficient,
                 "witness_count": report.witness_count,
-                "tolerances": tolerance_to_jsonable(tol),
             }
             return body, report.passed
         except CertificateError as exc:
-            body = {
-                "mode": "verify",
-                "failures": [str(exc)],
-                "tolerances": tolerance_to_jsonable(tol),
-            }
-            return body, False
+            return {"mode": "verify", "failures": [str(exc)]}, False
     if args.dim is None or args.seed is None:
         raise ValueError("certificate generation needs --dim and --seed")
     d = args.dim
@@ -200,15 +189,15 @@ def _cmd_certify_cone(args) -> tuple[dict, bool]:
         cert = intersection_span_certificate(basis, mic, epsilon=args.epsilon, tol=tol)
     except NotOrthonormalError as exc:
         stage = f"stage onb-orthonormal: {exc}"
-        return _generation_failed(args, tol, mode="generate", failed_stage=stage)
+        return _generation_failed(args, mode="generate", failed_stage=stage)
     except CertificateError as exc:
-        return _generation_failed(args, tol, mode="generate", failed_stage=str(exc))
+        return _generation_failed(args, mode="generate", failed_stage=str(exc))
     body = {"mode": "generate", "seed": args.seed}
     body.update(certificate_to_jsonable(cert))
     return body, True
 
 
-def _cmd_augbasis(args) -> tuple[dict, bool]:
+def _cmd_augbasis(args, tol: ToleranceConfig) -> tuple[dict, bool]:
     import numpy as np
 
     from .augmented import (
@@ -218,9 +207,8 @@ def _cmd_augbasis(args) -> tuple[dict, bool]:
         validate_augmented,
     )
     from .effects import random_onb
-    from .operators import operator_to_jsonable, tolerance_to_jsonable
+    from .operators import operator_to_jsonable
 
-    tol = _tolerances(args)
     d = args.dim
     if args.seed is None:
         onb = np.eye(d, dtype=np.complex128)
@@ -229,7 +217,7 @@ def _cmd_augbasis(args) -> tuple[dict, bool]:
     try:
         basis = augmented_basis_from_onb(onb, tol=tol)
     except NotOrthonormalError as exc:  # the library's own family, not the caller's input
-        return _generation_failed(args, tol, violated="onb-orthonormal", detail=str(exc))
+        return _generation_failed(args, violated="onb-orthonormal", detail=str(exc))
     report = validate_augmented(basis, tol)
     body = {
         "dim": d,
@@ -241,24 +229,21 @@ def _cmd_augbasis(args) -> tuple[dict, bool]:
             name: {"passed": res.passed, "witness": res.witness, "detail": res.detail}
             for name, res in report.conditions.items()
         },
-        "tolerances": tolerance_to_jsonable(tol),
     }
     return body, report.passed
 
 
-def _cmd_verify_frame(args) -> tuple[dict, bool]:
+def _cmd_verify_frame(args, tol: ToleranceConfig) -> tuple[dict, bool]:
     from .effects import NotAnEffectError
     from .frames import check_additivity, frame_from_jsonable
-    from .operators import tolerance_to_jsonable
 
-    tol = _tolerances(args)
     # A frame file that fails its own check at the caller's tolerances is
     # invalid input; a sampled pair that fails is a verdict.
     frame = frame_from_jsonable(_load_json(args.frame), tol)
     try:
         report = check_additivity(frame, trials=args.trials, seed=args.seed, tol=tol)
     except NotAnEffectError as exc:
-        return _generation_failed(args, tol, kind=frame.kind, dim=frame.dim, trials=args.trials,
+        return _generation_failed(args, kind=frame.kind, dim=frame.dim, trials=args.trials,
                                   failed_stage=f"stage coexisting-pair: {exc}")
     if report.max_violation > tol.residual:
         violated = "additivity"
@@ -274,7 +259,6 @@ def _cmd_verify_frame(args) -> tuple[dict, bool]:
         "max_violation": report.max_violation,
         "identity_deviation": report.identity_deviation,
         "violated": violated,
-        "tolerances": tolerance_to_jsonable(tol),
     }
     return body, report.passed
 
@@ -311,28 +295,26 @@ def _cmd_cauchy(args) -> tuple[dict, bool]:
             "steps": result.steps,
         }
         return body, True
-    if args.mode == "extend":
-        model = model_from_jsonable(_load_json(args.infile))
-        view = ExtensionView(model)
-        x = as_fraction(args.x)
-        n_used = args.n if args.n is not None else view.minimal_modulus(abs(x))
-        body = {
-            "mode": "extend",
-            "x": fraction_str(x),
-            "n_used": n_used,
-            "f_plus": fraction_str(view.f_plus(x, args.n)) if x >= 0 else None,
-            "f_real": fraction_str(view.f_real(x, args.n)),
-        }
-        return body, True
-    raise ValueError(f"unknown cauchy mode {args.mode!r}")
+    # args.mode == "extend", the one mode left that argparse admits.
+    model = model_from_jsonable(_load_json(args.infile))
+    view = ExtensionView(model)
+    x = as_fraction(args.x)
+    n_used = args.n if args.n is not None else view.minimal_modulus(abs(x))
+    body = {
+        "mode": "extend",
+        "x": fraction_str(x),
+        "n_used": n_used,
+        "f_plus": fraction_str(view.f_plus(x, args.n)) if x >= 0 else None,
+        "f_real": fraction_str(view.f_real(x, args.n)),
+    }
+    return body, True
 
 
-def _cmd_validate(args) -> tuple[dict, bool]:
+def _cmd_validate(args, tol: ToleranceConfig) -> tuple[dict, bool]:
     from .augmented import augmented_basis_from_jsonable, validate_augmented
     from .effects import check_pom, pom_stack_from_jsonable
-    from .operators import DimensionMismatchError, operator_from_jsonable, tolerance_to_jsonable
+    from .operators import DimensionMismatchError, operator_from_jsonable
 
-    tol = _tolerances(args)
     payload = _load_json(args.infile)
     violated: str | None = None
     details: dict = {}
@@ -348,7 +330,7 @@ def _cmd_validate(args) -> tuple[dict, bool]:
             violated = "dimension-mismatch"
         else:
             details, violated = check_pom(mats, tol, mic=args.kind == "mic-pom")[:2]
-    elif args.kind == "augmented":
+    else:  # "augmented", the one kind left that argparse admits
         report = validate_augmented(augmented_basis_from_jsonable(payload, tol), tol)
         details = {
             name: {"passed": res.passed, "witness": res.witness}
@@ -356,13 +338,10 @@ def _cmd_validate(args) -> tuple[dict, bool]:
         }
         failing = [name for name, res in report.conditions.items() if not res.passed]
         violated = failing[0] if failing else None
-    else:
-        raise ValueError(f"unknown kind {args.kind!r}")
     body = {
         "kind": args.kind,
         "violated": violated,
         "details": details,
-        "tolerances": tolerance_to_jsonable(tol),
     }
     return body, violated is None
 
@@ -380,14 +359,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, numerical: bool = True) -> None:
         p.add_argument("--out", help="write the JSON report to this path")
         p.add_argument("--pretty", action="store_true", help="indent the report")
-        p.add_argument(
-            "--tol-residual", type=float, default=None,
-            help="override the residual tolerance (default 1e-8); "
-                 "psd_slack becomes min(1e-9, this value)",
-        )
+        if numerical:  # the exact `cauchy` tooling has no tolerance
+            p.add_argument(
+                "--tol-residual", type=float, default=None,
+                help="override the residual tolerance (default 1e-8); "
+                     "psd_slack becomes min(1e-9, this value)",
+            )
 
     p = sub.add_parser("reconstruct", help="recover a state from frame values on a MIC-POM")
     p.add_argument("--dim", type=int, required=True)
@@ -426,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--a", required=True, help="interval endpoint, 'p/q'")
     pg.add_argument("--n", type=int, required=True, help="number of grid steps")
     pg.add_argument("--v", required=True, help="value at a/n, 'p/q'")
-    common(pg)
+    common(pg, numerical=False)
     pg.set_defaults(handler=_cmd_cauchy)
 
     pw = cauchy_sub.add_parser("witness", help="unboundedness witness for the quadratic model")
@@ -434,14 +414,14 @@ def _build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--beta", required=True, help="'p/q'")
     pw.add_argument("--bound", required=True, help="'p/q'")
     pw.add_argument("--interval", default="1/1", help="search inside (0, a], 'p/q'")
-    common(pw)
+    common(pw, numerical=False)
     pw.set_defaults(handler=_cmd_cauchy)
 
     pe = cauchy_sub.add_parser("extend", help="evaluate the line extension of a model file")
     pe.add_argument("--in", dest="infile", required=True, help="model JSON file")
     pe.add_argument("--x", required=True, help="evaluation point, 'p/q'")
     pe.add_argument("--n", type=int, default=None, help="override the extension modulus")
-    common(pe)
+    common(pe, numerical=False)
     pe.set_defaults(handler=_cmd_cauchy)
 
     p = sub.add_parser("validate", help="check invariants of a serialized object")
@@ -463,12 +443,22 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     started = time.monotonic()
     try:
-        report, ok = args.handler(args)
+        if "tol_residual" in args:
+            from .operators import tolerance_to_jsonable
+
+            tol = _tolerances(args)
+            report, ok = args.handler(args, tol)
+            report["tolerances"] = tolerance_to_jsonable(tol)
+        else:
+            report, ok = args.handler(args)
         report["subcommand"] = args.command
         report["verdict"] = "pass" if ok else "fail"
         _emit(report, args)
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # input too large for this machine: no check ran
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # a search or solver gave up: no verdict reached
         print(f"error: {exc}", file=sys.stderr)

@@ -60,10 +60,9 @@ from .operators import (
 from .effects import (
     Effect,
     MicPom,
-    _checked_effect,
+    NotAnEffectError,
     _require_effects,
     effect_checks,
-    is_effect,
     pom_stack_from_jsonable,
     pom_to_jsonable,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "CertificateError",
     "CertificateReport",
     "ConeDecomposition",
-    "EpsilonTooLargeError",
     "SpanCertificate",
     "certificate_from_jsonable",
     "certificate_to_jsonable",
@@ -90,14 +88,6 @@ __all__ = [
     "intersection_span_certificate",
     "verify_certificate",
 ]
-
-
-class EpsilonTooLargeError(ValueError):
-    """Requested epsilon pushes the interior point outside the effects."""
-
-    def __init__(self, message: str, witness: float):
-        super().__init__(message)
-        self.witness = witness
 
 
 class CertificateError(RuntimeError):
@@ -220,7 +210,7 @@ def interior_point_Edelta(
 
     delta = epsilon / (2 ||T||) with T the sum of the elements beyond the
     first d, placing the point at distance exactly epsilon/2 from I/d.
-    Raises `EpsilonTooLargeError` when the shifted operator stops being an
+    Raises `NotAnEffectError` when the shifted operator stops being an
     effect; the caller is expected to halve epsilon and retry.
     """
     if not 0 < epsilon < math.inf:
@@ -228,15 +218,7 @@ def interior_point_Edelta(
     d = basis.dim
     tail, tnorm = _tail(basis)
     delta = epsilon / (2.0 * tnorm)
-    shifted = HermitianOperator(np.eye(d) / d + delta * tail)
-    check = is_effect(shifted, tol)
-    if not check.ok:
-        raise EpsilonTooLargeError(
-            f"epsilon = {epsilon} moves the interior point outside the effects "
-            f"(eigenvalue {check.witness!r})",
-            witness=float(check.witness),
-        )
-    return _checked_effect(shifted), delta
+    return Effect(HermitianOperator(np.eye(d) / d + delta * tail), tol), delta
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,7 +349,7 @@ def intersection_span_certificate(
             continue
         try:
             e_delta, delta = interior_point_Edelta(basis, eps, tol)
-        except EpsilonTooLargeError:
+        except NotAnEffectError:
             continue
         centre = real_coordinates(e_delta.op)[np.newaxis]
         interior = tuple(_expansions(centre, view, tol) for view in views)

@@ -559,6 +559,31 @@ def test_approx_never_raises():
     assert w.x.approx() == 0.0  # below the smallest subnormal, rounded once
 
 
+INF = float("inf")
+
+
+@pytest.mark.parametrize("model, which, kwargs, approx", [
+    (grid_from_unit(F(1), 2, F(10) ** 400), "bounded_above", {"bound": F(0)},
+     {"x_approx": 0.5, "value_approx": INF}),
+    (grid_from_unit(F(1), 2, -F(10) ** 400), "bounded_below", {"bound": F(0)},
+     {"x_approx": 0.5, "value_approx": -INF}),
+    (grid_from_unit(F(10) ** 400, 2, F(1)), "bounded_above", {"bound": F(0)},
+     {"x_approx": INF, "value_approx": 1.0}),
+    (grid_from_unit(F(10) ** 400, 2, F(1)), "continuous_at_zero", {"eps": F(1, 2)},
+     {"x_approx": INF, "value_approx": 1.0}),
+    (QSqrt2Additive(F(10) ** 400, F(0)), "bounded_above", {"bound": F(0)},
+     {"value_approx": INF}),
+    (QSqrt2Additive(F(10) ** 400, F(0)), "bounded_below", {"bound": F(0)},
+     {"value_approx": -INF}),
+], ids=["grid-value-above", "grid-value-below", "grid-point", "grid-continuity",
+        "qsqrt2-above", "qsqrt2-below"])
+def test_refutation_beyond_the_float_range_rounds_to_infinity(model, which, kwargs, approx):
+    # The witness stays exact; only its display values leave the float range.
+    rep = check_condition(model, which, **kwargs)
+    assert not rep.holds_on_searched
+    assert {key: rep.witness[key] for key in approx} == approx
+
+
 def test_as_fraction_zero_denominator_is_value_error():
     with pytest.raises(ValueError):
         as_fraction("1/0")

@@ -13,6 +13,7 @@ import pytest
 import effectframes
 
 from effectframes import (
+    DEFAULT_TOL,
     POM,
     AdversarialSquareFrame,
     BornFrame,
@@ -21,6 +22,7 @@ from effectframes import (
     NotAnEffectError,
     PomIdentityError,
     SingularBasisError,
+    ToleranceConfig,
     check_pom,
     hermitian_stack,
     operators_to_rows,
@@ -35,6 +37,7 @@ from effectframes import (
     random_density,
     random_mic_pom,
     sic_mic_pom,
+    tolerance_to_jsonable,
 )
 from effectframes.cli import main
 
@@ -885,6 +888,22 @@ def test_runtime_errors_exit_1_without_traceback(capsys, monkeypatch, setup, mes
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 23.8 GiB for an array"),
+     "error: Unable to allocate 23.8 GiB for an array\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["numpy-message", "bare"])
+def test_out_of_memory_is_exit_2_without_traceback(capsys, monkeypatch, exc, message):
+    from effectframes import effects
+
+    def exhaust(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(effects, "random_density", exhaust)
+    code, out, err = run_cli(capsys, "reconstruct", "--dim", "2", "--seed", "1")
+    assert (code, out, err) == (2, "", message)
+
+
 def test_certify_cone_verify_ignores_tolerances_in_the_file(capsys, tmp_path):
     cert_path = tmp_path / "cert.json"
     run_cli(capsys, "certify-cone", "--dim", "2", "--seed", "1", "--out", str(cert_path))
@@ -974,6 +993,102 @@ def test_verdict_is_pass_exactly_on_exit_0(capsys, tmp_path, case):
     assert code == expected
     assert (report["verdict"] == "pass") == (code == 0)
     assert report["subcommand"] == argv[0]
+
+
+# -- one report envelope: tolerances ------------------------------------------
+
+def _run_tolerance(argv) -> ToleranceConfig:
+    """The tolerances a run's checks use: DEFAULT_TOL, or `--tol-residual`
+    with psd_slack capped at it."""
+    if "--tol-residual" not in argv:
+        return DEFAULT_TOL
+    residual = float(argv[argv.index("--tol-residual") + 1])
+    return ToleranceConfig(residual=residual, psd_slack=min(DEFAULT_TOL.psd_slack, residual))
+
+
+def _verify_rejected_file_argv(tmp_path) -> list:
+    """--verify of a file whose vector family is not orthonormal: the file
+    is rejected while it is read, so the report has failures and no rank."""
+    argv = _verify_argv(tmp_path, tampered=False)
+    cert_path = Path(argv[-1])
+    payload = json.loads(cert_path.read_text())
+    onb = np.array(payload["augmented"]["onb"])
+    onb[:, 1] = 1.01 * onb[:, 1]
+    payload["augmented"]["onb"] = onb.tolist()
+    cert_path.write_text(json.dumps(payload))
+    return argv
+
+
+def _grid_file(tmp_path) -> str:
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid_to_jsonable(grid_from_unit(1, 4, "1/8"))))
+    return str(path)
+
+
+_CAUCHY_ARGV = {
+    "grid": lambda tmp: ["cauchy", "grid", "--a", "1/1", "--n", "4", "--v", "1/8"],
+    "witness": lambda tmp: ["cauchy", "witness", "--alpha", "1/1", "--beta", "0/1",
+                            "--bound", "10/1"],
+    "extend": lambda tmp: ["cauchy", "extend", "--in", _grid_file(tmp), "--x", "5/2"],
+}
+
+# The envelope cases above, plus each failure that `_generation_failed`
+# reports, a rejected `--verify` file, a caller's tolerance on `--verify`,
+# and every `cauchy` mode.
+_TOLERANCE_CASES = {
+    **_ENVELOPE_CASES,
+    "reconstruct-generation-fail": (
+        lambda tmp: ["reconstruct", "--dim", "2", "--seed", "0", "--tol-residual", "1e-17"], 1
+    ),
+    "verify-frame-generation-fail": (
+        lambda tmp: ["verify-frame", "--frame", _frame_file(tmp, BornFrame(random_density(3, 3))),
+                     "--tol-residual", "1e-16"],
+        1,
+    ),
+    "certify-cone-verify-tolerance-pass": (
+        lambda tmp: [*_verify_argv(tmp, tampered=False), "--tol-residual", "1e-6"], 0
+    ),
+    "certify-cone-verify-rejected-file": (_verify_rejected_file_argv, 1),
+    **{f"cauchy-{mode}-pass": (make_argv, 0) for mode, make_argv in _CAUCHY_ARGV.items()},
+}
+
+
+@pytest.mark.parametrize("case", list(_TOLERANCE_CASES))
+def test_report_names_the_run_tolerances_except_for_cauchy(capsys, tmp_path, case):
+    make_argv, expected = _TOLERANCE_CASES[case]
+    argv = make_argv(tmp_path)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == expected
+    report = json.loads(out)
+    if argv[0] == "cauchy":
+        assert "tolerances" not in report
+    else:
+        assert report["tolerances"] == tolerance_to_jsonable(_run_tolerance(argv))
+    if case.endswith("generation-fail"):
+        assert "failed_stage" in report
+    if case == "certify-cone-verify-rejected-file":
+        assert "rank" not in report and "Gram deviation" in report["failures"][0]
+
+
+@pytest.mark.parametrize("mode", list(_CAUCHY_ARGV))
+def test_cauchy_takes_no_tolerance(capsys, tmp_path, mode):
+    code, out, err = run_cli(capsys, *_CAUCHY_ARGV[mode](tmp_path), "--tol-residual", "1e-3")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --tol-residual 1e-3" in err
+
+
+@pytest.mark.parametrize("extra, named", [
+    (("--dim", "7", "--seed", "1", "--epsilon", "1e9"), "--dim, --seed, --epsilon"),
+    (("--dim", "2"), "--dim"),
+    (("--seed", "0"), "--seed"),
+    (("--epsilon", "0.1"), "--epsilon"),
+])
+def test_certify_cone_verify_takes_no_generation_options(capsys, tmp_path, extra, named):
+    argv = _verify_argv(tmp_path, tampered=False)
+    capsys.readouterr()  # the generating run's timing line
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert (code, out) == (2, "")
+    assert err == f"error: --verify takes no generation options, got {named}\n"
 
 
 # -- numpy is loaded on first numerical use ----------------------------------

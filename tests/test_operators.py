@@ -533,6 +533,19 @@ def test_report_envelope_is_written_in_cli_main_only():
         assert main_source.count(key) == 1, key
 
 
+def test_run_tolerances_are_made_and_reported_in_cli_main_only():
+    """`main` alone turns `--tol-residual` into the run's tolerances, hands
+    them to the handler and writes them, so a report names the tolerances
+    its checks used."""
+    source = (Path(__file__).resolve().parents[1] / "src" / "effectframes" / "cli.py").read_text(
+        encoding="utf-8"
+    )
+    main_source = source[source.index("\ndef main("):]
+    calls = source.replace("def _tolerances(", "")
+    for name in ("_tolerances(", "tolerance_to_jsonable", '"tolerances"'):
+        assert calls.count(name) == main_source.count(name) >= 1, name
+
+
 # `np.stack([` over the `.mat` of a family's elements: a re-stack of a family.
 _RESTACK = re.compile(r"np\.stack\(\[[^\]]*\.mat\b")
 

@@ -215,6 +215,15 @@ def commands() -> list:
     add(["reconstruct", "--dim", "2", "--seed", "1", "--bogus"])
     add(["cauchy"])
     add(["certify-cone", "--dim", "2", "--seed", "1", "--tol-residual", "nan"])
+    # Options a mode does not take, each exit 2: the exact `cauchy` modes
+    # have no tolerance, and `--verify` builds nothing.
+    add(["cauchy", "grid", "--a", "1/1", "--n", "4", "--v", "1/8", "--tol-residual", "nan"])
+    add(["cauchy", "witness", "--alpha", "1/1", "--beta", "0/1", "--bound", "10/1",
+         "--tol-residual", "1e-3"])
+    add(["cauchy", "extend", "--in", "{in}/grid.json", "--x", "5/2", "--tol-residual", "1e-3"])
+    for extra in (["--dim", "7", "--seed", "1", "--epsilon", "1e9"], ["--dim", "3"],
+                  ["--seed", "0"], ["--epsilon", "0.01"]):
+        add(["certify-cone", "--verify", "{out}/cert3_0.json", *extra])
     return cmds
 
 
