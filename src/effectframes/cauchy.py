@@ -332,9 +332,9 @@ class WitnessResult(NamedTuple):
     steps: int
 
 
-def _pell_walk(a: Fraction, max_steps: int):
-    """Yield (step, p, q) for the integer points p + q sqrt(2) in (0, a]
-    built from Pell pairs P^2 - 2Q^2 = 1.
+def _pell_walk(a: Fraction):
+    """Yield (step, p, q), without end, for the integer points
+    p + q sqrt(2) in (0, a] built from Pell pairs P^2 - 2Q^2 = 1.
 
     Each Pell pair (P, Q) gives two positive numbers shrinking to zero:
     P - Q sqrt(2) = 1/(P + Q sqrt(2)) and its sqrt(2) multiple
@@ -342,10 +342,11 @@ def _pell_walk(a: Fraction, max_steps: int):
     (3, 2) via (P, Q) -> (3P + 4Q, 2P + 3Q).  Both families decrease, so
     once a family is inside (0, a] it stays there.
     """
+    from itertools import count  # kept local: importing this module does no more work
     an, ad = a.numerator, a.denominator
     first_in = second_in = False
     p, q = 3, 2
-    for step in range(max_steps):
+    for step in count():
         first_in = first_in or _surd_sign(p * ad - an, -q * ad) <= 0
         if first_in:
             yield step, p, -q
@@ -355,42 +356,49 @@ def _pell_walk(a: Fraction, max_steps: int):
         p, q = 3 * p + 4 * q, 2 * p + 3 * q
 
 
-def _value_test(f: QSqrt2Additive, r: Fraction) -> tuple[int, int, int]:
-    """Integers (A, B, C) such that f(p + q sqrt(2)) - r has the sign of
-    A p + B q - C for all integers p, q (a positive common scale)."""
+def _pell_refutation(f: QSqrt2Additive, which: str, r: Fraction, a: Fraction):
+    """First Pell point in (0, a] at which f refutes `which` against r (the
+    bound, or eps for continuity), as a WitnessResult; None for the zero
+    model if 0 does not.  A non-linear model always has one: along one
+    family f grows like |beta - alpha*sqrt(2)| times the Pell denominator,
+    along the other with the opposite sign.  f(p + q sqrt(2)) - r has the
+    sign of A p + B q - C.
+    """
     an, ad = f.alpha.numerator, f.alpha.denominator
     bn, bd = f.beta.numerator, f.beta.denominator
-    return an * bd * r.denominator, bn * ad * r.denominator, r.numerator * ad * bd
+    alpha_s, beta_s, r_s = an * bd * r.denominator, bn * ad * r.denominator, r.numerator * ad * bd
+    if which == "bounded_below":  # f(z) < r iff -f(z) > -r
+        alpha_s, beta_s, r_s = -alpha_s, -beta_s, -r_s
+    absolute = which == "continuous_at_zero"
+    if f.is_linear and r_s >= 0:  # f = 0 at every candidate
+        return None
+    for step, p, q in _pell_walk(a):
+        s = alpha_s * p + beta_s * q
+        if (abs(s) if absolute else s) > r_s:
+            x = QSqrt2(p, q)
+            return WitnessResult(x=x, value=f(x), steps=step)
 
 
 def unboundedness_witness(
     f: QSqrt2Additive,
     bound: RationalLike,
     a: RationalLike = Fraction(1),
-    max_steps: int = 20000,
 ) -> WitnessResult:
-    """Exact point x in (0, a] with f(x) > bound, for any non-linear model.
-
-    Walks the Pell solutions: along one of the two candidate families the
-    value grows like |beta - alpha*sqrt(2)| times the Pell denominator
-    while the point shrinks toward zero, so a witness always appears.
-    Raises ValueError for the degenerate linear model alpha = beta = 0.
+    """Exact point x in (0, a] with f(x) > bound, the first Pell point
+    that has it; every non-linear model has one.  The zero model alpha =
+    beta = 0 has one only for a bound < 0; otherwise it raises ValueError.
     """
     bound = as_fraction(bound)
     a = as_fraction(a)
     if a <= 0:
         raise ValueError(f"interval endpoint must be positive, got {a}")
-    if f.is_linear:
+    witness = _pell_refutation(f, "bounded_above", bound, a)
+    if witness is None:
         raise ValueError(
             "model is linear (alpha = beta = 0); its only bound witness would "
             "need a non-linear model"
         )
-    alpha_s, beta_s, bound_s = _value_test(f, bound)
-    for step, p, q in _pell_walk(a, max_steps):
-        if alpha_s * p + beta_s * q > bound_s:
-            x = QSqrt2(p, q)
-            return WitnessResult(x=x, value=f(x), steps=step)
-    raise RuntimeError(f"no witness within {max_steps} Pell steps")
+    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +532,9 @@ def _as_qsqrt2(x) -> QSqrt2:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Evidence over a searched region, never a proof.
-
-    `holds_on_searched` refers strictly to the set described by
-    `searched`; a witness, when present, is an exact refutation.
+    """A verdict over the region `searched` names: a grid's points, or the
+    quadratic model's interval.  A witness is an exact refutation, and
+    `holds_on_searched` refers strictly to that region.
     """
 
     condition: str
@@ -545,104 +552,89 @@ def _point_witness(x_str: str, x_approx: float, value: Fraction) -> dict:
     }
 
 
-# Refutation tests of a value s against a bound r_s, shared by both models.
-# On a grid, s is a table value and r_s the bound itself.  In the quadratic
-# field, s = A p + B q and r_s = C from `_value_test`: f(z) - r has the sign
-# of s - r_s, and |f(z)| > r iff |s| > r_s.
-_REFUTES = {
-    "bounded_above": lambda s, r_s: s > r_s,
-    "bounded_below": lambda s, r_s: s < r_s,
-    "continuous_at_zero": lambda s, r_s: abs(s) > r_s,
-}
-
-
 def _check_grid_condition(
-    g: GridAdditiveFunction, which: str, bound, eps
+    g: GridAdditiveFunction, which: str, bound, eps: Fraction
 ) -> ConditionReport:
     searched = f"all {g.n + 1} grid points of [0, {fraction_str(g.a)}]"
     if which in ("bounded_above", "bounded_below"):
-        refutes, b = _REFUTES[which], as_fraction(bound)
+        b, above = as_fraction(bound), which == "bounded_above"
         for k in range(g.n + 1):
-            if refutes(g.values[k], b):
+            v = g.values[k]
+            if (v > b) if above else (v < b):
                 return ConditionReport(
                     which, False,
-                    _point_witness(fraction_str(g.point(k)), _approx(g.point(k)), g.values[k]),
+                    _point_witness(fraction_str(g.point(k)), _approx(g.point(k)), v),
                     searched,
                 )
         return ConditionReport(which, True, None, searched)
     if which == "continuous_at_zero":
-        e = as_fraction(eps)
-        if abs(g.values[1]) > e:
+        if abs(g.values[1]) > eps:
             return ConditionReport(
                 which, False,
                 _point_witness(fraction_str(g.step), _approx(g.step), g.values[1]),
                 searched + " (no grid radius keeps |f| within eps)",
             )
         m = 1
-        while m + 1 <= g.n and abs(g.values[m + 1]) <= e:
+        while m + 1 <= g.n and abs(g.values[m + 1]) <= eps:
             m += 1
         delta = g.point(m)
         return ConditionReport(
             which, True, None,
-            searched + f"; |f| <= {fraction_str(e)} holds up to delta = {fraction_str(delta)}",
+            searched + f"; |f| <= {fraction_str(eps)} holds up to delta = {fraction_str(delta)}",
         )
-    if which == "monotone":
-        for k in range(g.n):
-            if g.values[k + 1] < g.values[k]:
-                return ConditionReport(
-                    which, False,
-                    {
-                        "x": fraction_str(g.point(k)),
-                        "y": fraction_str(g.point(k + 1)),
-                        "f_x": fraction_str(g.values[k]),
-                        "f_y": fraction_str(g.values[k + 1]),
-                    },
-                    searched,
-                )
-        return ConditionReport(which, True, None, searched)
-    raise ValueError(f"unknown condition {which!r}")
+    for k in range(g.n):  # monotone
+        if g.values[k + 1] < g.values[k]:
+            return ConditionReport(
+                which, False,
+                {
+                    "x": fraction_str(g.point(k)),
+                    "y": fraction_str(g.point(k + 1)),
+                    "f_x": fraction_str(g.values[k]),
+                    "f_y": fraction_str(g.values[k + 1]),
+                },
+                searched,
+            )
+    return ConditionReport(which, True, None, searched)
 
 
 def _check_qsqrt2_condition(
-    f: QSqrt2Additive, which: str, bound, eps, interval, budget: int
+    f: QSqrt2Additive, which: str, bound, eps: Fraction, a: Fraction
 ) -> ConditionReport:
-    a = as_fraction(interval) if interval is not None else Fraction(1)
-    searched = (
-        f"Pell candidates of the first {budget} steps inside (0, {fraction_str(a)}]"
-    )
-    if which in _REFUTES:
-        refutes = _REFUTES[which]
+    if which != "monotone":
         continuity = which == "continuous_at_zero"
-        alpha_s, beta_s, r_s = _value_test(f, as_fraction(eps if continuity else bound))
-        for _, p, q in _pell_walk(a, budget):
-            if refutes(alpha_s * p + beta_s * q, r_s):
-                z = QSqrt2(p, q)
-                note = " (witness can be made arbitrarily small)" if continuity else ""
-                return ConditionReport(
-                    which, False, _point_witness(str(z), z.approx(), f(z)), searched + note
-                )
-        return ConditionReport(which, True, None, searched)
-    if which == "monotone":
+        w = _pell_refutation(f, which, eps if continuity else as_fraction(bound), a)
+        if w is not None:  # searched: the first window of 64 * 2**k steps holding w
+            note = " (witness can be made arbitrarily small)" if continuity else ""
+            return ConditionReport(
+                which, False, _point_witness(str(w.x), w.x.approx(), w.value),
+                f"Pell candidates of the first {64 << (w.steps // 64).bit_length()} "
+                f"steps inside (0, {fraction_str(a)}]{note}",
+            )
+    elif not f.is_linear:
         upper = QSqrt2.from_rational(a)
         points = [upper.scale(Fraction(k, 8)) for k in range(9)]
-        points.extend(QSqrt2(p, q) for _, p, q in _pell_walk(a, budget))
-        points.sort()
-        for left, right in zip(points, points[1:]):
-            if left < right and f(left) > f(right):
-                return ConditionReport(
-                    which, False,
-                    {
-                        "x": str(left),
-                        "y": str(right),
-                        "f_x": fraction_str(f(left)),
-                        "f_y": fraction_str(f(right)),
-                    },
-                    searched + " plus 9 rational points",
-                )
-        return ConditionReport(
-            which, True, None, searched + " plus 9 rational points"
-        )
-    raise ValueError(f"unknown condition {which!r}")
+        window = 64
+        # Ends: near 0 the two families alternate, with f of opposite signs
+        # on them, so some adjacent pair of points decreases.
+        for step, p, q in _pell_walk(a):
+            while step >= window:  # scan the first `window` steps, then double it
+                ordered = sorted(points)
+                for left, right in zip(ordered, ordered[1:]):
+                    if left < right and f(left) > f(right):
+                        return ConditionReport(
+                            which, False,
+                            {
+                                "x": str(left),
+                                "y": str(right),
+                                "f_x": fraction_str(f(left)),
+                                "f_y": fraction_str(f(right)),
+                            },
+                            f"Pell candidates of the first {window} steps inside "
+                            f"(0, {fraction_str(a)}] plus 9 rational points",
+                        )
+                window *= 2
+            points.append(QSqrt2(p, q))
+    return ConditionReport(which, True, None, f"f = 0 on (0, {fraction_str(a)}]")
 
 
 def check_condition(
@@ -652,24 +644,32 @@ def check_condition(
     bound: RationalLike | None = None,
     eps: RationalLike = Fraction(1),
     interval: RationalLike | None = None,
-    budget: int = 64,
 ) -> ConditionReport:
-    """Search-based evidence for one of the four regularity conditions.
+    """Decide one of the four regularity conditions on a model.
 
     `which` is one of bounded_above, bounded_below, continuous_at_zero,
-    monotone.  Boundedness checks need `bound`; continuity uses `eps`; the
-    quadratic-field model searches Pell candidates inside (0, interval]
-    with the given step budget.  Measurability has no finite check and is
-    covered through the monotone condition, which implies it.
+    monotone.  Boundedness checks need `bound`; continuity uses `eps` > 0.
+    A grid is checked on its own points; the quadratic model on (0,
+    interval], where a Pell witness refutes any non-linear model and f = 0
+    holds unless 0 breaks the bound.  Measurability has no finite check and
+    is covered through the monotone condition, which implies it.
     """
     if which not in CONDITIONS:
         raise ValueError(f"unknown condition {which!r}; choose from {CONDITIONS}")
     if which in ("bounded_above", "bounded_below") and bound is None:
         raise ValueError(f"condition {which} needs a bound")
+    eps = as_fraction(eps)
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {fraction_str(eps)}")
     if isinstance(f, GridAdditiveFunction):
+        if interval is not None:
+            raise ValueError("interval applies to the quadratic-field model only, not a grid")
         return _check_grid_condition(f, which, bound, eps)
     if isinstance(f, QSqrt2Additive):
-        return _check_qsqrt2_condition(f, which, bound, eps, interval, budget)
+        a = as_fraction(interval) if interval is not None else Fraction(1)
+        if a <= 0:
+            raise ValueError(f"interval endpoint must be positive, got {a}")
+        return _check_qsqrt2_condition(f, which, bound, eps, a)
     raise TypeError(f"unsupported model {type(f).__name__}")
 
 

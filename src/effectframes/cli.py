@@ -375,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", help="operator JSON file with the density operator")
     p.add_argument("--mic", help="POM JSON file with the MIC-POM")
     common(p)
-    p.set_defaults(handler=_cmd_reconstruct)
+    p.set_defaults(handler=_cmd_reconstruct, parser=p)
 
     p = sub.add_parser("certify-cone", help="build or re-check an intersection-span certificate")
     p.add_argument("--dim", type=int)
@@ -383,21 +383,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--verify", help="re-verify a serialized certificate instead")
     common(p)
-    p.set_defaults(handler=_cmd_certify_cone)
+    p.set_defaults(handler=_cmd_certify_cone, parser=p)
 
     p = sub.add_parser("augbasis", help="construct and validate an augmented basis")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--seed", type=int, default=None,
                    help="random vector family; omit for the computational basis")
     common(p)
-    p.set_defaults(handler=_cmd_augbasis)
+    p.set_defaults(handler=_cmd_augbasis, parser=p)
 
     p = sub.add_parser("verify-frame", help="probe a frame function for additivity")
     p.add_argument("--frame", required=True, help="frame JSON file")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     common(p)
-    p.set_defaults(handler=_cmd_verify_frame)
+    p.set_defaults(handler=_cmd_verify_frame, parser=p)
 
     p = sub.add_parser("cauchy", help="exact additive-function tooling")
     cauchy_sub = p.add_subparsers(dest="mode", required=True)
@@ -407,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--n", type=int, required=True, help="number of grid steps")
     pg.add_argument("--v", required=True, help="value at a/n, 'p/q'")
     common(pg, numerical=False)
-    pg.set_defaults(handler=_cmd_cauchy)
+    pg.set_defaults(handler=_cmd_cauchy, parser=pg)
 
     pw = cauchy_sub.add_parser("witness", help="unboundedness witness for the quadratic model")
     pw.add_argument("--alpha", required=True, help="'p/q'")
@@ -415,14 +415,14 @@ def _build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--bound", required=True, help="'p/q'")
     pw.add_argument("--interval", default="1/1", help="search inside (0, a], 'p/q'")
     common(pw, numerical=False)
-    pw.set_defaults(handler=_cmd_cauchy)
+    pw.set_defaults(handler=_cmd_cauchy, parser=pw)
 
     pe = cauchy_sub.add_parser("extend", help="evaluate the line extension of a model file")
     pe.add_argument("--in", dest="infile", required=True, help="model JSON file")
     pe.add_argument("--x", required=True, help="evaluation point, 'p/q'")
     pe.add_argument("--n", type=int, default=None, help="override the extension modulus")
     common(pe, numerical=False)
-    pe.set_defaults(handler=_cmd_cauchy)
+    pe.set_defaults(handler=_cmd_cauchy, parser=pe)
 
     p = sub.add_parser("validate", help="check invariants of a serialized object")
     p.add_argument("--in", dest="infile", required=True, help="input JSON file")
@@ -430,15 +430,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kind", choices=("pom", "mic-pom", "augmented", "operator"), default="pom"
     )
     common(p)
-    p.set_defaults(handler=_cmd_validate)
+    p.set_defaults(handler=_cmd_validate, parser=p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = _build_parser().parse_known_args(argv)
+        if extra:  # refused by the chosen mode's parser, so its usage is printed
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     started = time.monotonic()

@@ -90,7 +90,7 @@ class PomIdentityError(ValueError):
 
 
 class GenerationRetryError(RuntimeError):
-    """Randomized construction failed after the configured retry budget."""
+    """Randomized construction failed after its fixed number of attempts."""
 
 
 class EffectCheck(NamedTuple):

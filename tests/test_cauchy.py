@@ -1,10 +1,14 @@
+import math
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effectframes import (
+    ConditionReport,
     ExtensionView,
     GridAdditiveFunction,
     GridInvariantError,
@@ -331,10 +335,39 @@ def test_qsqrt2_monotone_refuted():
 def test_searched_region_is_reported():
     rep = check_condition(grid_from_unit(F(1), 4, F(1)), "bounded_above", bound=F(100))
     assert "grid points" in rep.searched
-    rep = check_condition(
-        QSqrt2Additive(F(1), F(0)), "bounded_above", bound=F(10), budget=16
-    )
-    assert "16" in rep.searched
+    rep = check_condition(QSqrt2Additive(F(1), F(0)), "bounded_above", bound=F(10))
+    assert "64" in rep.searched
+
+
+@pytest.mark.parametrize("eps", [F(0), F(-1)])
+@pytest.mark.parametrize("model", [
+    grid_from_unit(F(1), 4, F(0)), QSqrt2Additive(F(0), F(0)), QSqrt2Additive(F(1), F(0)),
+], ids=["grid", "qsqrt2-zero", "qsqrt2"])
+def test_continuity_needs_a_positive_eps(model, eps):
+    with pytest.raises(ValueError, match="eps"):
+        check_condition(model, "continuous_at_zero", eps=eps)
+
+
+def test_grid_takes_no_interval():
+    # A grid is checked on its own [0, a]; x = 1/4 lies outside (0, 1/8].
+    with pytest.raises(ValueError, match="interval"):
+        check_condition(grid_from_unit(F(1), 4, F(1)), "bounded_above",
+                        bound=F(1, 2), interval=F(1, 8))
+
+
+@pytest.mark.parametrize("which", ["bounded_above", "bounded_below",
+                                   "continuous_at_zero", "monotone"])
+@pytest.mark.parametrize("interval", [F(0), F(-1)])
+def test_qsqrt2_interval_must_be_positive(which, interval):
+    with pytest.raises(ValueError, match="interval endpoint must be positive"):
+        check_condition(QSqrt2Additive(F(1), F(0)), which, bound=F(1), interval=interval)
+
+
+def test_zero_model_witness_only_below_zero():
+    w = unboundedness_witness(QSqrt2Additive(F(0), F(0)), F(-1))
+    assert (w.x.p, w.x.q, w.value, w.steps) == (F(3), F(-2), F(0), 0)
+    with pytest.raises(ValueError, match="model is linear"):
+        unboundedness_witness(QSqrt2Additive(F(0), F(0)), F(0))
 
 
 # -- serialization -----------------------------------------------------------
@@ -412,10 +445,11 @@ def test_qsqrt2_minimal_modulus_is_smallest_admissible(a):
             assert n == 1 or _fraction_sign(p / (n - 1) - a, q / (n - 1)) > 0, (p, q)
 
 
-def _fraction_pell_candidates(a, max_steps):
-    """(step, p, q) in (0, a] from the Pell pairs, every test in Fraction."""
+def _fraction_pell_candidates(a, max_steps=None):
+    """(step, p, q) in (0, a] from the Pell pairs, every test in Fraction;
+    without a step cap when max_steps is None."""
     big_p, big_q = 3, 2
-    for step in range(max_steps):
+    for step in islice(count(), max_steps):
         for p, q in ((F(big_p), F(-big_q)), (F(-2 * big_q), F(big_p))):
             if _fraction_sign(p - a, q) <= 0:
                 yield step, p, q
@@ -447,7 +481,7 @@ def test_witness_matches_fraction_walk(alpha, beta, a):
 @pytest.mark.parametrize("which", ["bounded_above", "bounded_below", "continuous_at_zero"])
 def test_qsqrt2_condition_matches_fraction_scan(alpha, beta, which):
     f = QSqrt2Additive(alpha, beta)
-    a, r, budget = F(1, 3), F(10) ** 6, 40
+    a, r = F(1, 3), F(10) ** 6
     refuted = {
         "bounded_above": lambda v: v > r,
         "bounded_below": lambda v: v < -r,
@@ -456,18 +490,154 @@ def test_qsqrt2_condition_matches_fraction_scan(alpha, beta, which):
     expected = next(
         (
             (p, q, f.alpha * p + f.beta * q)
-            for _, p, q in _fraction_pell_candidates(a, budget)
+            for _, p, q in _fraction_pell_candidates(a)
             if refuted(f.alpha * p + f.beta * q)
         ),
         None,
     )
     threshold = -r if which == "bounded_below" else r
-    rep = check_condition(f, which, bound=threshold, eps=r, interval=a, budget=budget)
-    assert rep.holds_on_searched == (expected is None)
+    rep = check_condition(f, which, bound=threshold, eps=r, interval=a)
+    assert not rep.holds_on_searched
+    p, q, value = expected
+    assert rep.witness["x"] == str(QSqrt2(p, q))
+    assert rep.witness["value"] == fraction_str(value)
+
+
+# -- the quadratic model is decided -------------------------------------------
+
+ZERO = (F(0), F(0))
+INTERVALS = [F(1, 7), F(1), F(13, 4)]
+
+
+def _parse_qsqrt2(text):
+    """(p, q) from the 'p/q + r/s*sqrt(2)' form of `str(QSqrt2)`."""
+    p, q = text.split(" + ")
+    return F(p), F(q.removesuffix("*sqrt(2)"))
+
+
+def _value_cases(k):
+    """(condition, bound, eps) for +-10**k: the bound's side and eps = 10**-k."""
+    return [("bounded_above", F(10) ** k, F(1)), ("bounded_below", -F(10) ** k, F(1)),
+            ("continuous_at_zero", None, F(1, 10 ** k))]
+
+
+def _refutes(which, value, bound, eps):
+    if which == "continuous_at_zero":
+        return abs(value) > eps
+    return value > bound if which == "bounded_above" else value < bound
+
+
+def _sorted_points(points):
+    return sorted(points, key=cmp_to_key(
+        lambda u, v: _fraction_sign(u[0] - v[0], u[1] - v[1])))
+
+
+def _reference_report(f, which, a, bound=None, eps=F(1), max_steps=64):
+    """The report of a Fraction scan of the first max_steps Pell steps (and,
+    for monotone, 9 rational points), or None where that scan refutes nothing."""
+    value = lambda p, q: f.alpha * p + f.beta * q
+    searched = f"Pell candidates of the first {max_steps} steps inside (0, {fraction_str(a)}]"
+    candidates = [(p, q) for _, p, q in _fraction_pell_candidates(a, max_steps)]
+    if which == "monotone":
+        points = _sorted_points([(a * k / 8, F(0)) for k in range(9)] + candidates)
+        for left, right in zip(points, points[1:]):
+            if value(*left) > value(*right):
+                witness = {"x": str(QSqrt2(*left)), "y": str(QSqrt2(*right)),
+                           "f_x": fraction_str(value(*left)),
+                           "f_y": fraction_str(value(*right))}
+                return ConditionReport(which, False, witness,
+                                       searched + " plus 9 rational points")
+        return None
+    for p, q in candidates:
+        if _refutes(which, value(p, q), bound, eps):
+            z = QSqrt2(p, q)
+            v = value(p, q)
+            try:
+                v_approx = float(v)
+            except OverflowError:
+                v_approx = math.inf if v > 0 else -math.inf
+            witness = {"x": str(z), "x_approx": z.approx(), "value": fraction_str(v),
+                       "value_approx": v_approx}
+            if which == "continuous_at_zero":
+                searched += " (witness can be made arbitrarily small)"
+            return ConditionReport(which, False, witness, searched)
+    return None
+
+
+@pytest.mark.parametrize("alpha, beta", MODELS)
+@pytest.mark.parametrize("a", INTERVALS)
+def test_every_non_linear_model_fails_every_condition(alpha, beta, a):
+    f = QSqrt2Additive(alpha, beta)
+    inside = lambda p, q: _fraction_sign(p, q) >= 0 and _fraction_sign(p - a, q) <= 0
+    for k in (0, 60, 100, 1000):
+        for which, bound, eps in _value_cases(k):
+            rep = check_condition(f, which, bound=bound, eps=eps, interval=a)
+            assert not rep.holds_on_searched, (which, k)
+            p, q = _parse_qsqrt2(rep.witness["x"])
+            assert inside(p, q) and (p, q) != (0, 0)
+            value = alpha * p + beta * q
+            assert rep.witness["value"] == fraction_str(value)
+            assert _refutes(which, value, bound, eps)
+    rep = check_condition(f, "monotone", interval=a)
+    assert not rep.holds_on_searched
+    x, y = _parse_qsqrt2(rep.witness["x"]), _parse_qsqrt2(rep.witness["y"])
+    assert inside(*x) and inside(*y) and _fraction_sign(y[0] - x[0], y[1] - x[1]) > 0
+    f_x, f_y = alpha * x[0] + beta * x[1], alpha * y[0] + beta * y[1]
+    assert (rep.witness["f_x"], rep.witness["f_y"]) == (fraction_str(f_x), fraction_str(f_y))
+    assert f_x > f_y
+
+
+@pytest.mark.parametrize("which, a, bound, window", [
+    ("bounded_above", F(1), F(10) ** 60, 128),
+    ("bounded_below", F(13, 4), -F(10) ** 100, 256),
+    ("bounded_above", F(1, 7), F(10) ** 1000, 2048),
+    ("monotone", F(1, 10 ** 60), None, 128),
+    ("monotone", F(1, 10 ** 300), None, 512),
+])
+def test_searched_names_the_first_window_that_holds_the_witness(which, a, bound, window):
+    f = QSqrt2Additive(F(1), F(0))
+    rep = check_condition(f, which, bound=bound, interval=a)
+    assert _reference_report(f, which, a, bound=bound, max_steps=window // 2) is None
+    assert rep == _reference_report(f, which, a, bound=bound, max_steps=window)
+
+
+@pytest.mark.parametrize("a", INTERVALS)
+def test_zero_model_holds_unless_zero_breaks_the_bound(a):
+    f = QSqrt2Additive(*ZERO)
+    ground = f"f = 0 on (0, {fraction_str(a)}]"
+    for k in (0, 60, 100, 1000):
+        for which, bound, eps in _value_cases(k):
+            rep = check_condition(f, which, bound=bound, eps=eps, interval=a)
+            assert (rep.holds_on_searched, rep.witness, rep.searched) == (True, None, ground)
+    assert check_condition(f, "monotone", interval=a).searched == ground
+    for which, bound in (("bounded_above", F(-1)), ("bounded_below", F(1))):
+        rep = check_condition(f, which, bound=bound, interval=a)
+        assert rep == _reference_report(f, which, a, bound=bound)
+
+
+@pytest.mark.parametrize("alpha, beta", MODELS + [ZERO])
+@pytest.mark.parametrize("a", INTERVALS)
+def test_refutations_within_64_steps_are_unchanged(alpha, beta, a):
+    # The former search stopped at 64 steps: wherever it refuted, the
+    # decision gives the same report, field for field.
+    f = QSqrt2Additive(alpha, beta)
+    compared = 0
+    for k in range(21):
+        for sign in (1, -1):
+            r = F(10) ** (sign * k)
+            cases = [("bounded_above", sign * F(10) ** k, F(1)),
+                     ("bounded_below", sign * F(10) ** k, F(1)),
+                     ("continuous_at_zero", None, r)]
+            for which, bound, eps in cases:
+                expected = _reference_report(f, which, a, bound=bound, eps=eps)
+                if expected is not None:
+                    assert check_condition(f, which, bound=bound, eps=eps, interval=a) == expected
+                    compared += 1
+    expected = _reference_report(f, "monotone", a)
+    assert (expected is None) == (f.alpha == f.beta == 0)
     if expected is not None:
-        p, q, value = expected
-        assert rep.witness["x"] == str(QSqrt2(p, q))
-        assert rep.witness["value"] == fraction_str(value)
+        assert check_condition(f, "monotone", interval=a) == expected
+    assert compared >= (21 if f.alpha == f.beta == 0 else 42 * 3)
 
 
 def _fraction_violations(g):

@@ -609,6 +609,17 @@ def test_cauchy_witness_linear_model_is_exit_2(capsys):
     assert code == 2
 
 
+def test_cauchy_witness_zero_model_below_zero_is_the_first_point(capsys):
+    # f = 0 exceeds a negative bound everywhere, so the step-0 point is a witness.
+    code, out, err = run_cli(
+        capsys, "cauchy", "witness", "--alpha", "0/1", "--beta", "0/1", "--bound=-1/1",
+    )
+    assert code == 0, err
+    report = json.loads(out)
+    witness = (report["p"], report["q"], report["value"], report["steps"])
+    assert witness == ("3/1", "-2/1", "0/1", 0)
+
+
 def test_cauchy_extend_grid(capsys, tmp_path):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(grid_to_jsonable(grid_from_unit(1, 10, "7/100"))))
@@ -849,11 +860,12 @@ def test_cauchy_zero_denominator_is_exit_2(capsys, argv):
 
 
 def _no_pell_witness(monkeypatch):
-    from effectframes import cli, unboundedness_witness
+    from effectframes import cli
 
-    monkeypatch.setattr(
-        cli, "unboundedness_witness", functools.partial(unboundedness_witness, max_steps=3)
-    )
+    def give_up(*args, **kwargs):
+        raise RuntimeError("no witness within 3 Pell steps")
+
+    monkeypatch.setattr(cli, "unboundedness_witness", give_up)
     return ("cauchy", "witness", "--alpha", "1/1", "--beta", "0/1", "--bound", "10000/1")
 
 
@@ -1068,6 +1080,20 @@ def test_report_names_the_run_tolerances_except_for_cauchy(capsys, tmp_path, cas
         assert "failed_stage" in report
     if case == "certify-cone-verify-rejected-file":
         assert "rank" not in report and "Gram deviation" in report["failures"][0]
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (("reconstruct", "--dim", "2", "--seed", "1"), ("--bogus",)),
+    (("cauchy", "grid", "--a", "1/1", "--n", "4", "--v", "1/8"), ("--tol-residual", "1e-3")),
+    (("cauchy", "witness", "--alpha", "1/1", "--beta", "0/1", "--bound", "10/1"),
+     ("--tol-residual", "1e-3")),
+])
+def test_unrecognized_argument_prints_the_mode_usage(capsys, argv, extra):
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert (code, out) == (2, "")
+    prog = "effectframes " + " ".join(argv[:2] if argv[0] == "cauchy" else argv[:1])
+    assert err.startswith(f"usage: {prog} [-h]")
+    assert err.endswith(f"{prog}: error: unrecognized arguments: {' '.join(extra)}\n")
 
 
 @pytest.mark.parametrize("mode", list(_CAUCHY_ARGV))

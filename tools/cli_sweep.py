@@ -191,6 +191,13 @@ def commands() -> list:
     add(["cauchy", "witness", "--alpha", "1/1", "--beta", "0/1", "--bound", "10/1",
          "--interval", "1/1000000000000"])
     add(["cauchy", "witness", "--alpha", "0/1", "--beta", "0/1", "--bound", "1/1"])
+    add(["cauchy", "witness", "--alpha", "0/1", "--beta", "0/1", "--bound=-1/1"])
+    # Long walks: 1,306 and 5,225 steps to the bound, 391 to enter (0, 1/10**300].
+    for digits in (1000, 4000):
+        add(["cauchy", "witness", "--alpha", "1/1", "--beta", "0/1",
+             "--bound", "1" + "0" * digits + "/1"])
+    add(["cauchy", "witness", "--alpha", "1/1", "--beta", "0/1", "--bound", "10/1",
+         "--interval", "1/1" + "0" * 300])
     for x in ("5/2", "-5/2", "0/1", "7/10", "1000000/1", "1/3"):
         add(["cauchy", "extend", "--in", "{in}/grid.json", f"--x={x}"])
     add(["cauchy", "extend", "--in", "{in}/grid.json", "--x", "5/2", "--n", "25"])
