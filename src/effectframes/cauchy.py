@@ -340,17 +340,21 @@ def _pell_walk(a: Fraction):
     P - Q sqrt(2) = 1/(P + Q sqrt(2)) and its sqrt(2) multiple
     -2Q + P sqrt(2).  Successive pairs come from the fundamental solution
     (3, 2) via (P, Q) -> (3P + 4Q, 2P + 3Q).  Both families decrease, so
-    once a family is inside (0, a] it stays there.
+    once a family is inside (0, a] it stays there.  It enters once 1/a <=
+    P + Q sqrt(2), in (2P - 1, 2P), or 1/a <= Q + P/sqrt(2), in (2Q, 2Q + 1):
+    the exact sign is needed only where 1/a is in a bracket, once per family.
     """
     from itertools import count  # kept local: importing this module does no more work
     an, ad = a.numerator, a.denominator
     first_in = second_in = False
     p, q = 3, 2
     for step in count():
-        first_in = first_in or _surd_sign(p * ad - an, -q * ad) <= 0
+        first_in = first_in or ad <= (2 * p - 1) * an or (
+            ad < 2 * p * an and _surd_sign(p * ad - an, -q * ad) <= 0)
         if first_in:
             yield step, p, -q
-        second_in = second_in or _surd_sign(-2 * q * ad - an, p * ad) <= 0
+        second_in = second_in or ad <= 2 * q * an or (
+            ad < (2 * q + 1) * an and _surd_sign(-2 * q * ad - an, p * ad) <= 0)
         if second_in:
             yield step, -2 * q, p
         p, q = 3 * p + 4 * q, 2 * p + 3 * q
@@ -424,6 +428,8 @@ class ExtensionView:
 
     def __post_init__(self) -> None:
         if isinstance(self.base, GridAdditiveFunction):
+            if self.a is not None:
+                raise ValueError("a applies to the quadratic-field model only, not a grid")
             violations = self.base.invariant_violations()
             if violations:
                 raise GridInvariantError("; ".join(violations))
@@ -600,41 +606,25 @@ def _check_grid_condition(
 def _check_qsqrt2_condition(
     f: QSqrt2Additive, which: str, bound, eps: Fraction, a: Fraction
 ) -> ConditionReport:
-    if which != "monotone":
-        continuity = which == "continuous_at_zero"
-        w = _pell_refutation(f, which, eps if continuity else as_fraction(bound), a)
-        if w is not None:  # searched: the first window of 64 * 2**k steps holding w
-            note = " (witness can be made arbitrarily small)" if continuity else ""
-            return ConditionReport(
-                which, False, _point_witness(str(w.x), w.x.approx(), w.value),
-                f"Pell candidates of the first {64 << (w.steps // 64).bit_length()} "
-                f"steps inside (0, {fraction_str(a)}]{note}",
-            )
-    elif not f.is_linear:
-        upper = QSqrt2.from_rational(a)
-        points = [upper.scale(Fraction(k, 8)) for k in range(9)]
-        window = 64
-        # Ends: near 0 the two families alternate, with f of opposite signs
-        # on them, so some adjacent pair of points decreases.
-        for step, p, q in _pell_walk(a):
-            while step >= window:  # scan the first `window` steps, then double it
-                ordered = sorted(points)
-                for left, right in zip(ordered, ordered[1:]):
-                    if left < right and f(left) > f(right):
-                        return ConditionReport(
-                            which, False,
-                            {
-                                "x": str(left),
-                                "y": str(right),
-                                "f_x": fraction_str(f(left)),
-                                "f_y": fraction_str(f(right)),
-                            },
-                            f"Pell candidates of the first {window} steps inside "
-                            f"(0, {fraction_str(a)}] plus 9 rational points",
-                        )
-                window *= 2
-            points.append(QSqrt2(p, q))
-    return ConditionReport(which, True, None, f"f = 0 on (0, {fraction_str(a)}]")
+    # A monotone additive f has f >= f(0) = 0 on (0, a]: the first Pell
+    # point x with f(x) < 0 refutes it, paired with 0.
+    monotone, continuity = which == "monotone", which == "continuous_at_zero"
+    r = eps if continuity else Fraction(0) if monotone else as_fraction(bound)
+    w = _pell_refutation(f, "bounded_below" if monotone else which, r, a)
+    if w is None:
+        return ConditionReport(which, True, None, f"f = 0 on (0, {fraction_str(a)}]")
+    searched = (  # the first window of 64 * 2**k steps holding w
+        f"Pell candidates of the first {64 << (w.steps // 64).bit_length()} "
+        f"steps inside (0, {fraction_str(a)}]"
+    )
+    if monotone:
+        witness = {"x": str(QSqrt2(0, 0)), "y": str(w.x), "f_x": "0/1",
+                   "f_y": fraction_str(w.value)}
+        return ConditionReport(which, False, witness, searched + ", against f(0) = 0")
+    note = " (witness can be made arbitrarily small)" if continuity else ""
+    return ConditionReport(
+        which, False, _point_witness(str(w.x), w.x.approx(), w.value), searched + note
+    )
 
 
 def check_condition(

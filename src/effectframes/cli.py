@@ -455,7 +455,7 @@ def main(argv=None) -> int:
         report["subcommand"] = args.command
         report["verdict"] = "pass" if ok else "fail"
         _emit(report, args)
-    except (ValueError, TypeError, KeyError, OSError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # input too large for this machine: no check ran

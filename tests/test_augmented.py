@@ -231,6 +231,24 @@ def test_rank_one_condition_matches_per_element_eigenvalues():
     assert witness > DEFAULT_TOL.psd_slack
 
 
+@pytest.mark.parametrize("second, passed", [(0.5, True), (3.0, False)])
+def test_rank_one_verdict_turns_at_psd_slack(second, passed):
+    # A second eigenvalue -second * psd_slack, off the range of one tail
+    # element: only the rank-one condition moves.
+    basis = augmented_basis_from_onb(EYE2)
+    ops = list(basis.ops)
+    kernel = np.linalg.eigh(ops[2].mat)[1][:, 0]
+    shift = second * DEFAULT_TOL.psd_slack * np.outer(kernel, kernel.conj())
+    ops[2] = HermitianOperator(ops[2].mat - shift)
+    tampered = AugmentedBasis(onb=basis.onb, ops=tuple(ops), c=basis.c, gamma=basis.gamma)
+    report = validate_augmented(tampered)
+    others = dict(report.conditions)
+    rank_one_check = others.pop("rank-one")
+    assert rank_one_check.witness == pytest.approx(second * DEFAULT_TOL.psd_slack, rel=1e-6)
+    assert rank_one_check.passed == passed == report.passed
+    assert all(res.passed for res in others.values())
+
+
 def test_validate_decomposes_the_element_sum_once(monkeypatch):
     from effectframes import augmented_basis_from_jsonable, augmented_basis_to_jsonable
 

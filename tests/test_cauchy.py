@@ -1,12 +1,12 @@
 import math
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from effectframes import cauchy
 from effectframes import (
     ConditionReport,
     ExtensionView,
@@ -27,6 +27,7 @@ from effectframes import (
     qsqrt2_additive_to_jsonable,
     unboundedness_witness,
 )
+from effectframes.cauchy import _pell_walk, _surd_sign
 
 F = Fraction
 
@@ -112,6 +113,11 @@ def test_f_plus_rejects_bad_modulus():
     view = ExtensionView(grid_from_unit(F(1), 10, F(7, 100)))
     with pytest.raises(ValueError):
         view.f_plus(F(5, 2), 2)  # 5/4 is not on the tenths grid
+
+
+def test_grid_extension_takes_no_interval():
+    with pytest.raises(ValueError, match="grid"):
+        ExtensionView(grid_from_unit(F(1), 4, F(1)), a=F(1, 8))
 
 
 def test_f_plus_rejects_off_grid_point():
@@ -527,26 +533,20 @@ def _refutes(which, value, bound, eps):
     return value > bound if which == "bounded_above" else value < bound
 
 
-def _sorted_points(points):
-    return sorted(points, key=cmp_to_key(
-        lambda u, v: _fraction_sign(u[0] - v[0], u[1] - v[1])))
-
-
 def _reference_report(f, which, a, bound=None, eps=F(1), max_steps=64):
-    """The report of a Fraction scan of the first max_steps Pell steps (and,
-    for monotone, 9 rational points), or None where that scan refutes nothing."""
+    """The report of a Fraction scan of the first max_steps Pell steps (for
+    monotone, the first point below f(0) = 0, paired with 0), or None where
+    that scan refutes nothing."""
     value = lambda p, q: f.alpha * p + f.beta * q
     searched = f"Pell candidates of the first {max_steps} steps inside (0, {fraction_str(a)}]"
     candidates = [(p, q) for _, p, q in _fraction_pell_candidates(a, max_steps)]
     if which == "monotone":
-        points = _sorted_points([(a * k / 8, F(0)) for k in range(9)] + candidates)
-        for left, right in zip(points, points[1:]):
-            if value(*left) > value(*right):
-                witness = {"x": str(QSqrt2(*left)), "y": str(QSqrt2(*right)),
-                           "f_x": fraction_str(value(*left)),
-                           "f_y": fraction_str(value(*right))}
+        for p, q in candidates:
+            if value(p, q) < 0:
+                witness = {"x": str(QSqrt2(0, 0)), "y": str(QSqrt2(p, q)),
+                           "f_x": "0/1", "f_y": fraction_str(value(p, q))}
                 return ConditionReport(which, False, witness,
-                                       searched + " plus 9 rational points")
+                                       searched + ", against f(0) = 0")
         return None
     for p, q in candidates:
         if _refutes(which, value(p, q), bound, eps):
@@ -638,6 +638,72 @@ def test_refutations_within_64_steps_are_unchanged(alpha, beta, a):
     if expected is not None:
         assert check_condition(f, "monotone", interval=a) == expected
     assert compared >= (21 if f.alpha == f.beta == 0 else 42 * 3)
+
+
+def test_monotone_is_refuted_against_f_of_zero():
+    rep = check_condition(QSqrt2Additive(F(1), F(0)), "monotone")
+    assert rep == ConditionReport(
+        "monotone", False,
+        {"x": "0/1 + 0/1*sqrt(2)", "y": "-4/1 + 3/1*sqrt(2)", "f_x": "0/1", "f_y": "-4/1"},
+        "Pell candidates of the first 64 steps inside (0, 1/1], against f(0) = 0",
+    )
+    for alpha, beta in MODELS:
+        for a in INTERVALS:
+            f = QSqrt2Additive(alpha, beta)
+            rep = check_condition(f, "monotone", interval=a)
+            below = check_condition(f, "bounded_below", bound=F(0), interval=a)
+            assert (rep.witness["y"], rep.witness["f_y"]) == (
+                below.witness["x"], below.witness["value"])
+            assert rep.searched == below.searched + ", against f(0) = 0"
+
+
+def _per_step_pell_walk(a):
+    """The Pell walk with the exact sign taken at every step until a family
+    enters (0, a], as before the entry brackets."""
+    an, ad = a.numerator, a.denominator
+    first_in = second_in = False
+    p, q = 3, 2
+    for step in count():
+        first_in = first_in or _surd_sign(p * ad - an, -q * ad) <= 0
+        if first_in:
+            yield step, p, -q
+        second_in = second_in or _surd_sign(-2 * q * ad - an, p * ad) <= 0
+        if second_in:
+            yield step, -2 * q, p
+        p, q = 3 * p + 4 * q, 2 * p + 3 * q
+
+
+def _assert_walks_agree(a, points=60):
+    assert list(islice(_pell_walk(a), points)) == list(islice(_per_step_pell_walk(a), points))
+
+
+# 1/a falls inside the first family's bracket (5, 6) at 2/11 (the family is
+# in at step 0) and 10/59 (out), inside the second's (4, 5) at 20/81 (in)
+# and 2/9 (out); the other edges are bracket ends and nearby values.
+@pytest.mark.parametrize("a", [
+    F(2, 11), F(10, 59), F(20, 81), F(2, 9), F(1), F(1, 4), F(1, 5), F(1, 6), F(1, 2),
+    F(1, 7), F(13, 4), F(99, 70), F(70, 99), F(1, 10 ** 60), F(10) ** 9,
+])
+def test_pell_walk_matches_the_per_step_sign_at_bracket_edges(a):
+    _assert_walks_agree(a)
+
+
+@given(a=st.fractions(min_value=F(1, 10 ** 9), max_value=F(10 ** 3), max_denominator=10 ** 9))
+@settings(max_examples=300, deadline=None)
+def test_pell_walk_matches_the_per_step_sign(a):
+    _assert_walks_agree(a)
+
+
+@pytest.mark.parametrize("a, first, second", [
+    (F(2, 11), 1, 0), (F(2, 9), 0, 1), (F(1), 0, 0), (F(1, 10 ** 4299), 0, 0),
+])
+def test_pell_entry_takes_the_exact_sign_at_most_once_per_family(monkeypatch, a, first, second):
+    calls = []
+    monkeypatch.setattr(cauchy, "_surd_sign", lambda p, q: calls.append(q > 0) or _surd_sign(p, q))
+    walk, seen = _pell_walk(a), set()
+    while len(seen) < 2:  # until both families are inside (0, a]
+        seen.add(next(walk)[1] > 0)
+    assert (calls.count(False), calls.count(True)) == (first, second)
 
 
 def _fraction_violations(g):

@@ -283,6 +283,38 @@ def test_certify_cone_verify_malformed_blocks_is_exit_2(capsys, tmp_path, fault)
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", [
+    "validate-operator", "validate-pom", "reconstruct-mic", "cauchy-extend",
+    "certify-rank", "certify-epsilon",
+])
+def test_number_too_large_to_convert_is_exit_2(capsys, tmp_path, case):
+    # json reads 1e400 as inf, which int() cannot convert; float() cannot
+    # convert a 400-digit integer.  Both raise OverflowError.
+    path = tmp_path / "in.json"
+    if case.startswith("certify"):
+        run_cli(capsys, "certify-cone", "--dim", "2", "--seed", "1", "--out", str(path))
+        payload = json.loads(path.read_text())
+        key = case.removeprefix("certify-")
+        payload[key] = "TOO_LARGE"
+        text = json.dumps(payload).replace('"TOO_LARGE"', "1e400" if key == "rank" else "9" * 400)
+        argv = ("certify-cone", "--verify", str(path))
+    else:
+        pom = '{"dim": 1e400, "rows": [[1, 0, 0, 0]]}'
+        text, argv = {
+            "validate-operator": ('{"dim": 1e400, "entries": []}',
+                                  ("validate", "--kind", "operator", "--in", str(path))),
+            "validate-pom": (pom, ("validate", "--kind", "pom", "--in", str(path))),
+            "reconstruct-mic": (pom, ("reconstruct", "--dim", "2", "--seed", "1",
+                                      "--mic", str(path))),
+            "cauchy-extend": ('{"kind": "grid", "a": "1/1", "n": 1e400, "values": ["0/1"]}',
+                              ("cauchy", "extend", "--in", str(path), "--x", "1/2")),
+        }[case]
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

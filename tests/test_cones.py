@@ -22,6 +22,7 @@ from effectframes import (
     certificate_to_jsonable,
     cone_decompose_spectral,
     cone_membership,
+    expand,
     hs_distance,
     identity,
     interior_point_Edelta,
@@ -827,3 +828,29 @@ def test_rebuilt_mic_pom_and_witnesses_are_the_built_ones():
                 for coeffs in certificate.coefficients:
                     assert coeffs.shape == (d * d, d * d)
                     assert coeffs.flags.c_contiguous and not coeffs.flags.writeable
+
+
+@pytest.mark.parametrize("low", [2.0, 0.5])
+def test_interior_point_needs_every_coefficient_above_psd_slack(monkeypatch, low):
+    # epsilon puts the lowest MIC-POM coefficient of the first halving's
+    # E_delta = I/2 + delta T at low * psd_slack (I/2 has every coefficient
+    # 1/2), with every other coefficient in both cones far from 0: the
+    # search stops there only when that coefficient exceeds psd_slack.
+    tol = DEFAULT_TOL
+    basis, mic = augmented_basis_from_onb(random_onb(2, 0)), random_mic_pom(2, 7919)
+    tail = HermitianOperator(basis.stack[2:].sum(axis=0))
+    epsilon = 2 * tail.norm() * (low * tol.psd_slack - 0.5) / expand(tail, mic.basis_view).min()
+    e_delta, _ = interior_point_Edelta(basis, epsilon)
+    assert expand(e_delta.op, mic.basis_view).min() == pytest.approx(low * tol.psd_slack, rel=1e-5)
+    assert np.sort(expand(e_delta.op, mic.basis_view))[1] > 0.1
+    assert expand(e_delta.op, basis.basis_view).min() > 0.1
+    tried = []
+    monkeypatch.setattr(cones, "interior_point_Edelta",
+                        lambda b, eps, t: tried.append(eps) or interior_point_Edelta(b, eps, t))
+    if low > 1:  # steps this close to a face of the cone lose rank
+        with pytest.raises(CertificateError, match="orthonormal-shift"):
+            intersection_span_certificate(basis, mic, epsilon=epsilon)
+        assert tried == [epsilon]
+    else:
+        cert = intersection_span_certificate(basis, mic, epsilon=epsilon)
+        assert tried == [epsilon, epsilon / 2] and cert.epsilon == epsilon / 2

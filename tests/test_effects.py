@@ -129,6 +129,16 @@ def test_max_scale_zero_rejected():
         max_scale(Effect(identity(2) * 0.0))
 
 
+@pytest.mark.parametrize("top, finite", [(0.5, False), (3.0, True)])
+def test_max_scale_is_finite_only_above_psd_slack(top, finite):
+    e = Effect(HermitianOperator(np.diag([top * DEFAULT_TOL.psd_slack, 0.0]).astype(complex)))
+    if finite:
+        assert max_scale(e) == pytest.approx(1.0 / (top * DEFAULT_TOL.psd_slack))
+    else:
+        with pytest.raises(ValueError, match="zero effect"):
+            max_scale(e)
+
+
 def test_max_scale_boundary_property(rng):
     for seed in range(10):
         e = random_effect(3, seed)

@@ -9,6 +9,7 @@ from effectframes import (
     DEFAULT_TOL,
     DensityOperator,
     Effect,
+    FrameFunction,
     HermitianOperator,
     NotAnEffectError,
     OperatorBasis,
@@ -182,6 +183,55 @@ def test_reconstruct_sweep_matches_per_effect_traces(frame_cls):
         for e in verification_effects(3, TEST_EFFECT_SEED, TEST_EFFECT_COUNT)
     )
     assert report.max_deviation == pytest.approx(reference, rel=1e-12, abs=1e-14)
+
+
+class _TraceOracle(FrameFunction):
+    """E -> Tr(sigma E) for any Hermitian sigma, plus `offset` on every
+    effect outside the MIC-POM `mic`."""
+
+    def __init__(self, sigma, mic=None, offset=0.0):
+        self.sigma, self.offset = sigma, offset
+        self.mic_stack = () if mic is None else mic.stack
+
+    @property
+    def dim(self):
+        return self.sigma.shape[0]
+
+    def __call__(self, e):
+        value = float(np.trace(self.sigma @ e.mat).real)
+        if any(np.array_equal(e.mat, m) for m in self.mic_stack):
+            return value
+        return value + self.offset
+
+
+@pytest.mark.parametrize("offset, verdict", [(0.5, True), (2.0, False)])
+def test_reconstruct_verdict_turns_on_the_deviation_at_the_residual(offset, verdict):
+    # Born on the MIC-POM, so rho_hat = rho; off by offset * residual on the
+    # verification effects, so only the deviation moves.
+    tol = DEFAULT_TOL
+    mic = random_mic_pom(2, 4)
+    report = reconstruct_density(
+        _TraceOracle(random_density(2, 3).mat, mic, offset * tol.residual), mic
+    )
+    assert abs(report.trace - 1.0) <= tol.residual
+    assert report.min_eigenvalue >= -tol.psd_slack
+    assert report.max_deviation == pytest.approx(offset * tol.residual, rel=1e-6)
+    assert report.verdict == verdict
+
+
+@pytest.mark.parametrize("low, verdict", [(-0.5, True), (-3.0, False)])
+def test_reconstruct_verdict_turns_on_the_smallest_eigenvalue_at_psd_slack(low, verdict):
+    # A linear oracle Tr(sigma E) with trace 1 and smallest eigenvalue
+    # low * psd_slack: only the eigenvalue moves.
+    tol = DEFAULT_TOL
+    s = low * tol.psd_slack
+    report = reconstruct_density(
+        _TraceOracle(np.diag([1.0 - s, s]).astype(complex)), random_mic_pom(2, 4)
+    )
+    assert abs(report.trace - 1.0) <= tol.residual
+    assert report.max_deviation < tol.residual
+    assert report.min_eigenvalue == pytest.approx(s, rel=1e-4)
+    assert report.verdict == verdict
 
 
 def test_reconstruct_basis_independence():

@@ -109,6 +109,15 @@ def write_inputs(folder: Path) -> None:
     put("cert_tampered.json", cert)
     cert["memberships"][0]["augmented"]["coeffs"] = "zero"
     put("cert_malformed.json", cert)
+    # Numbers too large to convert: json reads 1e400 as inf, which int()
+    # refuses, and float() refuses a 400-digit integer.
+    put("op_too_large.json", '{"dim": 1e400, "entries": []}')
+    put("pom_too_large.json", '{"dim": 1e400, "rows": [[1, 0, 0, 0]]}')
+    put("grid_too_large.json", '{"kind": "grid", "a": "1/1", "n": 1e400, "values": ["0/1"]}')
+    for key, number in (("rank", "1e400"), ("epsilon", "9" * 400)):
+        cert = json.loads((FIXTURES / "certificate_d3_signed_steps.json").read_text(encoding="utf-8"))
+        cert[key] = "TOO_LARGE"
+        put(f"cert_{key}_too_large.json", json.dumps(cert).replace('"TOO_LARGE"', number))
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +201,16 @@ def commands() -> list:
          "--interval", "1/1000000000000"])
     add(["cauchy", "witness", "--alpha", "0/1", "--beta", "0/1", "--bound", "1/1"])
     add(["cauchy", "witness", "--alpha", "0/1", "--beta", "0/1", "--bound=-1/1"])
-    # Long walks: 1,306 and 5,225 steps to the bound, 391 to enter (0, 1/10**300].
+    # Long walks: 1,306 and 5,225 steps to the bound, 391 and 5,615 inside
+    # (0, 1/10**300] and (0, 1/10**4299], the smallest interval whose
+    # denominator a rational argument can spell.  At 2/11 and 2/9, 1/a lies
+    # in the entry bracket of the first and of the second Pell family.
     for digits in (1000, 4000):
         add(["cauchy", "witness", "--alpha", "1/1", "--beta", "0/1",
              "--bound", "1" + "0" * digits + "/1"])
-    add(["cauchy", "witness", "--alpha", "1/1", "--beta", "0/1", "--bound", "10/1",
-         "--interval", "1/1" + "0" * 300])
+    for interval in ("1/1" + "0" * 300, "1/1" + "0" * 4299, "2/11", "2/9"):
+        add(["cauchy", "witness", "--alpha", "1/1", "--beta", "0/1", "--bound", "10/1",
+             "--interval", interval])
     for x in ("5/2", "-5/2", "0/1", "7/10", "1000000/1", "1/3"):
         add(["cauchy", "extend", "--in", "{in}/grid.json", f"--x={x}"])
     add(["cauchy", "extend", "--in", "{in}/grid.json", "--x", "5/2", "--n", "25"])
@@ -231,6 +244,13 @@ def commands() -> list:
     for extra in (["--dim", "7", "--seed", "1", "--epsilon", "1e9"], ["--dim", "3"],
                   ["--seed", "0"], ["--epsilon", "0.01"]):
         add(["certify-cone", "--verify", "{out}/cert3_0.json", *extra])
+    # Numbers too large to convert are invalid input, exit 2.
+    add(["validate", "--kind", "operator", "--in", "{in}/op_too_large.json"])
+    add(["validate", "--kind", "pom", "--in", "{in}/pom_too_large.json"])
+    add(["reconstruct", "--dim", "2", "--seed", "1", "--mic", "{in}/pom_too_large.json"])
+    add(["cauchy", "extend", "--in", "{in}/grid_too_large.json", "--x", "1/2"])
+    for key in ("rank", "epsilon"):
+        add(["certify-cone", "--verify", f"{{in}}/cert_{key}_too_large.json"])
     return cmds
 
 
