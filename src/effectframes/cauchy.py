@@ -24,6 +24,7 @@ beyond the standard library.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -140,10 +141,6 @@ class QSqrt2:
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", as_fraction(self.p))
         object.__setattr__(self, "q", as_fraction(self.q))
-
-    @staticmethod
-    def from_rational(x: RationalLike) -> "QSqrt2":
-        return QSqrt2(as_fraction(x), Fraction(0))
 
     def __add__(self, other: "QSqrt2") -> "QSqrt2":
         return QSqrt2(self.p + other.p, self.q + other.q)
@@ -277,6 +274,12 @@ def grid_from_unit(a: RationalLike, n: int, v: RationalLike) -> GridAdditiveFunc
     )
 
 
+def _require_additive(g: GridAdditiveFunction) -> None:
+    violations = g.invariant_violations()
+    if violations:
+        raise GridInvariantError("; ".join(violations))
+
+
 class LinearityResult(NamedTuple):
     is_linear: bool
     slope: Fraction
@@ -288,9 +291,7 @@ def check_linear(g: GridAdditiveFunction) -> LinearityResult:
     Grid invariants are verified first and a violation raises
     `GridInvariantError` before any linearity judgment.
     """
-    violations = g.invariant_violations()
-    if violations:
-        raise GridInvariantError("; ".join(violations))
+    _require_additive(g)
     un, ud = g.values[1].numerator, g.values[1].denominator
     is_linear = all(
         v.numerator * ud == k * un * v.denominator for k, v in enumerate(g.values)
@@ -416,9 +417,9 @@ class ExtensionView:
     For a grid base the admissible inputs are the multiples of the grid
     step; the modulus n must place x/n back on the grid, and the smallest
     such n is chosen unless one is supplied.  For the quadratic-field base
-    any exact point works and n must merely satisfy 0 <= x/n <= a.  Both
-    extensions are independent of the admissible modulus, which is
-    testable by passing two different ones.
+    any exact point works and n is admissible exactly when n >= ceil(x/a).
+    A supplied n must be an integer.  Both extensions are independent of
+    the admissible modulus, testable by passing two different ones.
 
     The whole-line extension applies f_real(-x) = -f_real(x).
     """
@@ -430,9 +431,7 @@ class ExtensionView:
         if isinstance(self.base, GridAdditiveFunction):
             if self.a is not None:
                 raise ValueError("a applies to the quadratic-field model only, not a grid")
-            violations = self.base.invariant_violations()
-            if violations:
-                raise GridInvariantError("; ".join(violations))
+            _require_additive(self.base)
             object.__setattr__(self, "a", self.base.a)
         elif isinstance(self.base, QSqrt2Additive):
             a = as_fraction(self.a) if self.a is not None else Fraction(1)
@@ -488,6 +487,10 @@ class ExtensionView:
 
     def f_plus(self, x, n: int | None = None) -> Fraction:
         """n f(x/n) on nonnegative inputs, with the minimal n by default."""
+        if n is not None:
+            if not isinstance(n, numbers.Integral):
+                raise ValueError(f"modulus must be an integer, got {n!r}")
+            n = int(n)
         if isinstance(self.base, GridAdditiveFunction):
             x = as_fraction(x)
             if x < 0:
@@ -495,22 +498,19 @@ class ExtensionView:
             j = self._grid_index(x)
             if n is None:
                 n = self.minimal_modulus(x)
-            else:
-                n = int(n)
-                if n < 1 or j % n != 0 or j // n > self.base.n:
-                    raise ValueError(
-                        f"modulus {n} does not place {fraction_str(x)} / n on the grid"
-                    )
+            elif n < 1 or j % n != 0 or j // n > self.base.n:
+                raise ValueError(
+                    f"modulus {n} does not place {fraction_str(x)} / n on the grid"
+                )
             return n * self.base.values[j // n]
         z = _as_qsqrt2(x)
         if z.sign() < 0:
             raise ValueError(f"f_plus is defined on [0, inf), got {z}")
+        least = self.minimal_modulus(z)  # z/n <= a exactly when n >= least
         if n is None:
-            n = self.minimal_modulus(z)
-        else:
-            n = int(n)
-            if n < 1 or QSqrt2.from_rational(self.a) < z.scale(Fraction(1, n)):
-                raise ValueError(f"modulus {n} does not bring {z} into [0, a]")
+            n = least
+        elif n < least:
+            raise ValueError(f"modulus {n} does not bring {z} into [0, a]")
         return n * self.base(z.scale(Fraction(1, n)))
 
     def f_real(self, x, n: int | None = None) -> Fraction:
@@ -529,7 +529,7 @@ class ExtensionView:
 def _as_qsqrt2(x) -> QSqrt2:
     if isinstance(x, QSqrt2):
         return x
-    return QSqrt2.from_rational(as_fraction(x))
+    return QSqrt2(as_fraction(x), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -561,46 +561,35 @@ def _point_witness(x_str: str, x_approx: float, value: Fraction) -> dict:
 def _check_grid_condition(
     g: GridAdditiveFunction, which: str, bound, eps: Fraction
 ) -> ConditionReport:
+    # An additive table is f(k a/n) = k u with u = f(a/n): each verdict is
+    # read from u and n, and no grid point is visited.
+    _require_additive(g)
     searched = f"all {g.n + 1} grid points of [0, {fraction_str(g.a)}]"
-    if which in ("bounded_above", "bounded_below"):
-        b, above = as_fraction(bound), which == "bounded_above"
-        for k in range(g.n + 1):
-            v = g.values[k]
-            if (v > b) if above else (v < b):
-                return ConditionReport(
-                    which, False,
-                    _point_witness(fraction_str(g.point(k)), _approx(g.point(k)), v),
-                    searched,
-                )
+    u = g.values[1]
+    if which == "monotone":  # refuted by the pair (0, a/n) exactly when u < 0
+        if u < 0:
+            witness = {"x": "0/1", "y": fraction_str(g.step), "f_x": "0/1", "f_y": fraction_str(u)}
+            return ConditionReport(which, False, witness, searched)
         return ConditionReport(which, True, None, searched)
     if which == "continuous_at_zero":
-        if abs(g.values[1]) > eps:
-            return ConditionReport(
-                which, False,
-                _point_witness(fraction_str(g.step), _approx(g.step), g.values[1]),
-                searched + " (no grid radius keeps |f| within eps)",
-            )
-        m = 1
-        while m + 1 <= g.n and abs(g.values[m + 1]) <= eps:
-            m += 1
-        delta = g.point(m)
-        return ConditionReport(
-            which, True, None,
-            searched + f"; |f| <= {fraction_str(eps)} holds up to delta = {fraction_str(delta)}",
-        )
-    for k in range(g.n):  # monotone
-        if g.values[k + 1] < g.values[k]:
-            return ConditionReport(
-                which, False,
-                {
-                    "x": fraction_str(g.point(k)),
-                    "y": fraction_str(g.point(k + 1)),
-                    "f_x": fraction_str(g.values[k]),
-                    "f_y": fraction_str(g.values[k + 1]),
-                },
-                searched,
-            )
-    return ConditionReport(which, True, None, searched)
+        if abs(u) <= eps:  # |k u| <= eps up to k = m
+            m = g.n if u == 0 else min(g.n, eps // abs(u))
+            note = f"; |f| <= {fraction_str(eps)} holds up to delta = {fraction_str(g.point(m))}"
+            return ConditionReport(which, True, None, searched + note)
+        k, searched = 1, searched + " (no grid radius keeps |f| within eps)"
+    else:
+        # k u first breaks the bound b at k = 0 if 0 does, else at the least
+        # k > b/u, which exists only when u has the breaking sign.
+        b, sign = as_fraction(bound), 1 if which == "bounded_above" else -1
+        if sign * b < 0:
+            k = 0
+        else:
+            k = b // u + 1 if sign * u > 0 else g.n + 1
+        if k > g.n:
+            return ConditionReport(which, True, None, searched)
+    x = g.point(k)
+    witness = _point_witness(fraction_str(x), _approx(x), g.values[k])
+    return ConditionReport(which, False, witness, searched)
 
 
 def _check_qsqrt2_condition(
@@ -639,10 +628,11 @@ def check_condition(
 
     `which` is one of bounded_above, bounded_below, continuous_at_zero,
     monotone.  Boundedness checks need `bound`; continuity uses `eps` > 0.
-    A grid is checked on its own points; the quadratic model on (0,
-    interval], where a Pell witness refutes any non-linear model and f = 0
-    holds unless 0 breaks the bound.  Measurability has no finite check and
-    is covered through the monotone condition, which implies it.
+    A grid must be additive (else `GridInvariantError`) and is decided on
+    its own points from f(a/n); the quadratic model on (0, interval], where
+    a Pell witness refutes any non-linear model and f = 0 holds unless 0
+    breaks the bound.  Measurability has no finite check and is covered
+    through the monotone condition, which implies it.
     """
     if which not in CONDITIONS:
         raise ValueError(f"unknown condition {which!r}; choose from {CONDITIONS}")

@@ -38,6 +38,7 @@ import numpy as np
 
 from .operators import (
     DEFAULT_TOL,
+    CoordinateRank,
     DimensionMismatchError,
     HermitianOperator,
     OperatorBasis,
@@ -63,6 +64,7 @@ from .effects import (
     NotAnEffectError,
     _require_effects,
     effect_checks,
+    is_effect,
     pom_stack_from_jsonable,
     pom_to_jsonable,
 )
@@ -426,8 +428,9 @@ def verify_certificate(
     the certificate's own family with the certificate's coefficients,
     measured in the isometric real coordinates.  The
     tolerances the certificate carries (`cert.tol`) cannot loosen a check:
-    the witnesses were checked as effects at `cert.tol` when it was built
-    or parsed, so only at another `tol` is that check repeated.
+    the witnesses, the MIC-POM's effects and rank, and E_delta were checked
+    at `cert.tol` when it was built or parsed, so only at another `tol` are
+    those checks repeated.
     """
     d = cert.augmented.dim
     failures: list[str] = []
@@ -437,6 +440,13 @@ def verify_certificate(
 
     if np.linalg.norm(cert.mic.stack.sum(axis=0) - np.eye(d)) > tol.residual:
         failures.append("mic-pom-sum")
+    if cert.tol != tol:
+        if not all(check.ok for check in effect_checks(cert.mic.stack, tol)):
+            failures.append("mic-pom-effect")
+        if CoordinateRank(cert.mic.basis_view.singular_values).rank(tol) < d * d:
+            failures.append("mic-pom-rank")
+        if not is_effect(cert.e_delta.op, tol).ok:
+            failures.append("e-delta-effect")
 
     witnesses = cert.witness_stack
     decomposed = min(len(coeffs) for coeffs in cert.coefficients)

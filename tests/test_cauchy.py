@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import count, islice
 
@@ -744,6 +745,153 @@ def test_tampered_grid_messages_match_fraction_scan(a, n, v, edits):
         res = check_linear(g)
         assert res.is_linear == all(x == k * values[1] for k, x in enumerate(values))
         assert res.slope == values[n] / a
+
+
+def _scan_grid_report(g, which, bound=None, eps=F(1)):
+    """The former scan of the table's points, in Fraction arithmetic."""
+    searched = f"all {g.n + 1} grid points of [0, {fraction_str(g.a)}]"
+    point = lambda k: _point_witness(g.point(k), g.values[k])
+    if which in ("bounded_above", "bounded_below"):
+        for k, v in enumerate(g.values):
+            if (v > bound) if which == "bounded_above" else (v < bound):
+                return ConditionReport(which, False, point(k), searched)
+        return ConditionReport(which, True, None, searched)
+    if which == "continuous_at_zero":
+        if abs(g.values[1]) > eps:
+            return ConditionReport(which, False, point(1),
+                                   searched + " (no grid radius keeps |f| within eps)")
+        m = 1
+        while m + 1 <= g.n and abs(g.values[m + 1]) <= eps:
+            m += 1
+        delta = g.point(m)
+        return ConditionReport(
+            which, True, None,
+            searched + f"; |f| <= {fraction_str(eps)} holds up to delta = {fraction_str(delta)}",
+        )
+    for k in range(g.n):
+        if g.values[k + 1] < g.values[k]:
+            witness = {"x": fraction_str(g.point(k)), "y": fraction_str(g.point(k + 1)),
+                       "f_x": fraction_str(g.values[k]), "f_y": fraction_str(g.values[k + 1])}
+            return ConditionReport(which, False, witness, searched)
+    return ConditionReport(which, True, None, searched)
+
+
+def _point_witness(x, value):
+    return {"x": fraction_str(x), "x_approx": float(x), "value": fraction_str(value),
+            "value_approx": float(value)}
+
+
+@given(
+    positive_rationals,
+    st.integers(min_value=1, max_value=60),
+    rationals,
+    st.integers(min_value=-62, max_value=62),
+    st.integers(min_value=1, max_value=62),
+    st.fractions(min_value=F(-3), max_value=F(3), max_denominator=7),
+    st.fractions(min_value=F(1, 40), max_value=F(50), max_denominator=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_grid_conditions_match_the_point_scan(a, n, u, j, m, shift, free):
+    # Bounds drawn at and beside k u, eps at and beside m |u|, and free ones.
+    g = grid_from_unit(a, n, u)
+    bounds = [j * u, j * u + shift, shift, free, -free]
+    epsilons = [e for e in (m * abs(u), m * abs(u) + shift, free) if e > 0]
+    for which in ("bounded_above", "bounded_below"):
+        for bound in bounds:
+            expected = _scan_grid_report(g, which, bound=bound)
+            assert check_condition(g, which, bound=bound) == expected
+    for eps in epsilons:
+        assert check_condition(g, "continuous_at_zero", eps=eps) == _scan_grid_report(
+            g, "continuous_at_zero", eps=eps)
+    assert check_condition(g, "monotone") == _scan_grid_report(g, "monotone")
+
+
+@pytest.mark.parametrize("n, u", [(9, F(5, 4)), (9, F(-5, 4)), (1, F(2, 3)), (7, F(0))])
+def test_grid_conditions_match_the_point_scan_at_every_boundary(n, u):
+    # Each bound at, just below and just above k u, and eps likewise at m |u|.
+    g = grid_from_unit(F(3, 7), n, u)
+    tiny = F(1, 10 ** 6)
+    for k in range(-2, n + 3):
+        for bound in (k * u - tiny, k * u, k * u + tiny):
+            for which in ("bounded_above", "bounded_below"):
+                assert check_condition(g, which, bound=bound) == _scan_grid_report(
+                    g, which, bound=bound), (which, bound)
+        for eps in (k * abs(u) - tiny, k * abs(u), k * abs(u) + tiny, tiny):
+            if eps > 0:
+                assert check_condition(g, "continuous_at_zero", eps=eps) == _scan_grid_report(
+                    g, "continuous_at_zero", eps=eps), eps
+    assert check_condition(g, "monotone") == _scan_grid_report(g, "monotone")
+
+
+@pytest.mark.parametrize("values", [
+    (F(0), F(1), F(2), F(5)),     # additivity breaks at the pair (2, 1)
+    (F(1), F(2), F(3), F(4)),     # f(0) != 0
+    (F(0), F(-1), F(0), F(-3)),   # breaks at the pair (1, 1), monotone-looking scan
+])
+@pytest.mark.parametrize("which", ["bounded_above", "bounded_below",
+                                   "continuous_at_zero", "monotone"])
+def test_every_condition_rejects_a_non_additive_table(values, which):
+    g = GridAdditiveFunction(a=F(1), n=3, values=values)
+    with pytest.raises(GridInvariantError) as linear:
+        check_linear(g)
+    with pytest.raises(GridInvariantError) as condition:
+        check_condition(g, which, bound=F(100), eps=F(100))
+    assert str(condition.value) == str(linear.value)
+
+
+def _compared_f_plus(view, z, n):
+    """n f(z/n) where a comparison of QSqrt2 values finds z/n <= a, else None."""
+    if n < 1 or QSqrt2(view.a, F(0)) < z.scale(F(1, n)):
+        return None
+    return n * view.base(z.scale(F(1, n)))
+
+
+@pytest.mark.parametrize("a", [F(1), F(2, 7), F(13, 4)])
+def test_qsqrt2_modulus_is_admitted_from_the_least_one(a):
+    view = ExtensionView(QSqrt2Additive(F(5, 3), F(-2)), a)
+    parts = [F(0), F(1, 3), F(5), F(-7, 2), F(99, 70), F(-577, 408), F(10) ** 12 + F(1, 9)]
+    for p in parts:
+        for q in parts:
+            z = QSqrt2(p, q)
+            if z.sign() < 0:
+                continue
+            least = view.minimal_modulus(z)
+            for n in (least - 2, least - 1, least, least + 1, least + 7):
+                expected = _compared_f_plus(view, z, n)
+                assert (expected is not None) == (n >= least), (z, n)
+                if expected is None:
+                    with pytest.raises(ValueError, match=f"modulus {n} does not bring"):
+                        view.f_plus(z, n)
+                else:
+                    assert view.f_plus(z, n) == expected
+
+
+@pytest.mark.parametrize("view, x, n", [
+    (ExtensionView(grid_from_unit(F(1), 10, F(7, 100))), F(2), 2.5),
+    (ExtensionView(grid_from_unit(F(1), 10, F(7, 100))), F(2), 2.0),
+    (ExtensionView(grid_from_unit(F(1), 10, F(7, 100))), F(2), F(5, 2)),
+    (ExtensionView(QSqrt2Additive(F(1), F(-2))), QSqrt2(F(5, 2), F(1)), 3.9),
+    (ExtensionView(QSqrt2Additive(F(1), F(-2))), QSqrt2(F(5, 2), F(1)), "4"),
+], ids=["grid-2.5", "grid-2.0", "grid-5/2", "qsqrt2-3.9", "qsqrt2-str"])
+def test_a_non_integral_modulus_is_refused(view, x, n):
+    with pytest.raises(ValueError, match=f"modulus must be an integer, got {re.escape(repr(n))}"):
+        view.f_plus(x, n)
+    with pytest.raises(ValueError, match="modulus must be an integer"):
+        view.f_real(x, n)
+
+
+def test_integer_moduli_of_any_integer_type_are_used_as_given():
+    import numpy as np
+
+    grid = ExtensionView(grid_from_unit(F(1), 10, F(7, 100)))
+    qsqrt2 = ExtensionView(QSqrt2Additive(F(1), F(-2)))
+    z = QSqrt2(F(5, 2), F(1))  # least modulus 4
+    assert qsqrt2.minimal_modulus(z) == 4
+    for n in (5, np.int64(5), np.int32(5)):
+        assert grid.f_plus(F(5, 2), n) == F(7, 4) and type(grid.f_plus(F(5, 2), n)) is F
+        assert qsqrt2.f_plus(z, n) == qsqrt2.base(z) and type(qsqrt2.f_plus(z, n)) is F
+    with pytest.raises(ValueError, match="modulus 3 does not bring"):
+        qsqrt2.f_plus(z, np.int64(3))
 
 
 def test_qsqrt2_sign_matches_fraction_sign():

@@ -449,6 +449,67 @@ def test_verify_repeats_no_check_the_parse_made(monkeypatch):
     assert report == verify_certificate(cert, DEFAULT_TOL)
 
 
+def _file_with_a_mic_effect_below_zero():
+    """A d = 2 certificate file at psd_slack 1e-3 and residual 1e-2 whose
+    MIC-POM effect 0 has eigenvalue -1e-4; effect 1 gains the weight it
+    loses, so the MIC-POM still sums to the identity."""
+    import dataclasses
+
+    from effectframes.effects import MicPom, pom_to_jsonable
+    from effectframes.operators import ToleranceConfig, tolerance_to_jsonable
+
+    loose = ToleranceConfig(psd_slack=1e-3, residual=1e-2)
+    cert = intersection_span_certificate(augmented_basis_from_onb(random_onb(2, 3)),
+                                         random_mic_pom(2, 4))
+    stack = cert.mic.stack.copy()
+    w, v = np.linalg.eigh(stack[0])
+    shift = (-1e-4 - w[0]) * np.outer(v[:, 0], v[:, 0].conj())
+    stack[0] += shift
+    stack[1] -= shift
+    obj = json.loads(json.dumps(certificate_to_jsonable(
+        dataclasses.replace(cert, mic=MicPom(stack, loose)))))
+    obj["tolerances"] = tolerance_to_jsonable(loose)
+    return obj
+
+
+def test_verify_at_other_tolerances_judges_the_mic_pom_effects():
+    obj = _file_with_a_mic_effect_below_zero()
+    cert = certificate_from_jsonable(obj)  # at the file's tolerances
+    assert verify_certificate(cert, DEFAULT_TOL).failures == ("mic-pom-effect",)
+    assert verify_certificate(cert, cert.tol).passed
+    with pytest.raises(CertificateError, match="not an effect"):
+        certificate_from_jsonable(obj, DEFAULT_TOL)
+
+
+def test_verify_at_other_tolerances_judges_the_mic_pom_rank():
+    from effectframes.operators import ToleranceConfig
+
+    cert = intersection_span_certificate(augmented_basis_from_onb(random_onb(2, 3)),
+                                         random_mic_pom(2, 4))
+    s = cert.mic.basis_view.singular_values
+    cutoff = float(s[-1] / s[0]) * 1.01  # the smallest singular value falls below it
+    report = verify_certificate(cert, ToleranceConfig(rank_cutoff=cutoff))
+    assert "mic-pom-rank" in report.failures
+    assert "mic-pom-rank" not in verify_certificate(
+        cert, ToleranceConfig(rank_cutoff=cutoff / 1.02)).failures
+
+
+def test_verify_at_other_tolerances_judges_e_delta():
+    import dataclasses
+
+    from effectframes.operators import ToleranceConfig
+
+    cert = intersection_span_certificate(augmented_basis_from_onb(random_onb(2, 3)),
+                                         random_mic_pom(2, 4))
+    w, v = np.linalg.eigh(cert.e_delta.mat)
+    below = cert.e_delta.mat + (-1e-4 - w[0]) * np.outer(v[:, 0], v[:, 0].conj())
+    loose = ToleranceConfig(psd_slack=1e-3, residual=1e-2)
+    tampered = dataclasses.replace(cert, e_delta=Effect(HermitianOperator(below), loose),
+                                   tol=loose)
+    assert verify_certificate(tampered, DEFAULT_TOL).failures == ("e-delta-effect",)
+    assert verify_certificate(tampered, loose).passed
+
+
 def test_verify_reports_margins_like_reference():
     basis = augmented_basis_from_onb(random_onb(3, 2))
     cert = intersection_span_certificate(basis, random_mic_pom(3, 3))

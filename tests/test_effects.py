@@ -296,6 +296,19 @@ def test_effect_checks_match_per_operator_reference(d):
             assert check.witness == pytest.approx(witness, abs=1e-12)
 
 
+@pytest.mark.parametrize("low, high, ok", [
+    (-0.5, 0.0, True), (-3.0, 0.0, False), (0.0, 0.5, True), (0.0, 3.0, False),
+])
+def test_effect_check_turns_at_psd_slack(low, high, ok):
+    # Spectrum {low, 1 + high} in units of psd_slack: only one bound decides.
+    slack = DEFAULT_TOL.psd_slack
+    op = HermitianOperator(np.diag([low * slack, 1.0 + high * slack]).astype(complex))
+    check = is_effect(op)
+    assert check.ok == ok
+    if not ok:
+        assert check.witness == (low * slack if low else 1.0 + high * slack)
+
+
 def test_pom_names_its_first_non_effect_element():
     ops = [identity(2) * 0.5, identity(2) * 0.25, identity(2) * 1.5]
     with pytest.raises(NotAnEffectError, match="element 2"):

@@ -215,10 +215,16 @@ def commands() -> list:
         add(["cauchy", "extend", "--in", "{in}/grid.json", f"--x={x}"])
     add(["cauchy", "extend", "--in", "{in}/grid.json", "--x", "5/2", "--n", "25"])
     add(["cauchy", "extend", "--in", "{in}/grid.json", "--x", "5/2", "--n", "3"])
+    # At 5/2 the grid's least modulus is 5, and 4 does not divide its index 25.
+    for n in ("5", "4"):
+        add(["cauchy", "extend", "--in", "{in}/grid.json", "--x", "5/2", "--n", n])
     add(["cauchy", "extend", "--in", "{in}/grid_broken.json", "--x", "1/2"])
     for x in ("7/2", "-7/2", "1/1000", "123456789/7"):
         add(["cauchy", "extend", "--in", "{in}/qsqrt2.json", f"--x={x}"])
     add(["cauchy", "extend", "--in", "{in}/qsqrt2.json", "--x", "7/2", "--n", "1"])
+    # The least modulus of 7/2 on (0, 1] is 4: one below it, at it, and at -7/2.
+    for x, n in (("7/2", "3"), ("7/2", "4"), ("-7/2", "4")):
+        add(["cauchy", "extend", "--in", "{in}/qsqrt2.json", f"--x={x}", "--n", n])
 
     for kind, name in (("pom", "sic"), ("mic-pom", "sic"), ("pom", "pom_halves"),
                        ("mic-pom", "pom_halves"), ("pom", "pom_overfull"),
