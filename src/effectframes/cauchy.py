@@ -417,7 +417,7 @@ class ExtensionView:
     For a grid base the admissible inputs are the multiples of the grid
     step; the modulus n must place x/n back on the grid, and the smallest
     such n is chosen unless one is supplied.  For the quadratic-field base
-    any exact point works and n is admissible exactly when n >= ceil(x/a).
+    any exact point works; n is admissible iff n >= max(1, ceil(x/a)).
     A supplied n must be an integer.  Both extensions are independent of
     the admissible modulus, testable by passing two different ones.
 

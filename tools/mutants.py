@@ -1,27 +1,25 @@
 """Run the committed mutation catalogue against the test suite.
 
-    python3 tools/mutants.py [--only NAME ...] [--timeout SECONDS]
-    python3 tools/mutants.py --check
+    python3 tools/mutants.py
 
 Each entry of `tools/mutants.json` names a file under `src/`, an exact
 text that occurs once in `src/`, the text that replaces it, and the pytest
 arguments that should fail on the edited copy.  `src/`, `tests/` and
 `pyproject.toml` are copied once into a temporary directory; every mutant
 is applied there alone, its selection is run with `-x`, and the file is
-restored.  A mutant whose selection fails (or exceeds the timeout) is
+restored.  A mutant whose selection fails (or runs past TIMEOUT_S) is
 killed; one whose selection passes survived.  An entry may mark the
 mutant `equivalent`, with the reason no input can tell it apart.
 
 The exit code is 0 when every unmarked mutant is killed and every marked
 one survives, 1 otherwise, and 2 when the catalogue is broken or an
-unmutated selection already fails.  `--check` only validates the catalogue
-(old text once in `src/`, test files present), as the test suite does.
+unmutated selection already fails.  `tests/test_mutants.py` checks that
+the catalogue still applies (old text once in `src/`, test files present).
 Standard library only.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -34,6 +32,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 CATALOGUE = REPO / "tools" / "mutants.json"
 FIELDS = ("name", "file", "old", "new", "tests", "equivalent")
+TIMEOUT_S = 120.0  # a mutant's run past this counts as killed
 
 
 def load(path: Path = CATALOGUE) -> list[dict]:
@@ -68,13 +67,13 @@ def catalogue_problems(entries: list[dict], root: Path = REPO) -> list[str]:
     return problems
 
 
-def _pytest(root: Path, args: list[str], timeout: float) -> str:
+def _pytest(root: Path, args: list[str]) -> str:
     """'passed', 'failed' or 'timeout' for one pytest run in `root`."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args]
     try:
-        proc = subprocess.run(command, cwd=root, env=env, capture_output=True, timeout=timeout)
+        proc = subprocess.run(command, cwd=root, env=env, capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return "timeout"
     if proc.returncode not in (0, 1, 2):  # 2: collection failed on the mutant
@@ -83,25 +82,13 @@ def _pytest(root: Path, args: list[str], timeout: float) -> str:
     return "passed" if proc.returncode == 0 else "failed"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run these entries only")
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        help="seconds before a mutant's run counts as killed (default 120)")
-    parser.add_argument("--check", action="store_true", help="validate the catalogue only")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     entries = load()
     problems = catalogue_problems(entries)
-    if args.only:
-        unknown = set(args.only) - {entry.get("name") for entry in entries}
-        problems += [f"{name}: no such entry" for name in sorted(unknown)]
-        entries = [entry for entry in entries if entry["name"] in args.only]
     for problem in problems:
         print(f"catalogue: {problem}")
-    if problems or args.check:
-        print(json.dumps({"entries": len(entries), "problems": len(problems)}))
-        return 2 if problems else 0
+    if problems:
+        return 2
 
     counts = {"killed": 0, "survived": 0, "equivalent": 0, "wrong": 0}
     started = time.perf_counter()
@@ -112,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
             shutil.copytree(REPO / part, root / part, ignore=ignore)
         shutil.copy2(REPO / "pyproject.toml", root / "pyproject.toml")
         for selection in {tuple(entry["tests"]) for entry in entries}:
-            if _pytest(root, list(selection), args.timeout) != "passed":
+            if _pytest(root, list(selection)) != "passed":
                 print(f"unmutated selection fails: {' '.join(selection)}")
                 return 2
         for entry in entries:
@@ -121,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
             path.write_text(original.replace(entry["old"], entry["new"]), encoding="utf-8")
             t0 = time.perf_counter()
             try:
-                outcome = _pytest(root, entry["tests"], args.timeout)
+                outcome = _pytest(root, entry["tests"])
             finally:
                 path.write_text(original, encoding="utf-8")
             survived = outcome == "passed"
@@ -138,4 +125,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:]:
+        sys.exit("usage: python3 tools/mutants.py  (takes no arguments)")
     sys.exit(main())
