@@ -65,17 +65,18 @@ def _as_onb_matrix(onb, tol: ToleranceConfig) -> np.ndarray:
     d = u.shape[0]
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    dev = _gram_deviation(u)
-    if dev > tol.residual:
+    dev, orthonormal = _orthonormality(u, tol)
+    if not orthonormal:
         raise NotOrthonormalError(
             f"Gram deviation from identity is {dev:.3e} (allowed {tol.residual:.1e})"
         )
     return u
 
 
-def _gram_deviation(u: np.ndarray) -> float:
-    """||U^dagger U - I||, zero exactly when the columns of U are orthonormal."""
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
+def _orthonormality(u: np.ndarray, tol: ToleranceConfig) -> tuple[float, bool]:
+    """||U^dagger U - I||, zero exactly for orthonormal columns, and whether it is <= residual."""
+    dev = float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
+    return dev, dev <= tol.residual
 
 
 def complete_projector_basis(
@@ -216,19 +217,18 @@ def augmented_basis_from_jsonable(obj: dict, tol: ToleranceConfig = DEFAULT_TOL)
     elements are rebuilt from the vector family at the stored scale c, the
     way `augmented_basis_from_onb` builds them, once the family is checked
     orthonormal at `tol` (`NotOrthonormalError` otherwise).  Missing keys
-    raise `KeyError`, malformed content `ValueError`.
+    raise `KeyError`, malformed or non-finite content `ValueError`.
     """
     c = float(obj["c"])
-    if "elements" in obj:
-        ops = operators_from_jsonable(obj["elements"])
-        d = ops.shape[-1]
-        onb = complex_from_jsonable(obj["onb"], (d, d))
-    else:
+    ops = operators_from_jsonable(obj["elements"]) if "elements" in obj else None
+    d = len(obj["onb"]) if ops is None else ops.shape[-1]
+    onb = complex_from_jsonable(obj["onb"], (d, d))
+    if not np.isfinite(onb).all():
+        raise ValueError(f"vector family must be finite, got {onb[~np.isfinite(onb)].tolist()}")
+    if ops is None:
         if not math.isfinite(c):
             raise ValueError(f"scale c must be finite, got {c!r}")
-        d = len(obj["onb"])
-        onb = _as_onb_matrix(complex_from_jsonable(obj["onb"], (d, d)), tol)
-        ops = _scaled_family(_projector_stack(onb), c)
+        ops = _scaled_family(_projector_stack(_as_onb_matrix(onb, tol)), c)
     return AugmentedBasis(onb=onb, ops=ops, c=c, gamma=float(obj["gamma"]), tol=tol)
 
 
@@ -270,8 +270,7 @@ def validate_augmented(
     # Condition 1: scaled projectors onto an orthonormal vector family,
     # scale in (0, 1).
     c_ok = 0.0 < basis.c < 1.0
-    gram_dev = _gram_deviation(basis.onb)
-    onb_ok = gram_dev <= tol.residual
+    gram_dev, onb_ok = _orthonormality(basis.onb, tol)
     cols = basis.onb.T
     targets = basis.c * (cols[:, :, np.newaxis] * cols[:, np.newaxis, :].conj())
     max_dev = float(np.max(np.linalg.norm(basis.stack[:d] - targets, axis=(1, 2))))

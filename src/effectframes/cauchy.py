@@ -164,17 +164,8 @@ class QSqrt2:
         p, q = self.p, self.q
         return _surd_sign(p.numerator * q.denominator, q.numerator * p.denominator)
 
-    def __lt__(self, other: "QSqrt2") -> bool:
-        return (self - other).sign() < 0
-
     def __le__(self, other: "QSqrt2") -> bool:
         return (self - other).sign() <= 0
-
-    def __gt__(self, other: "QSqrt2") -> bool:
-        return (self - other).sign() > 0
-
-    def __ge__(self, other: "QSqrt2") -> bool:
-        return (self - other).sign() >= 0
 
     def approx(self) -> float:
         """Correctly rounded float value, as `_approx` gives it.

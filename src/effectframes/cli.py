@@ -245,12 +245,6 @@ def _cmd_verify_frame(args, tol: ToleranceConfig) -> tuple[dict, bool]:
     except NotAnEffectError as exc:
         return _generation_failed(args, kind=frame.kind, dim=frame.dim, trials=args.trials,
                                   failed_stage=f"stage coexisting-pair: {exc}")
-    if report.max_violation > tol.residual:
-        violated = "additivity"
-    elif report.identity_deviation > tol.residual:
-        violated = "identity-normalization"
-    else:
-        violated = None
     body = {
         "kind": frame.kind,
         "dim": frame.dim,
@@ -258,7 +252,7 @@ def _cmd_verify_frame(args, tol: ToleranceConfig) -> tuple[dict, bool]:
         "seed": args.seed,
         "max_violation": report.max_violation,
         "identity_deviation": report.identity_deviation,
-        "violated": violated,
+        "violated": report.violated,
     }
     return body, report.passed
 

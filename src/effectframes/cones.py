@@ -16,14 +16,14 @@ signed step per direction instead of the witnesses, and no coefficients.
 Cone membership is decided by the square solve of the family
 (`OperatorBasis.solve`): the expansion of a point over a full operator
 basis is unique, so its coefficients decide membership, and a fit is kept
-only when its recomputed residual is below tolerance.
+only when its recomputed residual is within tolerance.
 
 A certificate is arrays: its witnesses an (n, d, d) stack and their
 coefficients over each cone an (n, d**2) array, the exact solve of the
 witnesses over the family (`_expansions`).  The construction and a reader
 of its file derive them with that one solve, so both hold the same bits.
 One function, `_cone_fits`, judges membership from such arrays for the
-epsilon search, the admission of the witnesses and `verify_certificate`.
+epsilon search, the witnesses' admission, `verify_certificate` and `cone_membership`.
 The epsilon search predicts every halving from one solve per cone and
 checks directly only the halvings its prediction does not rule out.
 """
@@ -38,7 +38,6 @@ import numpy as np
 
 from .operators import (
     DEFAULT_TOL,
-    CoordinateRank,
     DimensionMismatchError,
     HermitianOperator,
     OperatorBasis,
@@ -63,6 +62,7 @@ from .effects import (
     MicPom,
     NotAnEffectError,
     _require_effects,
+    check_pom,
     effect_checks,
     is_effect,
     pom_stack_from_jsonable,
@@ -178,20 +178,19 @@ def cone_membership(
 
     `basis` may be an OperatorBasis or anything carrying a `basis_view`
     (augmented bases, MIC-POMs).  The expansion over a full basis is
-    unique: the point is admitted when every coefficient clears -psd_slack
-    and the residual of the clipped coefficients is below tol.residual.
-    Returns None otherwise; absence is a value, not an error.
+    unique, and `_cone_fits` judges it.  An admitted point gets its
+    coefficients clipped at zero and their residual; None otherwise, since
+    absence is a value, not an error.
     """
     view = basis if isinstance(basis, OperatorBasis) else basis.basis_view
     if h.dim != view.dim:
         raise DimensionMismatchError(f"operator dim {h.dim} vs basis dim {view.dim}")
-    target = real_coordinates(h)[np.newaxis]
-    exact = view.solve(target.T, tol).T
-    coeffs = np.clip(exact, 0.0, None)
-    residuals = np.linalg.norm(coeffs @ view.coordinate_matrix.T - target, axis=1)
-    if not (exact.min() >= -tol.psd_slack and residuals[0] < tol.residual):
+    target, rows = real_coordinates(h)[np.newaxis], view.coordinate_matrix.T
+    exact = _expansions(target, view, tol)
+    if not _cone_fits(target, (exact,), (rows,), tol)[0][0]:
         return None
-    return ConeDecomposition(basis=view, coeffs=coeffs[0], residual=float(residuals[0]))
+    coeffs = np.clip(exact[0], 0.0, None)
+    return ConeDecomposition(view, coeffs, float(np.linalg.norm(coeffs @ rows - target[0])))
 
 
 def _tail(basis: AugmentedBasis) -> tuple[np.ndarray, float]:
@@ -304,8 +303,8 @@ def intersection_span_certificate(
     the matrix determinant lemma the family's determinant is
     det(Q diag(s sigma/2)) (1 + sum_k 2<E_delta, D_k>/(sigma_k s_k)), and
     the signs make every term positive.  The witnesses are re-verified in
-    both cones and must reach rank d**2; otherwise `CertificateError` names
-    the failing stage.
+    both cones and must reach rank d**2, and a MIC-POM checked at other
+    tolerances is judged at `tol`; else `CertificateError` names the stage.
 
     The search is predicted from one multi-RHS solve per cone over
     [Q | coords(I/d) | coords(T)], which also gives the step slopes, and
@@ -329,6 +328,10 @@ def intersection_span_certificate(
     d = basis.dim
     if mic.dim != d:
         raise DimensionMismatchError(f"basis dim {d} vs MIC-POM dim {mic.dim}")
+    if mic.tol != tol:  # checked at other tolerances, so judged again at these
+        check = check_pom(mic.stack, tol, mic=True)
+        if check.violated is not None:
+            raise CertificateError(f"stage mic-pom: {check.violated}: {check.error}")
     first = float(epsilon) if epsilon is not None else 1.0 / (4 * d)
     if not 0 < first < math.inf:
         raise ValueError(f"epsilon must be finite and positive, got {first!r}")
@@ -404,6 +407,11 @@ def intersection_span_certificate(
     )
 
 
+# `verify_certificate`'s names for the first condition `check_pom` finds a MIC-POM failing.
+_MIC_POM_FAILURES = {"effect-spectrum": "mic-pom-effect", "sum-to-identity": "mic-pom-sum",
+                     "linear-independence": "mic-pom-rank"}
+
+
 @dataclass(frozen=True)
 class CertificateReport:
     passed: bool
@@ -428,7 +436,7 @@ def verify_certificate(
     the certificate's own family with the certificate's coefficients,
     measured in the isometric real coordinates.  The
     tolerances the certificate carries (`cert.tol`) cannot loosen a check:
-    the witnesses, the MIC-POM's effects and rank, and E_delta were checked
+    the witnesses, the MIC-POM (one `check_pom`) and E_delta were checked
     at `cert.tol` when it was built or parsed, so only at another `tol` are
     those checks repeated.
     """
@@ -438,13 +446,10 @@ def verify_certificate(
     if not validate_augmented(cert.augmented, tol).passed:
         failures.append("augmented-basis")
 
-    if np.linalg.norm(cert.mic.stack.sum(axis=0) - np.eye(d)) > tol.residual:
-        failures.append("mic-pom-sum")
     if cert.tol != tol:
-        if not all(check.ok for check in effect_checks(cert.mic.stack, tol)):
-            failures.append("mic-pom-effect")
-        if CoordinateRank(cert.mic.basis_view.singular_values).rank(tol) < d * d:
-            failures.append("mic-pom-rank")
+        violated = check_pom(cert.mic.stack, tol, mic=True).violated
+        if violated is not None:
+            failures.append(_MIC_POM_FAILURES[violated])
         if not is_effect(cert.e_delta.op, tol).ok:
             failures.append("e-delta-effect")
 

@@ -261,17 +261,18 @@ class POM:
     """Ordered family of at least two effects summing to the identity.
 
     Built from effects or a validated stack, it keeps that (n, d, d) `stack`
-    once `check_pom` passes at `tol`, and raises the violated error otherwise.
+    and `tol` once `check_pom` passes at `tol`, and raises the violated error otherwise.
     """
 
     stack: np.ndarray
+    tol: ToleranceConfig
 
     def __init__(self, effects, tol: ToleranceConfig = DEFAULT_TOL):
         stack = _operator_stack(effects)
         check = check_pom(stack, tol, mic=isinstance(self, MicPom))
         if check.error is not None:
             raise check.error
-        object.__setattr__(self, "stack", stack)
+        self.__dict__.update(stack=stack, tol=tol)  # past the frozen __setattr__
         if check.basis is not None:
             object.__setattr__(self, "basis_view", check.basis)
 
@@ -303,6 +304,15 @@ class MicPom(POM):
     basis_view: OperatorBasis
 
 
+def _density_check(h: HermitianOperator, tol: ToleranceConfig) -> tuple[float, float, str | None]:
+    """Trace, smallest eigenvalue and first failed condition of a would-be state:
+    |Tr h - 1| <= residual (``trace``), then lambda_min >= -psd_slack (``positivity``)."""
+    trace, low = h.trace(), float(eig_hermitian(h)[0][-1])
+    if not abs(trace - 1.0) <= tol.residual:
+        return trace, low, "trace"
+    return trace, low, None if low >= -tol.psd_slack else "positivity"
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Positive semidefinite Hermitian operator of unit trace."""
@@ -311,12 +321,11 @@ class DensityOperator:
     tol: InitVar[ToleranceConfig] = DEFAULT_TOL
 
     def __post_init__(self, tol: ToleranceConfig) -> None:
-        tr = self.op.trace()
-        if abs(tr - 1.0) > tol.residual:
+        tr, low, violated = _density_check(self.op, tol)
+        if violated == "trace":
             raise NotADensityError(f"trace {tr!r} differs from 1 beyond {tol.residual:.1e}")
-        w, _ = eig_hermitian(self.op)
-        if float(w[-1]) < -tol.psd_slack:
-            raise NotADensityError(f"negative eigenvalue {float(w[-1]):.3e}")
+        if violated == "positivity":
+            raise NotADensityError(f"negative eigenvalue {low:.3e}")
 
     @property
     def dim(self) -> int:

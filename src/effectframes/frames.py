@@ -40,6 +40,7 @@ from .effects import (
     Effect,
     MicPom,
     _checked_effect,
+    _density_check,
     _effect_views,
     _effects_from_rng,
     _require_effects,
@@ -122,6 +123,8 @@ class TabulatedFrame(FrameFunction):
             raise ValueError(
                 f"expected {len(self.basis)} values, got shape {values.shape}"
             )
+        if not np.isfinite(values).all():
+            raise ValueError(f"values must be finite, got {values[~np.isfinite(values)].tolist()}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -173,8 +176,12 @@ class AdditivityReport:
     trials: int
     max_violation: float
     identity_deviation: float
-    passed: bool
+    violated: str | None  # "additivity", else "identity-normalization", else None
     worst_pair: tuple[Effect, Effect] | None
+
+    @property
+    def passed(self) -> bool:
+        return self.violated is None
 
 
 def check_additivity(
@@ -187,7 +194,7 @@ def check_additivity(
 
     The first trial is always the canonical pair (I/2, I/2); the remaining
     pairs come from the seeded rejection-free sampler.  The report also
-    records |f(I) - 1|.
+    records |f(I) - 1|.  A NaN value is the worst violation, and fails.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -200,15 +207,20 @@ def check_additivity(
     for k in range(trials):
         e1, e2 = (half, half) if k == 0 else coexisting_pair(d, rng, tol)
         violation = abs(f(e1) + f(e2) - f(Effect(e1.op + e2.op, tol)))
-        if violation > worst:
+        if not (violation <= worst or np.isnan(worst)):  # the first NaN stays worst
             worst = violation
             worst_pair = (e1, e2)
-    passed = worst <= tol.residual and identity_dev <= tol.residual
+    if not worst <= tol.residual:
+        violated = "additivity"
+    elif not identity_dev <= tol.residual:
+        violated = "identity-normalization"
+    else:
+        violated = None
     return AdditivityReport(
         trials=trials,
         max_violation=worst,
         identity_deviation=identity_dev,
-        passed=passed,
+        violated=violated,
         worst_pair=worst_pair,
     )
 
@@ -263,23 +275,17 @@ def reconstruct_density(
     d = mic.dim
     f_m = frame_vector(f, mic, tol)
     rho_hat = operator_from_coordinates(mic.basis_view.solve(f_m, tol, transpose=True))
-    eigs, _ = eig_hermitian(rho_hat)
-    trace = rho_hat.trace()
+    trace, low, violated = _density_check(rho_hat, tol)
     predicted = _verification_coordinates(d) @ real_coordinates(rho_hat)
     effects = verification_effects(d, TEST_EFFECT_SEED, TEST_EFFECT_COUNT)
     observed = np.array([f(e) for e in effects])
     max_dev = float(np.max(np.abs(observed - predicted), initial=0.0))
-    verdict = (
-        abs(trace - 1.0) <= tol.residual
-        and float(eigs[-1]) >= -tol.psd_slack
-        and max_dev < tol.residual
-    )
     return ReconstructionReport(
         rho_hat=rho_hat,
         trace=trace,
-        min_eigenvalue=float(eigs[-1]),
+        min_eigenvalue=low,
         max_deviation=max_dev,
-        verdict=verdict,
+        verdict=violated is None and max_dev < tol.residual,
     )
 
 
@@ -341,7 +347,7 @@ def restriction_linearity_check(
     The grid covers [0, a_j] where a_j is the largest admissible scale of
     the element; `j` indexes the basis elements from zero.  An additive
     frame is linear along every such ray, so the reported maximum
-    deviation is a direct detector for non-additive oracles.
+    deviation (a NaN is the worst) detects non-additive oracles.
     """
     if not 0 <= j < len(basis):
         raise IndexError(f"element index {j} outside 0..{len(basis) - 1}")
@@ -355,7 +361,7 @@ def restriction_linearity_check(
     for x in np.linspace(0.0, a_j, samples):
         value = f(Effect(HermitianOperator(float(x) * element.mat), tol))
         dev = abs(value - float(x) * f_unit)
-        if dev > worst:
+        if not (dev <= worst or np.isnan(worst)):  # the first NaN stays worst
             worst = dev
             worst_x = float(x)
     return RestrictionReport(

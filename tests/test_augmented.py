@@ -249,6 +249,49 @@ def test_rank_one_verdict_turns_at_psd_slack(second, passed):
     assert all(res.passed for res in others.values())
 
 
+@pytest.mark.parametrize("scale, orthonormal", [(0.5, True), (2.0, False)])
+def test_orthonormality_turns_at_the_residual(scale, orthonormal):
+    # U = sqrt(1 + t) I has Gram deviation t sqrt(d) = scale * residual.  The
+    # elements stay those of I, within c t of c|u_j><u_j|: only the one
+    # orthonormality rule moves, at construction and in validation alike.
+    d, residual = 3, DEFAULT_TOL.residual
+    u = math.sqrt(1.0 + scale * residual / math.sqrt(d)) * np.eye(d, dtype=complex)
+    exact = augmented_basis_from_onb(np.eye(d))
+    tampered = AugmentedBasis(onb=u, ops=exact.stack, c=exact.c, gamma=exact.gamma)
+    result = validate_augmented(tampered).conditions["scaled-projectors"]
+    assert result.passed == orthonormal
+    if orthonormal:
+        augmented_basis_from_onb(u)
+    else:
+        assert result.witness == pytest.approx(scale * residual, rel=1e-6)
+        with pytest.raises(NotOrthonormalError):
+            augmented_basis_from_onb(u)
+
+
+@pytest.mark.parametrize("scale, passed", [(0.5, True), (2.0, False)])
+def test_first_elements_turn_on_their_deviation_at_the_residual(scale, passed):
+    # Element 0 scaled by 1 + t stays rank one, at distance c t = scale *
+    # residual from c|e_0><e_0|; the vector family stays orthonormal.
+    built = augmented_basis_from_onb(random_onb(3, 1))
+    stack = built.stack.copy()
+    stack[0] *= 1.0 + scale * DEFAULT_TOL.residual / built.c
+    tampered = AugmentedBasis(onb=built.onb, ops=stack, c=built.c, gamma=built.gamma)
+    result = validate_augmented(tampered).conditions["scaled-projectors"]
+    assert result.witness == pytest.approx(scale * DEFAULT_TOL.residual, rel=1e-6)
+    assert result.passed == passed
+
+
+@pytest.mark.parametrize("elements", [True, False], ids=["full", "compact"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_vector_family_is_malformed_input(elements, bad):
+    from effectframes import augmented_basis_from_jsonable, augmented_basis_to_jsonable
+
+    obj = augmented_basis_to_jsonable(augmented_basis_from_onb(EYE2), elements=elements)
+    obj["onb"][0][1][0] = bad
+    with pytest.raises(ValueError, match=r"^vector family must be finite, got \[\("):
+        augmented_basis_from_jsonable(obj)
+
+
 def test_validate_decomposes_the_element_sum_once(monkeypatch):
     from effectframes import augmented_basis_from_jsonable, augmented_basis_to_jsonable
 

@@ -22,6 +22,7 @@ from effectframes import (
     NotAnEffectError,
     PomIdentityError,
     SingularBasisError,
+    TabulatedFrame,
     ToleranceConfig,
     check_pom,
     hermitian_stack,
@@ -542,6 +543,42 @@ def test_verify_frame_file_failing_caller_tolerance_is_exit_2(capsys, tmp_path):
         capsys, "verify-frame", "--frame", str(frame_path), "--tol-residual", "1e-17"
     )
     assert (code, out) == (2, "") and err.startswith("error: trace")
+
+
+def _refused_with_one_error_line(capsys, *argv):
+    """Run the CLI with numerical warnings as errors; return its error line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("bad, token", [(float("nan"), "NaN"), (float("inf"), "Infinity")])
+def test_verify_frame_with_a_non_finite_tabulated_value_is_exit_2(capsys, tmp_path, bad, token):
+    sic = sic_mic_pom()
+    payload = frame_to_jsonable(TabulatedFrame(sic.basis_view, [0.25] * 4))
+    payload["values"][1] = bad
+    path = tmp_path / "tabulated.json"
+    path.write_text(json.dumps(payload))
+    assert token in path.read_text()
+    err = _refused_with_one_error_line(capsys, "verify-frame", "--frame", str(path))
+    assert err == f"error: values must be finite, got [{bad}]\n"
+
+
+def test_a_non_finite_vector_family_in_a_file_is_exit_2(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "certify-cone", "--dim", "2", "--seed", "1", "--out", str(cert_path))
+    cert = json.loads(cert_path.read_text())
+    cert["augmented"]["onb"][1][0][1] = float("nan")
+    cert_path.write_text(json.dumps(cert))
+    aug_path = tmp_path / "augmented.json"
+    aug_path.write_text(json.dumps(cert["augmented"]))
+    for argv in (("certify-cone", "--verify", str(cert_path)),
+                 ("validate", "--kind", "augmented", "--in", str(aug_path))):
+        err = _refused_with_one_error_line(capsys, *argv)
+        assert err.startswith("error: vector family must be finite, got [")
 
 
 def test_validate_overfull_pom(capsys, tmp_path):

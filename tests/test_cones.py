@@ -915,3 +915,91 @@ def test_interior_point_needs_every_coefficient_above_psd_slack(monkeypatch, low
     else:
         cert = intersection_span_certificate(basis, mic, epsilon=epsilon)
         assert tried == [epsilon, epsilon / 2] and cert.epsilon == epsilon / 2
+
+
+# ---------------------------------------------------------------------------
+# One membership rule, one MIC-POM check, one epsilon-search floor
+# ---------------------------------------------------------------------------
+
+def test_cone_membership_admits_exactly_what_cone_fits_admits():
+    # Over 3 times the orthonormal basis a coefficient of -0.9 psd_slack,
+    # clipped to zero, leaves a residual of 2.7 psd_slack, above the
+    # residual tolerance psd_slack; the exact coefficients recombine to the
+    # point, so `_cone_fits` admits it, and so does `cone_membership`.
+    from effectframes import OperatorBasis, ToleranceConfig
+
+    tol = ToleranceConfig(psd_slack=1e-6, residual=1e-6)
+    view = OperatorBasis(3.0 * orthonormal_operator_basis(2).stack, tol)
+    for first in (-2.0, -1.1, -0.9, 0.0, 0.5):
+        h = recombine(np.array([first * tol.psd_slack, 0.25, 0.25, 0.25]), view)
+        target = real_coordinates(h)[np.newaxis]
+        exact = cones._expansions(target, view, tol)
+        inside, *_ = cones._cone_fits(target, (exact,), (view.coordinate_matrix.T,), tol)
+        dec = cone_membership(h, view, tol)
+        assert (dec is not None) == bool(inside[0]) == (first > -1.0)
+        if dec is not None:
+            np.testing.assert_allclose(dec.coeffs, np.clip(exact[0], 0.0, None))
+            assert dec.residual == pytest.approx(3.0 * max(-first, 0.0) * tol.psd_slack,
+                                                 abs=1e-14)
+
+
+def _mic_with_an_effect_below_zero():
+    """`random_mic_pom(2, 4)` with effect 0's lowest eigenvalue moved to
+    -1e-4 and effect 1 compensating, checked at psd_slack 1e-3."""
+    from effectframes import MicPom, ToleranceConfig
+
+    stack = random_mic_pom(2, 4).stack.copy()
+    w, v = np.linalg.eigh(stack[0])
+    shift = (-1e-4 - w[0]) * np.outer(v[:, 0], v[:, 0].conj())
+    stack[0] += shift
+    stack[1] -= shift
+    return MicPom(stack, ToleranceConfig(psd_slack=1e-3, residual=1e-2))
+
+
+def test_builder_judges_a_mic_pom_checked_at_other_tolerances():
+    mic = _mic_with_an_effect_below_zero()
+    basis = augmented_basis_from_onb(random_onb(2, 3))
+    with pytest.raises(CertificateError, match=r"^stage mic-pom: effect-spectrum: element 0 "
+                                               r"is not an effect: eigenvalue -0\.0001"):
+        intersection_span_certificate(basis, mic, tol=DEFAULT_TOL)
+    # Judged at the tolerances it was checked at, it is not judged again.
+    assert verify_certificate(intersection_span_certificate(basis, mic, tol=mic.tol),
+                              mic.tol).passed
+
+
+def test_builder_checks_a_mic_pom_again_only_at_other_tolerances(monkeypatch):
+    from effectframes import ToleranceConfig
+
+    calls = []
+
+    def counting_check_pom(mats, tol, mic=False):
+        calls.append(tol)
+        return effectframes.check_pom(mats, tol, mic)
+
+    monkeypatch.setattr(cones, "check_pom", counting_check_pom)
+    basis = augmented_basis_from_onb(random_onb(2, 3))
+    intersection_span_certificate(basis, random_mic_pom(2, 4))
+    assert calls == []
+    loose = ToleranceConfig(psd_slack=1e-3, residual=1e-2)
+    cert = intersection_span_certificate(basis, random_mic_pom(2, 4, loose))
+    assert calls == [DEFAULT_TOL] and verify_certificate(cert).passed
+
+
+@pytest.mark.parametrize("slacks, stage", [(5.0, None), (0.5, "interior-point")])
+def test_epsilon_search_tries_every_delta_above_psd_slack(slacks, stage):
+    # epsilon puts delta at `slacks` psd_slack from its first halving on.  The
+    # tail coefficients of E_delta are delta itself, so delta = 5 psd_slack is
+    # interior; its steps are as short, so the rank cutoff is loosened.
+    from effectframes import ToleranceConfig
+
+    tol = ToleranceConfig(rank_cutoff=1e-12)
+    basis = augmented_basis_from_onb(random_onb(2, 3), tol)
+    _, tnorm = cones._tail(basis)
+    epsilon = 2.0 * tnorm * slacks * tol.psd_slack
+    if stage is None:
+        cert = intersection_span_certificate(basis, random_mic_pom(2, 4, tol), epsilon, tol)
+        assert cert.delta == pytest.approx(slacks * tol.psd_slack, rel=1e-12)
+        assert verify_certificate(cert, tol).passed
+    else:
+        with pytest.raises(CertificateError, match=f"^stage {stage}:"):
+            intersection_span_certificate(basis, random_mic_pom(2, 4, tol), epsilon, tol)

@@ -309,6 +309,18 @@ def test_effect_check_turns_at_psd_slack(low, high, ok):
         assert check.witness == (low * slack if low else 1.0 + high * slack)
 
 
+@pytest.mark.parametrize("scale, sums", [(0.5, True), (2.0, False)])
+def test_pom_sum_turns_at_the_residual(scale, sums):
+    # Effects diag(1/2 + t, 1/2) and I/2 sum to I + diag(t, 0), t = scale * residual.
+    t = scale * DEFAULT_TOL.residual
+    ops = [HermitianOperator(np.diag([0.5 + t, 0.5]).astype(complex)), identity(2) * 0.5]
+    if sums:
+        assert POM(ops).stack.shape == (2, 2, 2)
+    else:
+        with pytest.raises(PomIdentityError, match="within 2.000e-08"):
+            POM(ops)
+
+
 def test_pom_names_its_first_non_effect_element():
     ops = [identity(2) * 0.5, identity(2) * 0.25, identity(2) * 1.5]
     with pytest.raises(NotAnEffectError, match="element 2"):

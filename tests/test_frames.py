@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from effectframes import (
     Effect,
     FrameFunction,
     HermitianOperator,
+    MicPom,
+    NotADensityError,
     NotAnEffectError,
     OperatorBasis,
     TEST_EFFECT_COUNT,
@@ -234,6 +237,23 @@ def test_reconstruct_verdict_turns_on_the_smallest_eigenvalue_at_psd_slack(low, 
     assert report.verdict == verdict
 
 
+@pytest.mark.parametrize("excess, verdict", [(0.5, True), (2.0, False)])
+def test_density_rule_turns_on_the_trace_at_the_residual(excess, verdict):
+    # Trace 1 + excess * residual, spectrum near 1/2: only the trace moves.
+    # `reconstruct_density` and `DensityOperator` read the one density rule.
+    tol = DEFAULT_TOL
+    sigma = np.diag([0.5 + excess * tol.residual, 0.5]).astype(complex)
+    report = reconstruct_density(_TraceOracle(sigma), random_mic_pom(2, 4))
+    assert report.trace - 1.0 == pytest.approx(excess * tol.residual, rel=1e-6)
+    assert report.max_deviation < tol.residual and report.min_eigenvalue > 0.4
+    assert report.verdict == verdict
+    if verdict:
+        DensityOperator(HermitianOperator(sigma))
+    else:
+        with pytest.raises(NotADensityError, match="^trace .* differs from 1 beyond 1.0e-08$"):
+            DensityOperator(HermitianOperator(sigma))
+
+
 def test_reconstruct_basis_independence():
     rho = random_density(3, 21)
     f = BornFrame(rho)
@@ -286,6 +306,88 @@ def test_consistency_demands_matching_certificate():
     cert = intersection_span_certificate(basis, mic)
     with pytest.raises(CertificateError):
         consistency_DT(BornFrame(maximally_mixed(2)), other, mic, cert)
+
+
+@pytest.mark.parametrize("scale, binds", [(0.5, True), (2.0, False)])
+def test_consistency_binding_turns_at_the_residual(scale, binds):
+    # Weight moved from one MIC-POM effect to another: the sum, the effects
+    # and the rank hold, and only the distance to the bound MIC-POM moves.
+    from effectframes import CertificateError
+
+    basis, mic = augmented_basis_from_onb(EYE2), random_mic_pom(2, 4)
+    cert = intersection_span_certificate(basis, mic)
+    shift = scale * DEFAULT_TOL.residual * np.diag([1.0, 0.0])
+    moved = MicPom(mic.stack + np.stack([shift, -shift, 0 * shift, 0 * shift]))
+    f = BornFrame(maximally_mixed(2))
+    if binds:
+        assert consistency_DT(f, basis, moved, cert) < 1e-10
+    else:
+        with pytest.raises(CertificateError, match="binds a different MIC-POM"):
+            consistency_DT(f, basis, moved, cert)
+
+
+class _QuadraticTrace(FrameFunction):
+    """E -> (1 + kappa) t + 4 eta t (1 - t), t = Tr(E)/d.
+
+    Its violation on a coexisting pair is 8 eta t_1 t_2 <= 2 eta, reached by
+    the canonical pair (I/2, I/2), and f(I) = 1 + kappa exactly.
+    """
+
+    def __init__(self, d, kappa=0.0, eta=0.0):
+        self.d, self.kappa, self.eta = d, kappa, eta
+
+    @property
+    def dim(self):
+        return self.d
+
+    def __call__(self, e):
+        t = float(np.trace(e.mat).real) / self.d
+        return (1.0 + self.kappa) * t + 4.0 * self.eta * t * (1.0 - t)
+
+
+@pytest.mark.parametrize("scale, violated", [(0.5, None), (2.0, "additivity")])
+def test_additivity_verdict_turns_at_the_residual(scale, violated):
+    tol = DEFAULT_TOL
+    report = check_additivity(_QuadraticTrace(2, eta=scale * tol.residual / 2), trials=20)
+    assert report.max_violation == pytest.approx(scale * tol.residual, rel=1e-6)
+    assert report.identity_deviation == 0.0
+    assert report.violated == violated and report.passed == (violated is None)
+
+
+@pytest.mark.parametrize("scale, violated", [(0.5, None), (2.0, "identity-normalization")])
+def test_identity_normalization_verdict_turns_at_the_residual(scale, violated):
+    tol = DEFAULT_TOL
+    report = check_additivity(_QuadraticTrace(2, kappa=scale * tol.residual), trials=20)
+    assert report.max_violation < 1e-14
+    assert report.identity_deviation == pytest.approx(scale * tol.residual, rel=1e-6)
+    assert report.violated == violated and report.passed == (violated is None)
+
+
+def test_additivity_is_named_before_identity_normalization():
+    report = check_additivity(_QuadraticTrace(2, kappa=1e-3, eta=1e-3), trials=1)
+    assert report.violated == "additivity" and not report.passed
+
+
+class _NanOffDiagonal(FrameFunction):
+    """Tr(E)/d, but NaN on every effect with a non-zero off-diagonal entry."""
+
+    dim = 2
+
+    def __call__(self, e):
+        if np.any(e.mat[~np.eye(2, dtype=bool)]):
+            return math.nan
+        return float(np.trace(e.mat).real) / 2
+
+
+def test_a_nan_value_is_the_worst_and_fails_additivity():
+    f = _NanOffDiagonal()
+    report = check_additivity(f, trials=50, seed=0)
+    assert math.isnan(report.max_violation) and report.worst_pair is not None
+    assert report.violated == "additivity" and not report.passed
+    basis = augmented_basis_from_onb(EYE2)
+    assert restriction_linearity_check(f, basis, 0).max_deviation < 1e-15
+    nan = restriction_linearity_check(f, basis, 2)  # (|0> + |1>)/sqrt(2) has off-diagonals
+    assert math.isnan(nan.max_deviation) and nan.worst_x == 0.0
 
 
 def test_restriction_linear_for_born():
@@ -347,6 +449,13 @@ def test_frame_json_round_trip_tabulated():
     assert back.kind == "tabulated"
     e = random_effect(2, 48)
     assert back(e) == pytest.approx(tab(e), abs=1e-10)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tabulated_frame_refuses_non_finite_values(bad):
+    sic = sic_mic_pom()
+    with pytest.raises(ValueError, match=rf"^values must be finite, got \[{bad}\]$"):
+        TabulatedFrame(sic.basis_view, [0.25, bad, 0.25, 0.25])
 
 
 def test_frame_json_unknown_kind():

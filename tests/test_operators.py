@@ -475,6 +475,18 @@ def test_numerical_rank():
     assert CoordinateRank(np.array([])).rank(DEFAULT_TOL) == 0
 
 
+@pytest.mark.parametrize("ratio, rank", [(0.5, 1), (2.0, 2)])
+def test_rank_cutoff_turns_at_rank_cutoff(ratio, rank):
+    s = np.array([1.0, ratio * DEFAULT_TOL.rank_cutoff])
+    assert CoordinateRank(s).rank(DEFAULT_TOL) == rank
+
+
+def test_psd_slack_may_equal_but_not_exceed_the_residual():
+    assert ToleranceConfig(psd_slack=1e-8, residual=1e-8).psd_slack == 1e-8
+    with pytest.raises(ValueError, match="must not exceed residual"):
+        ToleranceConfig(psd_slack=2e-8, residual=1e-8)
+
+
 def test_coordinate_rank_reports_rank_and_conditioning():
     coords = stacked_coordinates(orthonormal_operator_basis(2).stack)
     full = coordinate_rank(coords)

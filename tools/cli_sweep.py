@@ -89,6 +89,11 @@ def write_inputs(folder: Path) -> None:
     put("tabulated2.json", {"kind": "tabulated", "dim": 2,
                             "basis": [_operator(e) for e in sic],
                             "values": [float(np.trace(_density(2, 0) @ e).real) for e in sic]})
+    # json reads NaN and Infinity: a non-finite value in a file is invalid input.
+    for token in ("NaN", "Infinity"):
+        tabulated = json.loads((folder / "tabulated2.json").read_text(encoding="utf-8"))
+        tabulated["values"][1] = token
+        put(f"tabulated2_{token}.json", json.dumps(tabulated).replace(f'"{token}"', token))
     put("pom_halves.json", {"dim": 2, "effects": [_operator(half)] * 2})
     put("pom_overfull.json", {"dim": 2, "effects": [_operator(0.55 * np.eye(2))] * 2})
     put("pom_non_effect.json", {"dim": 2, "effects": [_operator(np.diag([1.5, -0.5])),
@@ -109,6 +114,9 @@ def write_inputs(folder: Path) -> None:
     put("cert_tampered.json", cert)
     cert["memberships"][0]["augmented"]["coeffs"] = "zero"
     put("cert_malformed.json", cert)
+    cert = json.loads((FIXTURES / "certificate_d3_compact.json").read_text(encoding="utf-8"))
+    cert["augmented"]["onb"][1][0][1] = "NaN"
+    put("cert_onb_nan.json", json.dumps(cert).replace('"NaN"', "NaN"))
     # Numbers too large to convert: json reads 1e400 as inf, which int()
     # refuses, and float() refuses a 400-digit integer.
     put("op_too_large.json", '{"dim": 1e400, "entries": []}')
@@ -162,6 +170,7 @@ def commands() -> list:
         add(["certify-cone", "--verify", f"{{in}}/{name}.json", "--pretty"])
     add(["certify-cone", "--verify", "{in}/cert_tampered.json"])
     add(["certify-cone", "--verify", "{in}/cert_malformed.json"])
+    add(["certify-cone", "--verify", "{in}/cert_onb_nan.json"])
     add(["certify-cone", "--verify", "{in}/malformed.json"])
     add(["certify-cone", "--verify", "{in}/missing.json"])
     add(["certify-cone", "--dim", "3", "--seed", "1", "--tol-residual", "1e-17"])
@@ -187,6 +196,8 @@ def commands() -> list:
     add(["verify-frame", "--frame", "{in}/adversarial3.json", "--trials", "10", "--pretty"])
     add(["verify-frame", "--frame", "{in}/tabulated2.json", "--out", "{out}/tabulated.json"])
     add(["verify-frame", "--frame", "{in}/sic.json"])
+    for token in ("NaN", "Infinity"):
+        add(["verify-frame", "--frame", f"{{in}}/tabulated2_{token}.json"])
 
     for a, n, v in (("1/1", "10", "7/100"), ("3/2", "6", "-1/3"), ("5/1", "1", "0/1"),
                     ("1/1", "400", "22/7"), ("7/3", "12", "1/1000000")):
